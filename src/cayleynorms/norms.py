@@ -6,6 +6,18 @@ the inner optimum in closed form.  Grothendieck norm: bracketed between a
 low-rank block-coordinate ascent (a feasible lower bound) and the cheapest
 of three upper bounds (sqrt(mn)||A||, K_G times the infinity-to-one norm,
 8 times the cut norm).
+
+The enumeration reads each row subset's column sums as L[lo] + H[hi] from
+two subset-sum tables over the low and high halves of the rows: one vector
+add, abs and sum per subset.  When k * A is integral for k = 1 or k = ncols
+(every 0/1 or +-1 matrix, every degree-centered graph matrix A - (d/n) J)
+it runs on rint(k * A) in int64, so the maximum, its ties and the
+lexicographically smallest witness are decided exactly; other input is
+compared in float64 as computed.  When every row and column sum is exactly
+zero (the paper's setting), a row set and its complement have the same cut
+value |c_S|_1 / 2 and ||A||_inf->1 = 4 ||A||_cut, so the cut visits only the
+row sets without row 0; the infinity-to-one norm pins row 0 on every input.
+Reported values are recomputed from their witnesses with math.fsum.
 """
 
 from __future__ import annotations
@@ -26,6 +38,8 @@ from .groups import GroupFunction, function_norm
 K_G = 1.783
 
 EXACT_ENUM_LIMIT = 26
+# Rows per chunk of the former bit-unpacking enumeration.  The enumeration no
+# longer uses it; bench/tracer.py derives its computed-work counters from it.
 _CHUNK_BITS = 16
 
 
@@ -149,6 +163,22 @@ def second_eigenvalue(a: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Exact cut and infinity-to-one norms by subset enumeration
+#
+# Both norms are a maximum of |c|_1 over the 2^m row subsets S, where c is a
+# vector of column sums of S (with one extra column for the cut, signed sums
+# for the infinity-to-one norm).  The rows split into a low half of
+# h = ceil(m/2) rows and a high half; S is the mask lo | hi << h and its
+# column sums are L[lo] + H[hi], read from two subset-sum tables, so each
+# subset costs one vector add, abs and sum.
+
+# Target subset-column entries per enumeration block.  A block is at least
+# one whole row of the high table (every low mask against one high mask), so
+# past about 20 rows it is one to a few such rows, above this target.
+_BLOCK_ENTRIES = 1 << 16
+# k * a counts as integral when every entry is within this fraction of
+# k * max|a| of an integer: a few roundings of how such matrices are built
+# (d / n, then 1 - d / n).
+_INTEGRAL_RTOL = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -158,6 +188,92 @@ class CutNormResult:
     value: float
     row_set: tuple[int, ...]
     col_set: tuple[int, ...]
+
+
+def _real_matrix(a, name: str) -> np.ndarray:
+    """`a` as a float64 matrix; complex or non-finite entries are a ValueError."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"{name} needs a matrix")
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} needs a real matrix, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} needs finite entries")
+    return a
+
+
+def _enumeration_form(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The matrix the enumeration runs on, and whether its margins are all zero.
+
+    When k * a is integral (within _INTEGRAL_RTOL) for k = 1 or k = ncols and
+    every sum the enumeration forms, at most m * n * max|k * a|, stays below
+    2^53, this is N = rint(k * a) in int64: scaling by k > 0 keeps maximizers,
+    so the maximum, its ties and the zero margins are decided exactly for
+    N / k, the matrix that `a` rounds.  That covers every 0/1 and +-1 matrix
+    and every degree-centered graph matrix A - (d/n) J.  Otherwise it is `a`
+    itself, compared in float64 as computed, and never has zero margins.
+    """
+    m, n = a.shape
+    scale = float(np.abs(a).max())
+    for k in (1, n):
+        ka = k * a
+        ints = np.rint(ka)
+        if (float(np.abs(ka - ints).max()) <= _INTEGRAL_RTOL * k * scale
+                and m * n * float(np.abs(ints).max()) < 2.0 ** 53):
+            w = ints.astype(np.int64)
+            return w, not w.sum(axis=0).any() and not w.sum(axis=1).any()
+    return a, False
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Table t with t[mask] = sum of rows[i] over the set bits i of mask, by doubling."""
+    t = np.zeros((1 << rows.shape[0],) + rows.shape[1:], dtype=rows.dtype)
+    for i, row in enumerate(rows):
+        np.add(t[: 1 << i], row, out=t[1 << i: 2 << i])
+    return t
+
+
+def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
+            choose=None) -> tuple[float, int]:
+    """Largest |base + sum of rows[i] over i in S|_1 over row subsets S, and a
+    mask attaining it; S never holds row 0 when pinned.
+
+    Masks are visited in ascending order and the first attaining one is
+    returned, unless ``choose(masks) -> (key, mask)`` picks among the tied
+    masks of each block; then the mask with the smallest key wins, and a key
+    of () (the empty set, the smallest there is) ends the contest.
+    """
+    m = rows.shape[0]
+    h = (m + 1) // 2
+    step = 2 if pinned else 1
+    low = _subset_sums(rows[:h])[::step]
+    if base is not None:
+        low = low + base
+    # columns x low masks, so each subset's l1 norm is a sum down a column
+    low = np.ascontiguousarray(low.T)
+    low_masks = np.arange(0, 1 << h, step, dtype=np.int64)
+    high = _subset_sums(rows[h:])
+    cols, width = low.shape
+    per_block = max(1, _BLOCK_ENTRIES // (cols * width))
+    buf = np.empty((per_block, cols, width), dtype=rows.dtype)
+    best = best_key = None
+    best_mask = 0
+    for first in range(0, high.shape[0], per_block):
+        block = buf[: min(per_block, high.shape[0] - first)]
+        np.add(low, high[first:first + len(block), :, None], out=block)
+        np.abs(block, out=block)
+        vals = block.sum(axis=1)
+        top = vals.max()
+        if best is not None and (top < best or (
+                top == best and (choose is None or best_key == ()))):
+            continue
+        hi_idx, lo_idx = np.nonzero(vals == top)
+        masks = ((first + hi_idx) << h) | low_masks[lo_idx]
+        key, mask = (None, int(masks[0])) if choose is None else choose(masks)
+        if best is None or top > best or key < best_key:
+            best, best_key, best_mask = top, key, mask
+    return best, best_mask
 
 
 def _subset_key(mask: int, m: int) -> tuple[int, ...]:
@@ -179,7 +295,39 @@ def _lex_min_mask(masks: np.ndarray, m: int) -> int:
     return chosen
 
 
-def _column_witness(c: np.ndarray) -> tuple[float, tuple[int, ...]]:
+def _cut_rows(w: np.ndarray, zero_margins: bool) -> tuple[float, int]:
+    """Twice the cut norm of w, and the lexicographically smallest row mask
+    attaining it.
+
+    For a row set with column sums c the best column set gives
+    max(sum c+, sum c-) = (|c|_1 + |sum c|) / 2, so a last column holding
+    each row's sum makes twice the value one l1 norm.  With zero margins the
+    complement's column sums are -c and sum c = 0: only sets without row 0
+    are visited, their value is |c|_1, and each tie brings its complement.
+    """
+    m = w.shape[0]
+    full = (1 << m) - 1
+
+    def choose(masks):
+        if zero_margins:
+            masks = np.concatenate([masks, full ^ masks])
+        mask = _lex_min_mask(masks, m)
+        return _subset_key(mask, m), mask
+
+    if zero_margins:
+        return _max_l1(w, pinned=True, choose=choose)
+    return _max_l1(np.column_stack([w, w.sum(axis=1)]), choose=choose)
+
+
+def _infty_one_signs(w: np.ndarray) -> tuple[float, int]:
+    """The infinity-to-one norm of w and the first mask S attaining it, for
+    x = 1 - 2 1_S with x_0 = +1: x^T w = t - 2 c_S for the column sums t of
+    w and c_S of S.
+    """
+    return _max_l1(-2 * w, base=w.sum(axis=0), pinned=True)
+
+
+def _column_witness(c: np.ndarray) -> tuple[int, ...]:
     """Best column set for fixed row-set column sums c, lex-min on ties.
 
     The optimum is either the positive or the negative side; a zero column
@@ -194,88 +342,70 @@ def _column_witness(c: np.ndarray) -> tuple[float, tuple[int, ...]]:
             return ()
         last = int(idx[-1])
         return tuple(
-            t for t in range(n) if member[t] or (c[t] == 0.0 and t < last)
+            t for t in range(n) if member[t] or (c[t] == 0 and t < last)
         )
 
-    pos_val = float(np.maximum(c, 0.0).sum())
-    neg_val = float(-np.minimum(c, 0.0).sum())
+    pos_val = np.maximum(c, 0).sum()
+    neg_val = -np.minimum(c, 0).sum()
     if pos_val > neg_val:
-        return pos_val, build(c > 0.0)
+        return build(c > 0)
     if neg_val > pos_val:
-        return neg_val, build(c < 0.0)
-    return pos_val, min(build(c > 0.0), build(c < 0.0))
+        return build(c < 0)
+    return min(build(c > 0), build(c < 0))
 
 
 def cut_norm_exact(a: np.ndarray, *, max_rows: int = EXACT_ENUM_LIMIT) -> CutNormResult:
     """Exact cut norm: max over row/column subsets of |sum of the submatrix|.
 
-    Enumerates all 2^m row subsets (chunked; column sums via one matmul per
-    chunk); the inner column optimum is closed-form.  Ties are broken by the
-    lexicographically smallest row set, then column set.
+    Enumerates the row subsets with split subset-sum tables; the inner column
+    optimum is closed-form.  Ties are broken by the lexicographically
+    smallest row set, then column set, decided exactly whenever
+    `_enumeration_form` finds an integer form.  With zero margins only half
+    the row sets are visited.  The value is recomputed from the witness with
+    math.fsum, so it does not depend on summation order.  An empty matrix
+    has value 0.0 and empty witness sets; complex or non-finite input is a
+    ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("cut_norm_exact needs a matrix")
+    a = _real_matrix(a, "cut_norm_exact")
     m, n = a.shape
     if m > max_rows:
         raise CapacityError(
             f"cut norm enumeration is capped at {max_rows} rows (got {m}); "
             "use grothendieck_bounds for larger matrices"
         )
-    total = 1 << m
-    bit_cols = np.arange(m, dtype=np.int64)
-    chunk = min(total, 1 << _CHUNK_BITS)
-    best_val = -1.0
-    best_key: Optional[tuple[int, ...]] = None
-    for offset in range(0, total, chunk):
-        cnt = min(chunk, total - offset)
-        masks = np.arange(offset, offset + cnt, dtype=np.int64)
-        x = ((masks[:, None] >> bit_cols[None, :]) & 1).astype(np.float64)
-        colsums = x @ a
-        vals = np.maximum(colsums, 0.0).sum(axis=1)
-        np.maximum(vals, -np.minimum(colsums, 0.0).sum(axis=1), out=vals)
-        cmax = float(vals.max())
-        if cmax < best_val or (cmax == best_val and best_key == ()):
-            continue
-        cand = masks[vals == cmax]
-        key = _subset_key(_lex_min_mask(cand, m), m)
-        if cmax > best_val or best_key is None or key < best_key:
-            best_val = cmax
-            best_key = key
-    row_idx = np.array(best_key, dtype=np.int64)
-    c = a[row_idx].sum(axis=0) if row_idx.size else np.zeros(n)
-    _, col_key = _column_witness(c)
-    return CutNormResult(value=best_val, row_set=best_key, col_set=col_key)
+    if a.size == 0:
+        return CutNormResult(value=0.0, row_set=(), col_set=())
+    w, zero_margins = _enumeration_form(a)
+    _, mask = _cut_rows(w, zero_margins)
+    rows = _subset_key(mask, m)
+    cols = _column_witness(w[list(rows)].sum(axis=0))
+    value = abs(math.fsum(a[np.ix_(rows, cols)].ravel())) if rows and cols else 0.0
+    return CutNormResult(value=value, row_set=rows, col_set=cols)
 
 
 def infty_one_exact(a: np.ndarray, *, max_rows: int = EXACT_ENUM_LIMIT) -> float:
     """Exact infinity-to-one norm: max of |x^T A y| over x, y with +-1 entries.
 
     Enumerates sign vectors x with the first entry pinned to +1 (the x <-> -x
-    symmetry); the optimal y is the sign pattern of A^T x, so the inner value
-    is the l1 norm of A^T x.
+    symmetry) with split subset-sum tables; the optimal y is the sign pattern
+    of A^T x, so the inner value is the l1 norm of A^T x.  The value is
+    recomputed from the sign witnesses with math.fsum.  An empty matrix has
+    value 0.0; complex or non-finite input is a ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("infty_one_exact needs a matrix")
+    a = _real_matrix(a, "infty_one_exact")
     m, _ = a.shape
     if m > max_rows:
         raise CapacityError(
             f"infinity-to-one enumeration is capped at {max_rows} rows (got {m}); "
             "use grothendieck_bounds for larger matrices"
         )
-    total = 1 << (m - 1)
-    bit_cols = np.arange(m, dtype=np.int64)
-    chunk = min(total, 1 << _CHUNK_BITS)
-    best = 0.0
-    for offset in range(0, total, chunk):
-        cnt = min(chunk, total - offset)
-        # bit i of (mask << 1) flips the sign of row i; row 0 stays +1
-        masks = np.arange(offset, offset + cnt, dtype=np.int64) << 1
-        x = 1.0 - 2.0 * ((masks[:, None] >> bit_cols[None, :]) & 1)
-        vals = np.abs(x @ a).sum(axis=1)
-        best = max(best, float(vals.max()))
-    return best
+    if a.size == 0:
+        return 0.0
+    w, _ = _enumeration_form(a)
+    _, mask = _infty_one_signs(w)
+    x = 1 - 2 * ((mask >> np.arange(m)) & 1)
+    y = np.where(x @ w < 0, -1, 1)
+    return abs(math.fsum((a * np.outer(x, y)).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +804,8 @@ def mixing_lemma_check(a: np.ndarray, d: float, lam: float, *,
     n = a.shape[0]
     tol = 1e-9 * max(1.0, d)
     if n <= exhaustive_limit:
-        masks = np.arange(1 << n, dtype=np.int64)
-        x = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-        sizes = x.sum(axis=1)
-        z = x @ a - (d / n) * sizes[:, None]
+        sizes = _subset_sums(np.ones((n, 1)))[:, 0]
+        z = _subset_sums(a) - (d / n) * sizes[:, None]
         zs = np.sort(z, axis=1)
         prefix = np.cumsum(zs, axis=1)
         suffix = np.cumsum(zs[:, ::-1], axis=1)

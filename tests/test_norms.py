@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from cayleynorms import (
     infty_one_exact,
     paley_graph,
     petersen_graph,
+    random_regular,
     second_eigenvalue,
     spectral_norm,
     symmetric_group,
@@ -32,6 +35,7 @@ from cayleynorms import (
     translate_witness,
     verify_sandwich,
 )
+from cayleynorms import norms, serial
 from cayleynorms.norms import _bm_restart, default_bm_rank
 
 TWO = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -249,6 +253,215 @@ def test_io1_matches_brute_force_random():
 def test_io1_capacity_error():
     with pytest.raises(CapacityError):
         infty_one_exact(np.zeros((30, 2)))
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration: oracles, the zero-margin shortcut, edge inputs
+
+
+def _subsets(k):
+    """Every subset of range(k) as a sorted tuple."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(k), r) for r in range(k + 1))
+
+
+def _cut_oracle(q):
+    """Exact cut norm of a matrix of Fractions and the lexicographically
+    smallest (row set, column set) among all exactly tied maximizers."""
+    m, n = len(q), len(q[0])
+    best, witness = Fraction(-1), None
+    for rows in _subsets(m):
+        c = [sum((q[i][j] for i in rows), Fraction(0)) for j in range(n)]
+        for cols in _subsets(n):
+            v = abs(sum((c[j] for j in cols), Fraction(0)))
+            if v > best or (v == best and (rows, cols) < witness):
+                best, witness = v, (rows, cols)
+    return best, witness
+
+
+def _io1_oracle(q):
+    m, n = len(q), len(q[0])
+    best = Fraction(0)
+    for x in itertools.product((-1, 1), repeat=m):
+        s = [sum((x[i] * q[i][j] for i in range(m)), Fraction(0)) for j in range(n)]
+        for y in itertools.product((-1, 1), repeat=n):
+            best = max(best, abs(sum((s[j] * y[j] for j in range(n)), Fraction(0))))
+    return best
+
+
+def _fractions(a):
+    return [[Fraction(float(v)) for v in row] for row in a]
+
+
+def _cut_by_matmul(a):
+    """Reference: every (S, T) value from bit-unpacked 0/1 matrices."""
+    m, n = a.shape
+    xs = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+    ys = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    return np.abs(xs @ a @ ys.T)
+
+
+def _key(mask, k):
+    return tuple(i for i in range(k) if (mask >> i) & 1)
+
+
+ORACLE_SHAPES = ((1, 6), (6, 1), (2, 5), (3, 6), (5, 3), (6, 4), (6, 6))
+
+
+def _zero_column_sums(b):
+    """b with its last row replaced so that every column sums to zero."""
+    b = b.copy()
+    b[-1] = -b[:-1].sum(axis=0)
+    return b
+
+
+def test_cut_and_io1_match_fraction_oracle_on_integer_and_gaussian():
+    rng = np.random.Generator(np.random.Philox(90))
+    for m, n in ORACLE_SHAPES:
+        ints = rng.integers(-3, 4, size=(m, n)).astype(float)
+        # one margin zero, the other not: no zero-margin shortcut
+        half_centered = (_zero_column_sums(ints), _zero_column_sums(ints.T).T)
+        for a in (ints, *half_centered,
+                  rng.choice([-1.0, 1.0], size=(m, n)),
+                  rng.integers(0, 2, size=(m, n)).astype(float),
+                  rng.standard_normal((m, n))):
+            q = _fractions(a)
+            value, witness = _cut_oracle(q)
+            res = cut_norm_exact(a)
+            # the value is the witness sum, correctly rounded
+            assert res.value == float(value)
+            assert (res.row_set, res.col_set) == witness
+            assert infty_one_exact(a) == float(_io1_oracle(q))
+
+
+def test_centered_graph_witness_is_lex_min_over_exact_ties():
+    # A - (d/n) J: ties are decided on the rational matrix, which a rounds
+    graphs = [cycle_graph(5), cycle_graph(6), complete_graph(6), complete_graph(5),
+              random_regular(6, 3, seed=1), random_regular(6, 2, seed=3)]
+    for g in graphs:
+        a = center_regular(g.matrix, g.degree)
+        q = [[Fraction(int(v)) - Fraction(g.degree, g.n) for v in row] for row in g.matrix]
+        value, witness = _cut_oracle(q)
+        res = cut_norm_exact(a)
+        assert (res.row_set, res.col_set) == witness
+        assert res.value == pytest.approx(float(value), rel=0, abs=g.n ** 2 * 2.0 ** -50)
+        assert infty_one_exact(a) == pytest.approx(float(_io1_oracle(q)), rel=0,
+                                                   abs=g.n ** 2 * 2.0 ** -50)
+        # every transposed and permuted copy has the same value
+        p = np.random.Generator(np.random.Philox(g.n)).permutation(g.n)
+        assert cut_norm_exact(a[np.ix_(p, p)].T).value == pytest.approx(res.value, rel=1e-15)
+
+
+def test_centered_row_witness_is_lex_min_over_all_exact_ties():
+    # every row set's doubled cut value from integer bit-unpacked sums,
+    # at the size where float sums tie differently from exact ones
+    for g in (paley_graph(17), cycle_graph(16), random_regular(16, 4, seed=7)):
+        w = g.n * g.matrix.astype(np.int64) - g.degree
+        masks = np.arange(1 << g.n)
+        c = ((masks[:, None] >> np.arange(g.n)) & 1) @ w
+        doubled = np.abs(c).sum(axis=1) + np.abs(c.sum(axis=1))
+        tied = np.nonzero(doubled == doubled.max())[0]
+        want = min(_key(int(s), g.n) for s in tied)
+        assert cut_norm_exact(center_regular(g.matrix, g.degree)).row_set == want
+
+
+def test_zero_margin_shortcut_equals_full_enumeration():
+    for n in (8, 10, 12, 14, 16):
+        for d in (3, 4):
+            g = random_regular(n, d, seed=n + d)
+            w, zero_margins = norms._enumeration_form(center_regular(g.matrix, d))
+            assert zero_margins and w.dtype == np.int64
+            cut2, mask = norms._cut_rows(w, True)
+            assert (cut2, mask) == norms._cut_rows(w, False)
+            io1, _ = norms._infty_one_signs(w)
+            assert io1 == 2 * cut2  # io1 = 4 cut with zero margins
+
+
+def test_enumeration_form_covers_integer_and_centered_inputs():
+    w, zero = norms._enumeration_form(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert w.dtype == np.int64 and zero
+    g = paley_graph(17)
+    w, zero = norms._enumeration_form(center_regular(g.matrix, g.degree))
+    assert w.dtype == np.int64 and zero
+    assert np.array_equal(w, 17 * g.matrix.astype(np.int64) - 8)
+    # not integral for k = 1 or k = ncols: stays in float64
+    a = np.array([[0.5, 1.0 / 3.0], [1.0, 0.0]])
+    w, zero = norms._enumeration_form(a)
+    assert w is a and not zero
+    # too large for exact sums
+    w, _ = norms._enumeration_form(np.full((2, 2), 2.0 ** 52))
+    assert w.dtype == np.float64
+
+
+def test_subset_sums_match_bit_unpacking():
+    rng = np.random.Generator(np.random.Philox(91))
+    for rows in (rng.integers(0, 2, size=(7, 5)).astype(float),
+                 rng.integers(-3, 4, size=(6, 4))):
+        k = rows.shape[0]
+        masks = np.arange(1 << k)
+        x = (masks[:, None] >> np.arange(k)) & 1
+        assert np.array_equal(norms._subset_sums(rows), x @ rows)
+
+
+def test_cut_and_io1_beyond_one_table_block():
+    # m = _CHUNK_BITS + 1 rows, m > n; integer entries keep the reference exact
+    m = norms._CHUNK_BITS + 1
+    rng = np.random.Generator(np.random.Philox(92))
+    a = rng.integers(-2, 3, size=(m, 3)).astype(float)
+    vals = _cut_by_matmul(a)
+    best = vals.max()
+    s_idx, t_idx = np.nonzero(vals == best)
+    witness = min((_key(int(s), m), _key(int(t), 3)) for s, t in zip(s_idx, t_idx))
+    res = cut_norm_exact(a)
+    assert res.value == best
+    assert (res.row_set, res.col_set) == witness
+    signs = 1.0 - 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
+    assert infty_one_exact(a) == np.abs(signs @ a).sum(axis=1).max()
+    # float path on the same shape
+    g = rng.standard_normal((m, 3))
+    want = _cut_by_matmul(g).max()
+    assert cut_norm_exact(g).value == pytest.approx(want, rel=1e-13)
+    assert infty_one_exact(g) == pytest.approx(np.abs(signs @ g).sum(axis=1).max(), rel=1e-13)
+
+
+def test_cut_and_io1_single_row_and_wide():
+    a = np.array([[3.0, -1.0, 2.0, 0.0]])
+    res = cut_norm_exact(a)
+    assert (res.value, res.row_set, res.col_set) == (5.0, (0,), (0, 2))
+    assert infty_one_exact(a) == 6.0
+    rng = np.random.Generator(np.random.Philox(93))
+    wide = rng.integers(-2, 3, size=(3, 9)).astype(float)
+    assert cut_norm_exact(wide).value == _cut_by_matmul(wide).max()
+    assert cut_norm_exact(wide.T).value == cut_norm_exact(wide).value
+    assert infty_one_exact(wide.T) == infty_one_exact(wide)
+
+
+def test_enumeration_empty_inputs_are_positive_zero():
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        res = cut_norm_exact(np.zeros(shape))
+        assert (res.row_set, res.col_set) == ((), ())
+        assert math.copysign(1.0, res.value) == 1.0 and res.value == 0.0
+        io1 = infty_one_exact(np.zeros(shape))
+        assert math.copysign(1.0, io1) == 1.0 and io1 == 0.0
+    res = cut_norm_exact(np.zeros((3, 3)))
+    assert math.copysign(1.0, res.value) == 1.0
+    text = serial.report_to_text(analyze(np.zeros((3, 3))))
+    assert '"value": -0' not in text
+
+
+def test_enumeration_rejects_non_finite_and_complex():
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.ones((3, 3))
+        a[1, 2] = bad
+        for fn in (cut_norm_exact, infty_one_exact):
+            with pytest.raises(ValueError, match="finite"):
+                fn(a)
+    c = np.ones((2, 2)) + 1j * np.eye(2)
+    for fn in (cut_norm_exact, infty_one_exact):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real"):
+                fn(c)
 
 
 # ---------------------------------------------------------------------------
