@@ -1,11 +1,11 @@
 """The four matrix norms and the identities/inequalities relating them.
 
-Spectral norm: power iteration on the Gram operator.  Cut and
-infinity-to-one norms: exact subset enumeration (capped at 26 rows), with
-the inner optimum in closed form.  Grothendieck norm: bracketed between a
-low-rank block-coordinate ascent (a feasible lower bound) and the cheapest
-of three upper bounds (sqrt(mn)||A||, K_G times the infinity-to-one norm,
-8 times the cut norm).
+Spectral norm and symmetric spectra: LAPACK through numpy (svd, eigvalsh).
+Cut and infinity-to-one norms: exact subset enumeration (capped at 26 rows),
+with the inner optimum in closed form.  Grothendieck norm: bracketed between
+a low-rank block-coordinate ascent (a feasible lower bound) and the cheapest
+of three upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error,
+K_G times the infinity-to-one norm, 8 times the cut norm).
 
 The enumeration reads each row subset's column sums as L[lo] + H[hi] from
 two subset-sum tables over the low and high halves of the rows: one vector
@@ -47,110 +47,69 @@ _CHUNK_BITS = 16
 # Spectral norm and symmetric spectra
 
 
-def spectral_norm(a: np.ndarray, *, tol: float = 1e-12, max_iter: int = 100_000,
-                  seed: int = 0) -> float:
-    """Largest singular value via power iteration on A*A.
+def _real_matrix(a, name: str) -> np.ndarray:
+    """`a` as a float64 matrix; complex or non-finite entries are a ValueError."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"{name} needs a matrix")
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} needs a real matrix, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} needs finite entries")
+    return a
 
-    Deterministic seeded start.  The estimate sigma_k = |A v_k| increases
-    monotonically to sigma_1 at a geometric rate, so the remaining error is
-    estimated from consecutive increments (Aitken style) and iteration stops
-    once that estimate drops below ``tol`` relative, or once the increments
-    sit at the floating-point noise floor.  The returned value is |Av| for a
-    unit v, hence never an overestimate.
+
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value, from LAPACK's SVD (singular values only).
+
+    Real or complex input; an empty matrix gives 0.0 and non-finite entries
+    are a ValueError.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("spectral_norm needs a matrix")
-    if a.size == 0 or not np.any(a):
+    if not np.isfinite(a).all():
+        raise ValueError("spectral_norm needs finite entries")
+    if a.size == 0:
         return 0.0
-    n = a.shape[1]
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    def random_unit() -> np.ndarray:
-        v = rng.standard_normal(n)
-        if np.iscomplexobj(a):
-            v = v + 1j * rng.standard_normal(n)
-        return v / np.linalg.norm(v)
-
-    v = random_unit()
-    sigma_prev = 0.0
-    change_prev = math.inf
-    at_noise_floor = 0
-    for _ in range(max_iter):
-        w = a @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            v = random_unit()
-            continue
-        u = a.conj().T @ w
-        v = u / np.linalg.norm(u)
-        change = abs(sigma - sigma_prev)
-        if change <= 4e-16 * sigma:
-            at_noise_floor += 1
-            if at_noise_floor >= 3:
-                break
-        else:
-            at_noise_floor = 0
-        if change <= tol * sigma:
-            # geometric decay: remaining error ~ change * r / (1 - r)
-            ratio = change / change_prev if change_prev > 0 else 0.0
-            if ratio < 1.0 and change * ratio / (1.0 - ratio) <= tol * sigma:
-                break
-        sigma_prev = sigma
-        change_prev = change
-    return float(np.linalg.norm(a @ v))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def symmetric_spectrum(a: np.ndarray, *, tol: float = 1e-12,
-                       max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
+# LAPACK's SVD is backward stable: the computed singular values are the exact
+# ones of A + E with ||E||_2 <= p(m, n) eps ||A||_2 (LAPACK Users' Guide,
+# section 4.9), so by Weyl's inequality sigma_1 <= sigma_hat / (1 - p eps).
+# The guide calls p(m, n) a modestly growing function of the dimensions; we
+# take p = 8 max(m, n), which also covers the 1 / (1 - p eps) expansion and
+# the three roundings in forming sqrt(mn) sigma_hat (1 + p eps).  Against
+# 40-digit SVDs of Gaussian, +-1 and centered circulant matrices up to 32 x 35,
+# sigma_hat was off by at most 2.6 eps relative.
+_SVD_ERROR_PER_DIM = 8.0
 
-    Sweeps until the off-diagonal Frobenius mass drops below tol * ||A||_F.
-    Eigenvalues are returned sorted by absolute value, descending, so the
-    second entry is the usual lambda_2 of a regular graph.
+
+def _spectral_upper(spectral: float, m: int, n: int) -> float:
+    """An upper bound on sqrt(mn) sigma_1(A) >= ||A||_G from the computed
+    sigma_hat = `spectral`: sqrt(mn) sigma_hat inflated by the SVD's error."""
+    slack = _SVD_ERROR_PER_DIM * max(m, n) * float(np.finfo(np.float64).eps)
+    return math.sqrt(m * n) * spectral * (1.0 + slack)
+
+
+def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, from LAPACK's eigvalsh.
+
+    Eigenvalues are returned sorted by absolute value, descending (stable
+    on ties), so the second entry is the usual lambda_2 of a regular graph.
+    Non-square, asymmetric (beyond 1e-12), complex or non-finite input is a
+    ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _real_matrix(a, "symmetric_spectrum")
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
+    if a.shape != (n, n):
         raise ValueError("symmetric_spectrum needs a square matrix")
     scale = float(np.abs(a).max()) if a.size else 0.0
     if scale and float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric within 1e-12")
-    w = ((a + a.T) / 2.0).copy()
-    fro = float(np.linalg.norm(w))
-    threshold = tol * fro
-    # entries below this cannot push the off-diagonal mass above threshold
-    skip_below = threshold / max(n, 1)
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(max(np.sum(w * w) - np.sum(np.diag(w) ** 2), 0.0)))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= skip_below:
-                    continue
-                app, aqq = w[p, p], w[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                w[:, p] = c * wp - s * wq
-                w[:, q] = s * wp + c * wq
-                wp = w[p, :].copy()
-                wq = w[q, :].copy()
-                w[p, :] = c * wp - s * wq
-                w[q, :] = s * wp + c * wq
-                w[p, p] = app - t * apq
-                w[q, q] = aqq + t * apq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-    eigs = np.diag(w).copy()
+    eigs = np.linalg.eigvalsh((a + a.T) / 2.0)
     order = np.argsort(-np.abs(eigs), kind="stable")
     return eigs[order]
 
@@ -188,19 +147,6 @@ class CutNormResult:
     value: float
     row_set: tuple[int, ...]
     col_set: tuple[int, ...]
-
-
-def _real_matrix(a, name: str) -> np.ndarray:
-    """`a` as a float64 matrix; complex or non-finite entries are a ValueError."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"{name} needs a matrix")
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} needs a real matrix, got dtype {a.dtype}")
-    a = a.astype(np.float64, copy=False)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} needs finite entries")
-    return a
 
 
 def _enumeration_form(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -453,7 +399,7 @@ class VectorAssignment:
 
 
 def default_bm_rank(m: int, n: int) -> int:
-    return min(m + n, math.ceil(math.sqrt(2.0 * (m + n))) + 2)
+    return max(1, min(m + n, math.ceil(math.sqrt(2.0 * (m + n))) + 2))
 
 
 def _unit_rows(w: np.ndarray) -> np.ndarray:
@@ -492,11 +438,10 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     Every iterate is feasible, so the best objective over restarts is a
     valid lower bound on ||A||_G; as an estimate of the optimum it is
     heuristic.  Restart r uses the seeded generator jumped r times, making
-    the result deterministic and independent of evaluation order.
+    the result deterministic and independent of evaluation order.  Complex
+    or non-finite input is a ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("grothendieck_bm needs a matrix")
+    a = _real_matrix(a, "grothendieck_bm")
     cfg = cfg or BMConfig()
     m, n = a.shape
     k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
@@ -506,15 +451,21 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
         x[:, 0] = 1.0
         y[:, 0] = 1.0
         return 0.0, VectorAssignment(left=x, right=y, objective=0.0)
+    # The objective is 1-homogeneous: ascend on a / 2^e with max|a| / 2^e in
+    # [1/2, 1), a scaling that is exact in floating point and keeps squared
+    # row norms clear of overflow and underflow at any input scale.
+    e = math.frexp(float(np.abs(a).max()))[1]
+    scaled = np.ldexp(a, -e)
     best_obj = -math.inf
     best_xy = None
     for r in range(cfg.restarts):
         rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(r))
-        obj, x, y, _ = _bm_restart(a, k, cfg.max_sweeps, cfg.tol, rng)
+        obj, x, y, _ = _bm_restart(scaled, k, cfg.max_sweeps, cfg.tol, rng)
         if obj > best_obj:
             best_obj = obj
             best_xy = (x, y)
     x, y = best_xy
+    best_obj = math.ldexp(best_obj, e)
     return abs(best_obj), VectorAssignment(left=x, right=y, objective=best_obj)
 
 
@@ -523,13 +474,13 @@ def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
     """A certified bracket [lower, upper] for the Grothendieck norm.
 
     lower = max(ascent value, exact infinity-to-one norm when feasible);
-    upper = min(sqrt(mn) ||A||, K_G * infinity-to-one, 8 * cut norm), the
-    last two only when the exact enumerations are feasible.
+    upper = min(sqrt(mn) ||A|| (see `_spectral_upper`), K_G * infinity-to-one,
+    8 * cut norm), the last two only when the exact enumerations are feasible.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _real_matrix(a, "grothendieck_bounds")
     m, n = a.shape
     lower, _ = grothendieck_bm(a, cfg)
-    upper = math.sqrt(m * n) * spectral_norm(a)
+    upper = _spectral_upper(spectral_norm(a), m, n)
     if m <= exact_limit:
         io1 = infty_one_exact(a, max_rows=exact_limit)
         lower = max(lower, io1)
@@ -598,7 +549,7 @@ class Check:
 
 
 def _check(name: str, lhs: float, rhs: float) -> Check:
-    tol = 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+    tol = 1e-9 * max(abs(lhs), abs(rhs))
     return Check(name=name, lhs=float(lhs), rhs=float(rhs), tol=tol)
 
 
@@ -669,11 +620,10 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
 
     Capacity misses (cut and infinity-to-one above the exact limit,
     transitivity above the search limit) are recorded as notes rather than
-    raised, so a report is always produced.
+    raised, so a report is always produced.  Complex or non-finite input is
+    a ValueError; a matrix without rows or columns gets a report of zeros.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("analyze needs a matrix")
+    a = _real_matrix(a, "analyze")
     m, n = a.shape
     cfg = cfg or BMConfig()
     notes: list[str] = []
@@ -694,7 +644,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
         t0 = time.perf_counter()
         io1 = infty_one_exact(a, max_rows=exact_limit)
         timings["infty_one"] = time.perf_counter() - t0
-        work["infty_one_signs"] = 1 << (m - 1)
+        work["infty_one_signs"] = (1 << m) >> 1
     except CapacityError as exc:
         notes.append(str(exc))
 
@@ -706,7 +656,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
     work["bm_restarts"] = cfg.restarts
 
     lower = bm_value
-    upper = math.sqrt(m * n) * spectral
+    upper = _spectral_upper(spectral, m, n)
     if io1 is not None:
         lower = max(lower, io1)
         upper = min(upper, K_G * io1)

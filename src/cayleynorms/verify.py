@@ -23,7 +23,7 @@ from .fourier import build_irrep_table, fourier_transform, schur_average, \
     spectral_via_irreps, svd_witness, abelian_character_norm, fourier_inverse
 from .groups import GroupFunction, convolve, cyclic_group, dihedral_group, \
     parse_group_spec, symmetric_group
-from .norms import BMConfig, cut_norm_exact, epsilon_uniformity, grothendieck_bm, \
+from .norms import K_G, BMConfig, cut_norm_exact, epsilon_uniformity, grothendieck_bm, \
     infty_one_exact, mixing_lemma_check, second_eigenvalue, spectral_norm, \
     theorem3_check, translate_witness
 
@@ -104,7 +104,7 @@ def suite_factor4() -> list[SuiteCheck]:
     spec = spectral_norm(a)
     bm, _ = grothendieck_bm(a, BMConfig(rank=4, restarts=8, seed=0))
     lower = max(bm, io1)
-    upper = min(math.sqrt(4.0) * spec, 1.783 * io1, 8.0 * cut.value)
+    upper = min(math.sqrt(4.0) * spec, K_G * io1, 8.0 * cut.value)
     z2 = cyclic_group(2)
     cm = cayley_matrix(z2, GroupFunction(z2, np.array([1.0, -1.0])))
     checks = [
@@ -284,10 +284,10 @@ def suite_random_sign(seed: int = 1000, count: int = 100) -> list[SuiteCheck]:
         bm, _ = grothendieck_bm(a, cfg)
         if not io1 <= bm + 1e-9:
             lb_fail += 1
-        if not bm <= 1.783 * io1 + 1e-9:
+        if not bm <= K_G * io1 + 1e-9:
             ub_fail += 1
         worst_lb = max(worst_lb, io1 - bm)
-        worst_ub = max(worst_ub, bm / (1.783 * io1))
+        worst_ub = max(worst_ub, bm / (K_G * io1))
     return [
         _check("random_sign:bm_reaches_sign_optimum", lb_fail == 0,
                f"failures={lb_fail}/{count}, worst io1-bm={worst_lb:.2e}"),

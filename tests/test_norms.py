@@ -145,6 +145,56 @@ def test_centered_regular_spectral_is_lambda2():
         )
 
 
+SCALES = (1e-300, 1e-150, 1e150, 1e200)
+
+
+def test_spectral_is_homogeneous_at_extreme_scales():
+    rng = np.random.Generator(np.random.Philox(19))
+    pool = [rng.standard_normal((7, 5)), center_regular(paley_graph(13).matrix, 6),
+            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))]
+    for a in pool:
+        base = spectral_norm(a)
+        for c in SCALES:
+            assert spectral_norm(c * a) == pytest.approx(c * base, rel=1e-14)
+
+
+def test_spectral_on_equal_top_singular_values():
+    # centered C20: the eigenvalues 2 cos(2 pi k / 20), k != 0, and a 0;
+    # centered K9 = J/9 - I: -1 eight times and a 0
+    c20 = center_regular(cycle_graph(20).matrix, 2)
+    want = sorted([0.0] + [2 * math.cos(2 * math.pi * k / 20) for k in range(1, 20)])
+    assert np.allclose(np.sort(symmetric_spectrum(c20)), want, atol=1e-13)
+    assert spectral_norm(c20) == pytest.approx(2.0, rel=1e-14)
+    assert second_eigenvalue(cycle_graph(20).matrix) == pytest.approx(2.0, rel=1e-14)
+    k9 = center_regular(complete_graph(9).matrix, 8)
+    assert np.allclose(np.sort(symmetric_spectrum(k9)), [-1.0] * 8 + [0.0], atol=1e-13)
+    assert spectral_norm(k9) == pytest.approx(1.0, rel=1e-14)
+    assert second_eigenvalue(complete_graph(9).matrix) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_spectral_accepts_finite_complex():
+    a = np.diag([3j, 1.0 + 1.0j])
+    assert spectral_norm(a) == pytest.approx(3.0, rel=1e-15)
+    assert spectral_norm(np.zeros((2, 3), dtype=complex)) == 0.0
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_solvers_and_analyze_reject_bad_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.ones((3, 3))
+        a[1, 1] = bad
+        for fn in (spectral_norm, symmetric_spectrum, grothendieck_bm, analyze):
+            with pytest.raises(ValueError, match="finite"):
+                fn(a)
+    with pytest.raises(ValueError, match="finite"):
+        spectral_norm(np.array([[1.0, complex(np.nan, 0.0)]]))
+    # analyze used to warn and drop the imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real"):
+            analyze(np.eye(2) + 1j * np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # cut norm
 
@@ -511,6 +561,21 @@ def test_bm_is_always_a_valid_lower_bound():
         assert norms.max() <= 1 + 1e-12
 
 
+def test_bm_is_homogeneous_at_extreme_scales():
+    # squared row norms overflow at 1e200 and underflow at 1e-300 unless the
+    # ascent rescales; unscaled it returned 0 there
+    rng = np.random.Generator(np.random.Philox(21))
+    a = rng.standard_normal((6, 5))
+    cfg = BMConfig(restarts=2)
+    base, _ = grothendieck_bm(a, cfg)
+    for c in SCALES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, w = grothendieck_bm(c * a, cfg)
+        assert val == pytest.approx(c * base, rel=1e-9)
+        assert w.objective == pytest.approx(c * base, rel=1e-9)
+
+
 def test_bm_deterministic_given_seed():
     rng_a = grothendieck_bm(TWO, BMConfig(rank=3, seed=7))
     rng_b = grothendieck_bm(TWO, BMConfig(rank=3, seed=7))
@@ -677,3 +742,51 @@ def test_verify_sandwich_corollary_only_with_certificate():
     assert "transitive_cut_le_n_spectral" not in names
     checks = verify_sandwich(np.ones((3, 5)), report)
     assert all(c.passed for c in checks)
+
+
+def test_analyze_bracket_at_extreme_scales():
+    rng = np.random.Generator(np.random.Philox(20))
+    pool = [rng.standard_normal((5, 4)), center_regular(cycle_graph(6).matrix, 2),
+            np.eye(3)]
+    for a in pool:
+        for c in SCALES:
+            report = analyze(c * a, BMConfig(restarts=2))
+            assert math.isfinite(report.groth_lower) and math.isfinite(report.groth_upper)
+            assert 0.0 < report.groth_lower <= report.groth_upper
+            assert report.all_passed, (c, [x.name for x in report.checks if not x.passed])
+            lower, upper = grothendieck_bounds(c * a, BMConfig(restarts=2))
+            assert 0.0 < lower <= upper
+
+
+def test_spectral_upper_bound_covers_sigma_at_every_scale():
+    # sigma_hat of 1e-300 I3 can round below 1e-300; the inflated bound may not
+    report = analyze(1e-300 * np.eye(3))
+    assert report.infty_one == 3e-300
+    assert report.groth_upper >= report.groth_lower == 3e-300
+    m, n = 5, 9
+    assert norms._spectral_upper(2.0, m, n) > math.sqrt(m * n) * 2.0
+    assert norms._spectral_upper(2.0, m, n) <= math.sqrt(m * n) * 2.0 * (1 + 1e-13)
+
+
+def test_check_tolerance_is_scale_relative():
+    # an inverted bracket at tiny scale fails (an absolute floor of 1e-9 passed it)
+    assert not norms._check("inverted", 3e-300, 0.0).passed
+    assert not norms._check("inverted", 3e-300, 3e-300 * (1 - 1e-8)).passed
+    assert norms._check("ordered", 0.0, 0.0).passed
+    # the same relative gap gets the same verdict at every scale
+    for lhs, rhs in ((3.0, 2.9999999999999996), (3.0, 3.0 * (1 - 1e-8))):
+        verdict = norms._check("x", lhs, rhs).passed
+        for c in (1e-300, 1e-150, 1e150):
+            assert norms._check("x", c * lhs, c * rhs).passed == verdict
+
+
+def test_analyze_without_rows_reports_zeros():
+    for shape in ((0, 0), (0, 3)):
+        report = analyze(np.zeros(shape))
+        assert (report.rows, report.cols) == shape
+        assert report.spectral == 0.0 and report.infty_one == 0.0
+        assert report.cut.value == 0.0 and report.cut.row_set == ()
+        assert report.groth_lower == 0.0 and report.groth_upper == 0.0
+        assert report.all_passed
+        assert report.work["infty_one_signs"] == 0
+        serial.report_to_text(report)
