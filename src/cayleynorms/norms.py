@@ -2,10 +2,11 @@
 
 Spectral norm and symmetric spectra: LAPACK through numpy (svd, eigvalsh).
 Cut and infinity-to-one norms: exact subset enumeration (capped at 26 rows),
-with the inner optimum in closed form.  Grothendieck norm: bracketed between
-a low-rank block-coordinate ascent (a feasible lower bound) and the cheapest
-of three upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error,
-K_G times the infinity-to-one norm, 8 times the cut norm).
+with the inner optimum in closed form.  Grothendieck norm: bracketed, by
+`_bracket` alone, between a low-rank block-coordinate ascent (a feasible lower
+bound) and the cheapest of three upper bounds (sqrt(mn)||A|| inflated by the
+SVD's backward error, K_G times the infinity-to-one norm, 8 times the cut
+norm).  Two-number inequality verdicts are `_check`'s (1e-9 of the larger side).
 
 The enumeration reads each row subset's column sums as L[lo] + H[hi] from
 two subset-sum tables over the low and high halves of the rows: one vector
@@ -99,16 +100,14 @@ def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
 
     Eigenvalues are returned sorted by absolute value, descending (stable
     on ties), so the second entry is the usual lambda_2 of a regular graph.
-    Non-square, asymmetric (beyond 1e-12), complex or non-finite input is a
-    ValueError.
+    Non-square, asymmetric (beyond 1e-12 of max|a|), complex or non-finite
+    input is a ValueError.
     """
     a = _real_matrix(a, "symmetric_spectrum")
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.shape[0] != a.shape[1]:
         raise ValueError("symmetric_spectrum needs a square matrix")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if scale and float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1.0):
-        raise ValueError("matrix is not symmetric within 1e-12")
+    if a.size and float(np.abs(a - a.T).max()) > 1e-12 * float(np.abs(a).max()):
+        raise ValueError("matrix is not symmetric within 1e-12 of its largest entry")
     eigs = np.linalg.eigvalsh((a + a.T) / 2.0)
     order = np.argsort(-np.abs(eigs), kind="stable")
     return eigs[order]
@@ -469,25 +468,34 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     return abs(best_obj), VectorAssignment(left=x, right=y, objective=best_obj)
 
 
+def _bracket(m: int, n: int, spectral: float, bm: float, io1: Optional[float],
+             cut: Optional[CutNormResult]) -> tuple[float, float]:
+    """The bracket of `grothendieck_bounds` from computed norms (None: not run)."""
+    lower, upper = bm, _spectral_upper(spectral, m, n)
+    if io1 is not None:
+        lower, upper = max(lower, io1), min(upper, K_G * io1)
+    if cut is not None:
+        upper = min(upper, 8.0 * cut.value)
+    return lower, upper
+
+
 def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
                         exact_limit: int = EXACT_ENUM_LIMIT) -> tuple[float, float]:
     """A certified bracket [lower, upper] for the Grothendieck norm.
 
     lower = max(ascent value, exact infinity-to-one norm when feasible);
-    upper = min(sqrt(mn) ||A|| (see `_spectral_upper`), K_G * infinity-to-one,
-    8 * cut norm), the last two only when the exact enumerations are feasible.
+    upper = min(`_spectral_upper`, K_G * infinity-to-one, 8 * cut norm), the
+    last two only when the exact enumerations are feasible.  `analyze` and
+    the `factor4` verify suite get theirs from the same rule, `_bracket`.
     """
     a = _real_matrix(a, "grothendieck_bounds")
     m, n = a.shape
-    lower, _ = grothendieck_bm(a, cfg)
-    upper = _spectral_upper(spectral_norm(a), m, n)
+    bm, _ = grothendieck_bm(a, cfg)
+    io1 = cut = None
     if m <= exact_limit:
         io1 = infty_one_exact(a, max_rows=exact_limit)
-        lower = max(lower, io1)
-        upper = min(upper, K_G * io1)
         cut = cut_norm_exact(a, max_rows=exact_limit)
-        upper = min(upper, 8.0 * cut.value)
-    return lower, upper
+    return _bracket(m, n, spectral_norm(a), bm, io1, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +582,9 @@ class NormReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        scale = max(abs(self.groth_lower), abs(self.groth_upper), 1.0)
-        if self.groth_lower > self.groth_upper + 1e-9 * scale:
-            raise ValueError(
-                f"inconsistent bracket: lower {self.groth_lower} > upper {self.groth_upper}"
-            )
+        ordered = _check("bracket_ordered", self.groth_lower, self.groth_upper)
+        if not ordered.passed:
+            raise ValueError(f"inconsistent bracket: lower {ordered.lhs} > upper {ordered.rhs}")
 
     @property
     def all_passed(self) -> bool:
@@ -655,13 +661,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
     work["bm_rank"] = k
     work["bm_restarts"] = cfg.restarts
 
-    lower = bm_value
-    upper = _spectral_upper(spectral, m, n)
-    if io1 is not None:
-        lower = max(lower, io1)
-        upper = min(upper, K_G * io1)
-    if cut is not None:
-        upper = min(upper, 8.0 * cut.value)
+    lower, upper = _bracket(m, n, spectral, bm_value, io1, cut)
 
     transitive = None
     if m == n and n <= transitivity_limit:
@@ -702,9 +702,10 @@ class UniformityEstimate:
         return self.lower
 
 
-def _require_regular(a: np.ndarray, d: Optional[float]) -> float:
+def _require_regular(a, d: Optional[float], name: str) -> tuple[np.ndarray, float]:
+    a = _real_matrix(a, name)
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
+    if a.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
     if not np.isin(a, (0.0, 1.0)).all():
         raise ValueError("adjacency matrix must be 0/1")
@@ -714,7 +715,7 @@ def _require_regular(a: np.ndarray, d: Optional[float]) -> float:
         d = float(rows[0]) if n else 0.0
     if not (np.all(rows == d) and np.all(cols == d)):
         raise ValueError("matrix is not d-regular")
-    return float(d)
+    return a, float(d)
 
 
 def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None, *,
@@ -724,10 +725,9 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None, *,
 
     Exact (via the cut norm of the degree-centered matrix) up to the
     enumeration cap; above it, a bracket derived from the Grothendieck
-    bounds via cut <= G <= 8 cut.
+    bounds via cut <= G <= 8 cut.  Complex or non-finite input is a ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    d = _require_regular(a, d)
+    a, d = _require_regular(a, d, "epsilon_uniformity")
     n = a.shape[0]
     if d == 0 or n == 0:
         return UniformityEstimate(0.0, 0.0, True)
@@ -747,12 +747,12 @@ def mixing_lemma_check(a: np.ndarray, d: float, lam: float, *,
     e(S,T) counts ordered adjacent pairs.  Exhaustive for n up to the limit:
     for each S the worst T of each size is extremal for the sorted shifted
     column sums, so all 2^n * 2^n pairs reduce to 2^n * n closed-form checks.
-    Above the limit, a seeded random sample of pairs.
+    Above the limit, a seeded random sample of pairs.  Complex or non-finite
+    input is a ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    d = _require_regular(a, d)
+    a, d = _require_regular(a, d, "mixing_lemma_check")
     n = a.shape[0]
-    tol = 1e-9 * max(1.0, d)
+    tol = 1e-9 * d  # d is an integer degree; d = 0 leaves only exact zeros
     if n <= exhaustive_limit:
         sizes = _subset_sums(np.ones((n, 1)))[:, 0]
         z = _subset_sums(a) - (d / n) * sizes[:, None]
@@ -797,10 +797,10 @@ class UniformityVsEigenvalue:
 
 
 def theorem3_check(a: np.ndarray, d: Optional[float] = None) -> UniformityVsEigenvalue:
-    """Verify lambda <= 8 epsilon d with exact epsilon; report lambda/(epsilon d)."""
-    a = np.asarray(a, dtype=np.float64)
-    d = _require_regular(a, d)
+    """Verify lambda <= 8 epsilon d with exact epsilon and report lambda/(epsilon d);
+    complex or non-finite input is a ValueError."""
+    a, d = _require_regular(a, d, "theorem3_check")
     lam = second_eigenvalue(a)
     eps = epsilon_uniformity(a, d).value
-    passed = lam <= 8.0 * eps * d + 1e-9 * max(1.0, lam)
+    passed = _check("lambda_le_8_eps_d", lam, 8.0 * eps * d).passed
     return UniformityVsEigenvalue(passed=passed, lam=lam, epsilon=eps, degree=d)

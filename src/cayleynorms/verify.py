@@ -1,5 +1,7 @@
 """Named verification suites: every headline identity and inequality,
-checked end to end on concrete families at fixed tolerances.
+checked end to end on concrete families.  Inequalities are decided by
+`norms._check` and the factor-4 bracket is `grothendieck_bounds`' certified
+one; ascent reach, Fourier errors and random-sign matrices have fixed budgets.
 
 Each suite returns a list of SuiteCheck records; `run_suite` dispatches by
 name (with or without a "-suite" suffix).  The suites are what the CLI
@@ -23,9 +25,9 @@ from .fourier import build_irrep_table, fourier_transform, schur_average, \
     spectral_via_irreps, svd_witness, abelian_character_norm, fourier_inverse
 from .groups import GroupFunction, convolve, cyclic_group, dihedral_group, \
     parse_group_spec, symmetric_group
-from .norms import K_G, BMConfig, cut_norm_exact, epsilon_uniformity, grothendieck_bm, \
+from .norms import K_G, BMConfig, cut_norm_exact, grothendieck_bm, grothendieck_bounds, \
     infty_one_exact, mixing_lemma_check, second_eigenvalue, spectral_norm, \
-    theorem3_check, translate_witness
+    theorem3_check, translate_witness, _check as _inequality
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,11 @@ def suite_sandwich() -> list[SuiteCheck]:
         ac = center_regular(g.matrix, g.degree)
         cut = cut_norm_exact(ac).value
         ns = g.n * spectral_norm(ac)
-        tol = 1e-9 * max(cut, ns, 1.0)
-        lo_ok = ns - cut >= -tol
-        hi_ok = 8.0 * cut - ns >= -tol
+        lo = _inequality("cut_le_n_spectral", cut, ns)
+        hi = _inequality("n_spectral_le_8cut", ns, 8.0 * cut)
         out.append(_check(
-            f"sandwich:{name}", lo_ok and hi_ok,
-            f"cut={cut:.9g} n||A||={ns:.9g} margins=({ns - cut:.3g}, {8 * cut - ns:.3g})",
+            f"sandwich:{name}", lo.passed and hi.passed,
+            f"cut={cut:.9g} n||A||={ns:.9g} margins=({lo.margin:.3g}, {hi.margin:.3g})",
         ))
     return out
 
@@ -102,9 +103,7 @@ def suite_factor4() -> list[SuiteCheck]:
     cut = cut_norm_exact(a)
     io1 = infty_one_exact(a)
     spec = spectral_norm(a)
-    bm, _ = grothendieck_bm(a, BMConfig(rank=4, restarts=8, seed=0))
-    lower = max(bm, io1)
-    upper = min(math.sqrt(4.0) * spec, K_G * io1, 8.0 * cut.value)
+    lower, upper = grothendieck_bounds(a, BMConfig(rank=4, restarts=8, seed=0))
     z2 = cyclic_group(2)
     cm = cayley_matrix(z2, GroupFunction(z2, np.array([1.0, -1.0])))
     checks = [

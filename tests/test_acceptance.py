@@ -46,6 +46,14 @@ def test_criterion_3_factor_four_tightness():
     _run("criterion 3 (factor-4 tightness)", "factor4", 30.0)
 
 
+def test_factor4_bracket_is_ordered():
+    # the suite's bracket is grothendieck_bounds', so its upper end is the
+    # certified (inflated) 2 ||A|| and never falls below the ascent value
+    (check,) = [c for c in verify.suite_factor4() if c.name == "factor4:bracket"]
+    lower, upper = map(float, check.detail.removeprefix("bracket=[").rstrip("]").split(", "))
+    assert lower <= upper
+
+
 def test_criterion_4_fourier_suite():
     # Z12, Z2xZ2, D4, D5 with 50 random complex functions each:
     # Plancherel 1e-10, inversion 1e-12, convolution 1e-10,

@@ -124,8 +124,12 @@ def test_spectrum_sorted_by_absolute_value():
 
 
 def test_spectrum_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        symmetric_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    asym = np.array([[0.0, 1.0], [0.5, 0.0]])
+    # the tolerance is relative to max|a|: below 1e-12 asymmetry still counts
+    for c in (1.0, 1e-13, 1e-300):
+        with pytest.raises(ValueError, match="symmetric"):
+            symmetric_spectrum(c * asym)
+        assert symmetric_spectrum(c * (asym + asym.T)) == pytest.approx([-1.5 * c, 1.5 * c])
 
 
 def test_spectral_agrees_with_spectrum_top():
@@ -606,6 +610,26 @@ def test_bounds_zero():
     assert grothendieck_bounds(np.zeros((4, 4))) == (0.0, 0.0)
 
 
+def test_transpose_and_permutation_invariance():
+    # ||A||_inf->1, ||A|| and ||A||_G do not change under A -> A^T or A -> P A Q,
+    # so every copy's bracket lies above every copy's infinity-to-one norm and
+    # below every copy's upper bound (all bracket the same ||A||_G)
+    rng = np.random.Generator(np.random.Philox(34))
+    for a in (rng.integers(-3, 4, size=(6, 9)).astype(np.float64),
+              rng.standard_normal((7, 5))):
+        m, n = a.shape
+        pq = a[np.ix_(rng.permutation(m), rng.permutation(n))]
+        copies = (a, a.T, pq, pq.T)
+        io1 = [infty_one_exact(c) for c in copies]
+        spec = [spectral_norm(c) for c in copies]
+        brackets = [grothendieck_bounds(c, BMConfig(restarts=2)) for c in copies]
+        assert io1 == [io1[0]] * 4
+        assert spec == pytest.approx([spec[0]] * 4, rel=1e-14)
+        for lower, _ in brackets:
+            for value, (_, upper) in zip(io1, brackets):
+                assert value <= lower <= upper
+
+
 def test_bounds_tight_on_vertex_transitive():
     for g in (cycle_graph(8), petersen_graph()):
         a = center_regular(g.matrix, g.degree)
@@ -778,6 +802,16 @@ def test_check_tolerance_is_scale_relative():
         verdict = norms._check("x", lhs, rhs).passed
         for c in (1e-300, 1e-150, 1e150):
             assert norms._check("x", c * lhs, c * rhs).passed == verdict
+
+
+def test_report_rejects_inverted_bracket_at_any_scale():
+    fields = dict(rows=1, cols=1, spectral=0.0, cut=None, infty_one=None,
+                  bm_rank=1, bm_restarts=1)
+    for lower, upper in ((3e-300, 0.0), (3.0, 3.0 * (1 - 1e-8)),
+                         (3e-300, 3e-300 * (1 - 1e-8))):
+        with pytest.raises(ValueError, match="inconsistent bracket"):
+            norms.NormReport(groth_lower=lower, groth_upper=upper, **fields)
+    norms.NormReport(groth_lower=3e-300, groth_upper=3e-300, **fields)
 
 
 def test_analyze_without_rows_reports_zeros():

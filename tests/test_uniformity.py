@@ -113,3 +113,16 @@ def test_theorem3_complete8_closed_form():
     assert r.lam == pytest.approx(1.0, abs=1e-9)
     assert r.epsilon == pytest.approx(1 / 28)
     assert 8 * r.epsilon * 7 == pytest.approx(2.0)
+
+
+def test_uniformity_checks_reject_complex_and_non_finite():
+    c6 = cycle_graph(6).matrix
+    holed = c6.copy()
+    holed[0, 1] = math.nan
+    for call in (lambda a: epsilon_uniformity(a, 2),
+                 lambda a: mixing_lemma_check(a, 2, 2.0),
+                 lambda a: theorem3_check(a, 2)):
+        with pytest.raises(ValueError, match="real matrix"):
+            call(c6 + 1j * np.eye(6))
+        with pytest.raises(ValueError, match="finite"):
+            call(holed)
