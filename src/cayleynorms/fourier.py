@@ -1,22 +1,22 @@
 """Irreducible representations and the Fourier transform on a finite group.
 
-Everything here is complex-valued.  Irrep tables are shipped for abelian
-groups (multiplicative characters, built for any abelian table) and
-dihedral groups; other groups take a user-supplied table, which is
-validated exhaustively on ingestion.
+Everything here is complex-valued.  Irrep tables are built in closed form
+for abelian groups (multiplicative characters, for any abelian table) and
+dihedral groups (rotation-reflection matrices at exact angles 2 pi k / m);
+other groups take a user-supplied table, which is validated exhaustively
+on ingestion.
 
 The transform is ``fhat(rho) = mean_g f(g) rho(g)``; its inverse, the
 Plancherel identity and the convolution theorem follow the averaging
 normalization, and the spectral norm of f equals the largest singular
-value among the coefficient matrices.
+value among the coefficient matrices.  The witness takes the top singular
+pair from LAPACK's SVD of the attaining coefficient matrix.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -92,38 +92,28 @@ def _abelian_characters(g: GroupTable) -> np.ndarray:
     power), so exactly |G| characters come out, with no search.
     """
     n = g.order
-    values = np.ones((1, n), dtype=np.complex128)  # rows: characters on members
-    members = [0]
-    member_set = {0}
-    while len(members) < n:
-        gen = next(i for i in range(n) if i not in member_set)
+    # rows: characters of the subgroup built so far, zero off it, so the
+    # trivial character (row 0) marks the subgroup's members
+    values = np.zeros((1, n), dtype=np.complex128)
+    values[0, 0] = 1.0
+    while not values[0].all():
+        members = np.flatnonzero(values[0])
+        gen = int(np.flatnonzero(values[0] == 0)[0])
         # powers of gen until it falls into the current subgroup
         powers = [gen]
-        while powers[-1] not in member_set:
+        while values[0, powers[-1]] == 0:
             powers.append(int(g.mul[powers[-1], gen]))
         index = len(powers)  # smallest k with gen^k in the subgroup
-        landing = powers[-1]
-        new_members = list(members)
+        theta = np.angle(values[:, powers[-1]])
+        # the index-th roots of chi(gen^index), character-major
+        w = np.exp(1j * (theta[:, None] + 2.0 * np.pi * np.arange(index)) / index)
+        w = w.reshape(-1, 1)
+        base = np.repeat(values[:, members], index, axis=0)
+        values = np.repeat(values, index, axis=0)
+        wp = np.ones_like(w)
         for p in powers[:-1]:
-            new_members.extend(int(g.mul[m, p]) for m in members)
-        extended = np.zeros((values.shape[0] * index, n), dtype=np.complex128)
-        row = 0
-        for chi in values:
-            target = chi[landing]
-            theta = cmath.phase(target)
-            for k in range(index):
-                w = cmath.exp(1j * (theta + 2.0 * math.pi * k) / index)
-                new_chi = chi.copy()
-                wp = 1.0 + 0.0j
-                for p in powers[:-1]:
-                    wp *= w
-                    for m in members:
-                        new_chi[g.mul[m, p]] = chi[m] * wp
-                extended[row] = new_chi
-                row += 1
-        values = extended
-        members = new_members
-        member_set = set(members)
+            wp = wp * w
+            values[:, g.mul[members, p]] = base * wp
     return values
 
 
@@ -164,34 +154,19 @@ def _dihedral_irreps(g: GroupTable, r: int, s: int) -> list[Irrep]:
         raise ValueError("element decomposition r^i s^a failed; group is not dihedral")
     i_of, a_of = form[:, 0], form[:, 1]
 
-    irreps: list[Irrep] = []
-
-    def one_dim(rot_sign: int, ref_sign: int) -> Irrep:
-        vals = (float(rot_sign) ** i_of) * (float(ref_sign) ** a_of)
-        return Irrep(dim=1, matrices=vals.reshape(n, 1, 1).astype(np.complex128))
-
-    irreps.append(one_dim(1, 1))
-    irreps.append(one_dim(1, -1))
-    if m % 2 == 0:
-        irreps.append(one_dim(-1, 1))
-        irreps.append(one_dim(-1, -1))
-    two_dim_count = (m - 1) // 2 if m % 2 else m // 2 - 1
-    flip = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-    for j in range(1, two_dim_count + 1):
-        ang = 2.0 * math.pi * j / m
-        rot = np.array(
-            [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]],
-            dtype=np.complex128,
-        )
-        mats = np.empty((n, 2, 2), dtype=np.complex128)
-        rpow = np.eye(2, dtype=np.complex128)
-        acc = 0
-        for i in range(m):
-            mats[acc] = rpow
-            mats[g.mul[acc, s]] = rpow @ flip
-            rpow = rpow @ rot
-            acc = int(g.mul[acc, r])
-        irreps.append(Irrep(dim=2, matrices=mats))
+    # sign characters: (-1)^(p i + q a), with p = 1 only for even m
+    irreps = [
+        Irrep(dim=1, matrices=((-1.0) ** (p * i_of + q * a_of)).reshape(n, 1, 1))
+        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1))[: 4 if m % 2 == 0 else 2]
+    ]
+    # rho_j(r^i s^a) = rot(2 pi (j i mod m) / m) diag(1, (-1)^a), j = 1..(m-1)//2
+    j = np.arange(1, (m - 1) // 2 + 1)[:, None]
+    theta = 2.0 * np.pi * ((j * i_of) % m) / m
+    cos, sin, sign = np.cos(theta), np.sin(theta), 1 - 2 * a_of
+    mats = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    mats[..., 0, 0], mats[..., 0, 1] = cos, -sin * sign
+    mats[..., 1, 0], mats[..., 1, 1] = sin, cos * sign
+    irreps.extend(Irrep(dim=2, matrices=mat) for mat in mats)
     return irreps
 
 
@@ -275,14 +250,14 @@ def validate_irrep_table(g: GroupTable, table: IrrepTable, *, tol: float = 1e-10
     total = sum(r.dim**2 for r in table.irreps)
     if total != n:
         problems.append(f"incomplete table: sum of dim^2 is {total}, expected {n}")
-    for i in range(len(table.irreps)):
-        for j in range(i + 1, len(table.irreps)):
-            inner = np.mean(table.irreps[i].characters * table.irreps[j].characters.conj())
-            if abs(inner) > tol:
-                problems.append(
-                    f"irreps {i} and {j} are equivalent (character inner product "
-                    f"{abs(inner):.2e})"
-                )
+    if all(r.matrices.shape[0] == n for r in table.irreps):
+        chars = np.array([r.characters for r in table.irreps]).reshape(-1, n)
+        gram = np.abs(chars @ chars.conj().T) / n
+        for i, j in np.argwhere(np.triu(gram > tol, 1)):
+            problems.append(
+                f"irreps {i} and {j} are equivalent (character inner product "
+                f"{gram[i, j]:.2e})"
+            )
     return problems
 
 
@@ -324,31 +299,9 @@ def fourier_inverse(coeffs: FourierCoefficients, table: Optional[IrrepTable] = N
 
 
 def _top_singular(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(sigma_1, u_1, v_1) via the eigendecomposition of the hermitian embedding.
-
-    The 2d x 2d matrix [[0, M], [M*, 0]] has eigenvalues +-sigma_i with
-    eigenvectors (u; v)/sqrt(2), so the top eigenpair of the embedding gives
-    the top singular triple deterministically.
-    """
-    d1, d2 = mat.shape
-    emb = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
-    emb[:d1, d1:] = mat
-    emb[d1:, :d1] = mat.conj().T
-    eigvals, eigvecs = np.linalg.eigh(emb)
-    top = int(np.argmax(eigvals))
-    sigma = float(eigvals[top])
-    if sigma <= 0.0:
-        u = np.zeros(d1, dtype=np.complex128)
-        v = np.zeros(d2, dtype=np.complex128)
-        u[0] = 1.0
-        v[0] = 1.0
-        return 0.0, u, v
-    vec = eigvecs[:, top]
-    u = vec[:d1] * math.sqrt(2.0)
-    v = vec[d1:] * math.sqrt(2.0)
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    return sigma, u, v
+    """(sigma_1, u_1, v_1) from LAPACK's SVD, so that M v_1 = sigma_1 u_1."""
+    u, sv, vh = np.linalg.svd(mat)
+    return float(sv[0]), u[:, 0], vh[0].conj()
 
 
 def spectral_via_irreps(f: GroupFunction, table: IrrepTable) -> float:
@@ -426,6 +379,8 @@ def abelian_character_norm(f: GroupFunction, table: Optional[IrrepTable] = None)
     if not g.is_abelian:
         raise ValueError("character norm is defined for abelian groups only")
     table = table or build_irrep_table(g)
+    if not table.group.same_as(g):
+        raise ValueError("function and irrep table live on different groups")
     if any(r.dim != 1 for r in table.irreps):
         raise ValueError("abelian irrep table must consist of characters")
     chars = np.stack([r.matrices[:, 0, 0] for r in table.irreps])

@@ -174,15 +174,11 @@ def dihedral_group(m: int) -> GroupTable:
     if m < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {m}")
     _check_capacity(2 * m)
-    n = 2 * m
-    mul = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        i, fa = a % m, a // m
-        for b in range(n):
-            j, fb = b % m, b // m
-            # (r^i s^fa)(r^j s^fb) = r^(i + (-1)^fa j) s^(fa+fb)
-            k = (i - j) % m if fa else (i + j) % m
-            mul[a, b] = k + m * ((fa + fb) % 2)
+    idx = np.arange(2 * m)
+    i, f = idx % m, idx // m
+    # (r^i s^fa)(r^j s^fb) = r^(i + (-1)^fa j) s^(fa+fb)
+    k = (i[:, None] + (1 - 2 * f[:, None]) * i[None, :]) % m
+    mul = k + m * ((f[:, None] + f[None, :]) % 2)
     return _finish_table(mul, f"D{m}")
 
 

@@ -131,6 +131,45 @@ def test_validate_catches_reducible_fake_irrep():
     assert char_norm == pytest.approx(2.0, abs=1e-10)
 
 
+def test_validate_names_a_repeated_irrep():
+    g = dihedral_group(4)
+    table = build_irrep_table(g)
+    doubled = IrrepTable(group=g, irreps=table.irreps + (table.irreps[1],))
+    problems = validate_irrep_table(g, doubled)
+    assert [p for p in problems if "equivalent" in p] == [
+        "irreps 1 and 5 are equivalent (character inner product 1.00e+00)"
+    ]
+
+
+def test_validate_reports_a_short_matrix_stack():
+    g = dihedral_group(4)
+    table = build_irrep_table(g)
+    short = Irrep(dim=1, matrices=table.irreps[1].matrices[:5])
+    irreps = (table.irreps[0], short) + table.irreps[2:]
+    problems = validate_irrep_table(g, IrrepTable(group=g, irreps=irreps))
+    assert "irrep 1: 5 matrices for a group of order 8" in problems
+
+
+def test_dihedral_characters_are_exact_cosines():
+    m = 384
+    table = build_irrep_table(dihedral_group(m))
+    two = [r for r in table.irreps if r.dim == 2]
+    assert len(two) == (m - 1) // 2
+    i = np.arange(m)  # index i is the rotation r^i
+    for j, rho in enumerate(two, start=1):
+        want = 2.0 * np.cos(2.0 * np.pi * ((j * i) % m) / m)
+        assert np.abs(rho.characters[:m] - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("spec", ["D385", "Z2xZ4", "Z4xZ4"])
+def test_odd_dihedral_and_shuffled_abelian_tables_validate(spec):
+    g = parse_group_spec(spec)
+    if g.is_abelian:
+        perm = np.random.Generator(np.random.Philox(9)).permutation(g.order)
+        g = build_from_table(np.argsort(perm)[g.mul[perm][:, perm]])
+    assert validate_irrep_table(g, build_irrep_table(g)) == []
+
+
 # ---------------------------------------------------------------------------
 # transform, inversion, Plancherel, convolution
 
@@ -271,6 +310,15 @@ def test_svd_witness_trivial_and_sign():
     assert np.allclose(sign_char, [1.0, -1.0])
 
 
+def test_svd_witness_of_zero_function():
+    for spec in ("Z6", "D4"):
+        g = parse_group_spec(spec)
+        w = svd_witness(GroupFunction.constant(g, 0.0), build_irrep_table(g))
+        assert w.objective == 0.0
+        for vecs in (w.x, w.y):
+            assert np.linalg.norm(vecs, axis=1).max() <= 1 + 1e-12
+
+
 def test_svd_witness_matches_spectral_norm():
     rng = np.random.Generator(np.random.Philox(75))
     for spec in SHIPPED:
@@ -309,6 +357,15 @@ def test_abelian_character_norm_rejects_nonabelian():
     g = dihedral_group(4)
     with pytest.raises(ValueError, match="abelian"):
         abelian_character_norm(GroupFunction.constant(g, 1.0))
+
+
+def test_abelian_character_norm_rejects_table_of_another_group():
+    z4 = cyclic_group(4)
+    f = GroupFunction(z4, np.array([2.0, 1.0, -1.0, -2.0]))
+    assert abelian_character_norm(f).value == pytest.approx(group_spectral(f), rel=1e-12)
+    klein = product_group(cyclic_group(2), cyclic_group(2))
+    with pytest.raises(ValueError, match="different groups"):
+        abelian_character_norm(f, build_irrep_table(klein))
 
 
 def test_ascent_rank_twice_max_irrep_dim_reaches_full_norm():

@@ -43,6 +43,25 @@ def test_dihedral4_is_nonabelian():
     assert not g.is_abelian
 
 
+def _dihedral_reference(m):
+    """D_m by the presentation rule, one product at a time."""
+    n = 2 * m
+    mul = np.empty((n, n), dtype=np.int64)
+    for a in range(n):
+        i, fa = a % m, a // m
+        for b in range(n):
+            j, fb = b % m, b // m
+            # (r^i s^fa)(r^j s^fb) = r^(i + (-1)^fa j) s^(fa+fb)
+            k = (i - j) % m if fa else (i + j) % m
+            mul[a, b] = k + m * ((fa + fb) % 2)
+    return mul
+
+
+@pytest.mark.parametrize("m", list(range(1, 13)) + [384])
+def test_dihedral_table_matches_presentation_rule(m):
+    assert np.array_equal(dihedral_group(m).mul, _dihedral_reference(m))
+
+
 def test_klein_four_group_self_inverse():
     g = product_group(cyclic_group(2), cyclic_group(2))
     assert g.order == 4
