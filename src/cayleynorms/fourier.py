@@ -335,6 +335,16 @@ class SvdWitness:
     irrep_index: int
 
 
+# Conjugate irreps give a real function's coefficients the same sigma_1 in
+# exact arithmetic, so the computed values of such a tie differ only by
+# rounding.  Each coefficient is a mean of n terms, whose computed value
+# carries the summation error of about n eps, and LAPACK's SVD adds a
+# backward error of 8 d eps (norms._SVD_ERROR_PER_DIM), with d <= sqrt(n).
+# A band of 8 n eps below the maximum covers both, so the witness irrep is
+# decided by the table order, not by the last bit of sigma_1.
+_TIE_BAND_PER_ELEMENT = 8.0
+
+
 def svd_witness(f: GroupFunction, table: IrrepTable) -> SvdWitness:
     """Build the Grothendieck witness from the top singular pair of fhat.
 
@@ -343,11 +353,15 @@ def svd_witness(f: GroupFunction, table: IrrepTable) -> SvdWitness:
     y(h) = sigma(h^-1) v1 are unit vectors with
     <x(g), y(h)> = u1^H sigma(gh^-1) v1, so the objective
     |mean f(gh^-1) <x(g), y(h)>| contracts to u1^H fhat(sigma) v1, the top
-    singular value, which is ||f||.
+    singular value, which is ||f||.  Of the irreps whose sigma_1 lies within
+    8 n eps of the maximum (a tie up to rounding, n the group order), the
+    one with the lowest table index is used.
     """
     coeffs = fourier_transform(f, table)
     tops = [_top_singular(c) for c in coeffs.coeffs]
-    best = max(range(len(tops)), key=lambda i: tops[i][0])
+    sigma = np.array([top[0] for top in tops])
+    band = 1.0 - _TIE_BAND_PER_ELEMENT * f.group.order * float(np.finfo(np.float64).eps)
+    best = int(np.flatnonzero(sigma >= band * sigma.max())[0])
     _, u1, v1 = tops[best]
     rho = table.irreps[best]
     g = table.group

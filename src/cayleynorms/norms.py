@@ -30,7 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import cayley_matrix, center_regular, find_transitive_automorphisms
+from .cayley import (
+    AUTOMORPHISM_SEARCH_LIMIT,
+    _real_matrix,
+    cayley_matrix,
+    center_regular,
+    find_transitive_automorphisms,
+)
 from .errors import CapacityError
 from .groups import GroupFunction, function_norm
 
@@ -46,19 +52,6 @@ _CHUNK_BITS = 16
 
 # ---------------------------------------------------------------------------
 # Spectral norm and symmetric spectra
-
-
-def _real_matrix(a, name: str) -> np.ndarray:
-    """`a` as a float64 matrix; complex or non-finite entries are a ValueError."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"{name} needs a matrix")
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} needs a real matrix, got dtype {a.dtype}")
-    a = a.astype(np.float64, copy=False)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} needs finite entries")
-    return a
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -621,7 +614,7 @@ def verify_sandwich(a: np.ndarray, report: NormReport) -> list[Check]:
 
 def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
             exact_limit: int = EXACT_ENUM_LIMIT,
-            transitivity_limit: int = 64) -> NormReport:
+            transitivity_limit: int = AUTOMORPHISM_SEARCH_LIMIT) -> NormReport:
     """Compute every norm of a matrix and verify the sandwich inequalities.
 
     Capacity misses (cut and infinity-to-one above the exact limit,

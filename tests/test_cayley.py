@@ -1,6 +1,8 @@
 """Cayley matrices, automorphism certificates, lifts."""
 
+import inspect
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +11,13 @@ from cayleynorms import (
     CapacityError,
     GroupFunction,
     Permutation,
+    analyze,
     cayley_certificate,
     cayley_from_set,
     cayley_matrix,
     center_regular,
+    complete_graph,
+    cycle_graph,
     cyclic_group,
     dihedral_group,
     find_transitive_automorphisms,
@@ -21,7 +26,12 @@ from cayleynorms import (
     paley_graph,
     petersen_graph,
     quadratic_residues,
+    random_regular,
+    serial,
 )
+from cayleynorms.cayley import AUTOMORPHISM_SEARCH_LIMIT
+from cayleynorms.cli import main
+from cayleynorms.verify import _dihedral4_graphs
 
 
 def test_cayley_matrix_z2():
@@ -250,3 +260,217 @@ def test_lift_then_cayley_reproduces_matrix_under_regular_action():
     # relabel vertex i of the rebuilt matrix by where element i sends the base
     relabel = np.array([p.images[0] for p in cert.subgroup.elements])
     assert np.array_equal(a2, a[np.ix_(relabel, relabel)])
+
+
+# ---------------------------------------------------------------------------
+# The search against a reference: the prefix-compare backtracking that the
+# individualization-refinement search replaced, kept here as an oracle for
+# the lexicographically first automorphism per vertex.
+
+
+def _reference_extend(a, target, compat):
+    n = a.shape[0]
+    if not compat[0, target]:
+        return None
+    images = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    images[0] = target
+    used[target] = True
+    cursor = np.zeros(n, dtype=np.int64)
+    s = 1
+    while 0 < s < n:
+        found = False
+        img_prefix = images[:s]
+        for v in range(cursor[s], n):
+            if used[v] or not compat[s, v]:
+                continue
+            if not np.array_equal(a[img_prefix, v], a[:s, s]):
+                continue
+            if not np.array_equal(a[v, img_prefix], a[s, :s]):
+                continue
+            images[s] = v
+            used[v] = True
+            cursor[s] = v + 1
+            found = True
+            break
+        if found:
+            s += 1
+            if s < n:
+                cursor[s] = 0
+        else:
+            cursor[s] = 0
+            s -= 1
+            if s >= 1:
+                used[images[s]] = False
+                images[s] = -1
+    if s == 0:
+        return None
+    return tuple(int(x) for x in images)
+
+
+def _reference_certificate(a):
+    """Per-vertex lexicographically first automorphisms, or None."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    row = [np.sort(a[s]).tobytes() for s in range(n)]
+    col = [np.sort(a[:, s]).tobytes() for s in range(n)]
+    diag = [a[s, s] for s in range(n)]
+    compat = np.array([[row[s] == row[v] and col[s] == col[v] and diag[s] == diag[v]
+                        for v in range(n)] for s in range(n)])
+    perms = []
+    for t in range(n):
+        images = _reference_extend(a, t, compat)
+        if images is None:
+            return None
+        perms.append(images)
+    return perms
+
+
+def _certificate(a):
+    cert = find_transitive_automorphisms(a)
+    return None if cert is None else [p.images for p in cert.perms]
+
+
+def _triangular8():
+    pairs = list(itertools.combinations(range(8), 2))
+    return pairs, np.array([[float(p != q and bool(set(p) & set(q))) for q in pairs]
+                            for p in pairs])
+
+
+def _weighted_cayley_matrices():
+    for g in (cyclic_group(12), dihedral_group(4), dihedral_group(5)):
+        rng = np.random.Generator(np.random.Philox(g.order))
+        for values in (rng.standard_normal(g.order), rng.integers(-2, 3, g.order) * 1.0):
+            yield f"{g.order}-asymmetric", cayley_matrix(g, GroupFunction(g, values)).matrix
+            sym = values + values[g.inv]
+            yield f"{g.order}-symmetric", cayley_matrix(g, GroupFunction(g, sym)).matrix
+
+
+def _reference_cases():
+    for p in (5, 13, 17, 29, 37):
+        yield f"paley{p}", paley_graph(p).matrix
+    for n in range(3, 25):
+        yield f"cycle{n}", cycle_graph(n).matrix
+    for n in range(2, 11):
+        yield f"complete{n}", complete_graph(n).matrix
+    yield "petersen", petersen_graph().matrix
+    yield "T8", _triangular8()[1]
+    for name, g in _dihedral4_graphs():
+        yield name, g.matrix
+    yield from _weighted_cayley_matrices()
+
+
+@pytest.mark.parametrize("name,a", [pytest.param(name, a, id=name) for name, a in _reference_cases()])
+def test_certificates_match_reference_search(name, a):
+    a = np.asarray(a, dtype=np.float64)
+    for b in (a, a - a.sum(axis=1).mean() / a.shape[0]):
+        want = _reference_certificate(b)
+        assert want is not None, name
+        assert _certificate(b) == want, name
+
+
+def test_certificates_match_brute_force_with_planted_symmetry():
+    """Seeded weighted, directed n <= 6 matrices invariant under a planted permutation."""
+    rng = np.random.Generator(np.random.Philox(2024))
+    found = refuted = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 7))
+        # every other trial plants an n-cycle, whose powers act transitively
+        relabel = rng.permutation(n)
+        sigma = np.empty(n, dtype=np.int64)
+        sigma[relabel] = relabel[(np.arange(n) + 1) % n]
+        if trial % 2:
+            sigma = rng.permutation(n)
+        # colour the ordered pairs by their orbit under sigma
+        orbit = -np.ones((n, n), dtype=np.int64)
+        k = 0
+        for x, y in itertools.product(range(n), repeat=2):
+            while orbit[x, y] < 0:
+                orbit[x, y] = k
+                x, y = sigma[x], sigma[y]
+            k += 1
+        values = rng.integers(-2, 3, size=k) * (1.0 if trial % 4 < 2 else -0.5)
+        a = values[orbit]
+        want = []
+        for images in itertools.permutations(range(n)):
+            img = np.asarray(images)
+            if images[0] == len(want) and np.array_equal(a[np.ix_(img, img)], a):
+                want.append(images)
+        want = want if len(want) == n else None
+        assert _certificate(a) == want, (trial, a.tolist())
+        found += want is not None
+        refuted += want is None
+    assert found >= 20 and refuted >= 10
+
+
+def _chang_graphs():
+    pairs, t8 = _triangular8()
+
+    def cycle(vs):
+        return {tuple(sorted((vs[i], vs[(i + 1) % len(vs)]))) for i in range(len(vs))}
+
+    switchings = ({(0, 1), (2, 3), (4, 5), (6, 7)}, cycle(range(8)),
+                  cycle([0, 1, 2]) | cycle([3, 4, 5, 6, 7]))
+    for switch in switchings:
+        inside = np.array([p in switch for p in pairs])
+        flip = np.not_equal.outer(inside, inside)
+        yield np.where(flip, 1.0 - t8, t8)
+
+
+def test_chang_graphs_are_refuted():
+    # Seidel switchings of T(8): SRG(28, 12, 6, 4) like T(8), which colour
+    # refinement cannot split at the root, but not vertex-transitive
+    for a in _chang_graphs():
+        assert np.all(a.sum(axis=1) == 12.0) and np.array_equal(a, a.T)
+        sq = a @ a
+        adjacent = a == 1.0
+        off = ~adjacent & ~np.eye(28, dtype=bool)
+        assert np.all(sq[adjacent] == 6.0) and np.all(sq[off] == 4.0)
+        assert find_transitive_automorphisms(a) is None
+        assert find_transitive_automorphisms(center_regular(a, 12)) is None
+
+
+def test_random_four_regular_refutations_are_fast():
+    # graphs on which the backtracking search did not finish in 30 s
+    cases = ((28, 1), (30, 0), (30, 1), (30, 2), (32, 0), (32, 1), (32, 2))
+    graphs = [random_regular(n, 4, seed=s) for n, s in cases]
+    t0 = time.perf_counter()
+    for g in graphs:
+        assert find_transitive_automorphisms(center_regular(g.matrix, 4)) is None
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_signed_zero_does_not_refute_a_cayley_matrix():
+    # a[2, 2] = -0.0 on a Cayley matrix of Z3
+    a = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, -0.0]])
+    cert = find_transitive_automorphisms(a)
+    assert cert is not None
+    assert [p.images for p in cert.perms] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert analyze(a).transitive is True
+
+
+def test_signed_zero_through_cli_analyze(tmp_path):
+    src = tmp_path / "m.json"
+    src.write_text('{"kind": "matrix", "rows": 3, "cols": 3, '
+                   '"entries": [0, 1, 2, 2, 0, 1, 1, 2, -0.0]}')
+    assert np.signbit(serial.parse_matrix(src.read_text())[2, 2])
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(src), "--out", str(out), "--quiet"]) == 0
+    assert serial.parse_report(out.read_text())["transitive"] is True
+
+
+@pytest.mark.parametrize("bad,match", [
+    pytest.param(np.array([[0.0, np.nan], [np.nan, 0.0]]), "finite", id="nan"),
+    pytest.param(np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite", id="inf"),
+    pytest.param(np.array([[0.0, -np.inf], [-np.inf, 0.0]]), "finite", id="-inf"),
+    pytest.param(np.array([[0.0, 1j], [1j, 0.0]]), "real", id="complex"),
+    pytest.param(np.zeros((2, 3)), "square", id="non-square"),
+])
+def test_search_rejects_invalid_input(bad, match):
+    with pytest.raises(ValueError, match=match):
+        find_transitive_automorphisms(bad)
+
+
+def test_analyze_transitivity_limit_is_the_search_cap():
+    default = inspect.signature(analyze).parameters["transitivity_limit"].default
+    assert default == AUTOMORPHISM_SEARCH_LIMIT == 64

@@ -332,6 +332,27 @@ def test_svd_witness_matches_spectral_norm():
             assert np.linalg.norm(w.x, axis=1).max() <= 1 + 1e-12
 
 
+def test_svd_witness_breaks_conjugate_ties_by_table_order():
+    # conjugate characters tie exactly on a real function; the witness must
+    # take the lowest index within the rounding band, not the last-bit winner
+    rng = np.random.Generator(np.random.Philox(31))
+    eps = float(np.finfo(np.float64).eps)
+    for n in range(5, 31):
+        g = cyclic_group(n)
+        table = build_irrep_table(g)
+        chars = np.array([rho.matrices[:, 0, 0] for rho in table.irreps])
+        conj = [int(np.flatnonzero(np.abs(chars - c.conj()).max(axis=1) < 1e-9)[0]) for c in chars]
+        for _ in range(4):
+            f = GroupFunction(g, rng.standard_normal(n))
+            w = svd_witness(f, table)
+            sigma = np.abs(chars @ f.values) / n
+            in_band = np.flatnonzero(sigma >= (1.0 - 8 * n * eps) * sigma.max())
+            assert w.irrep_index == in_band[0]
+            assert w.irrep_index <= conj[w.irrep_index]
+            target = spectral_via_irreps(f, table)
+            assert w.objective == pytest.approx(target, rel=1e-12)
+
+
 def test_abelian_character_norm_examples():
     g = cyclic_group(6)
     const = GroupFunction.constant(g, -2.5)
