@@ -19,11 +19,6 @@ import numpy as np
 
 from .errors import CapacityError, GroupAxiomError
 
-# Associativity is verified on every constructed table: exhaustively up to
-# this order, on random triples above it.
-EXHAUSTIVE_AXIOM_LIMIT = 256
-_AXIOM_SAMPLES = 200_000
-
 # Largest multiplication table we agree to materialize (7! elements).
 MAX_TABLE_ORDER = 5040
 
@@ -63,98 +58,103 @@ class GroupTable:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inverse(g), -k
-        acc = 0
-        for _ in range(k):
-            acc = int(self.mul[acc, g])
-        return acc
-
-    def element_order(self, g: int) -> int:
-        k, acc = 1, g
-        while acc != 0:
-            acc = int(self.mul[acc, g])
-            k += 1
-        return k
-
     def same_as(self, other: "GroupTable") -> bool:
         return self is other or (
             self.order == other.order and np.array_equal(self.mul, other.mul)
         )
 
 
-def _check_axioms(mul: np.ndarray, label: str) -> np.ndarray:
-    """Validate group axioms for a candidate table; return the inverse table.
+def _table_entries(raw, label: str) -> np.ndarray:
+    """The table as int32, once every entry as given (before a cast could round
+    0.7 or wrap 2**32) is found to be an integer in [0, n)."""
+    mul = np.asarray(raw)
+    if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.size == 0:
+        raise GroupAxiomError(f"{label}: multiplication table must be square and non-empty")
+    n = mul.shape[0]
+    if mul.dtype.kind in "iuf":
+        ok = (mul >= 0) & (mul < n) & (mul == np.round(mul) if mul.dtype.kind == "f" else True)
+    else:  # bool, complex, text, or Python integers too wide for int64
+        ok = np.array([isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       and 0 <= v < n for v in mul.ravel().tolist()]).reshape(n, n)
+    if not ok.all():
+        i, j = map(int, np.argwhere(~ok)[0])
+        raise GroupAxiomError(f"{label}: entry mul[{i},{j}] = {mul[i].tolist()[j]!r} "
+                              f"is not an integer in [0, {n})")
+    return np.ascontiguousarray(mul, dtype=np.int32)
 
-    Assumes the identity is already at index 0.  Associativity is checked
-    exhaustively up to EXHAUSTIVE_AXIOM_LIMIT, on sampled triples above.
+
+def _generating_set(mul: np.ndarray) -> tuple[list[int], np.ndarray, int]:
+    """Greedy generators of a table's product closure: the picks (which alone
+    generate it), the picks with their squares g^(2^k), 2^k < n, and the depth L.
+
+    Each round picks the smallest element not yet reached, and a breadth-first
+    search over right products in the table itself, which assumes no
+    associativity, finds the reached set.  Every element is then a word
+    ((s_1 s_2) ...) s_k with k <= L; the squares keep L small (D385: picks 1
+    and 385, 11 generators, L = 5; any abelian group: L <= 2 log2 n).
     """
     n = mul.shape[0]
-    if mul.ndim != 2 or mul.shape != (n, n):
-        raise GroupAxiomError(f"{label}: multiplication table must be square")
-    if n == 0:
-        raise GroupAxiomError(f"{label}: empty table")
-    if mul.min() < 0 or mul.max() >= n:
-        bad = np.argwhere((mul < 0) | (mul >= n))[0]
-        raise GroupAxiomError(
-            f"{label}: closure fails, mul[{bad[0]},{bad[1]}] = "
-            f"{mul[bad[0], bad[1]]} is outside [0, {n})"
-        )
+    picks, gens = [], []
+    depth = np.where(np.arange(n) == 0, 0, -1)  # -1: not reached yet
+    while depth.min() < 0:
+        g = int(np.flatnonzero(depth < 0)[0])
+        picks.append(g)
+        for _ in range((n - 1).bit_length()):
+            if g == 0 or g in gens:
+                break
+            gens.append(g)
+            g = int(mul[g, g])
+        depth[1:] = -1
+        frontier, level = np.zeros(1, dtype=np.int64), 0
+        while frontier.size:
+            level += 1
+            reached = mul[np.ix_(frontier, gens)].ravel()
+            depth[reached[depth[reached] < 0]] = level
+            frontier = np.flatnonzero(depth == level)
+    return picks, np.array(gens, dtype=np.int64), int(depth.max())
+
+
+def _check_axioms(mul: np.ndarray, label: str) -> np.ndarray:
+    """Validate group axioms for a table of indices in [0, n); return the inverses.
+
+    Assumes the identity is already at index 0.  Associativity is exact by
+    Light's test (Clifford & Preston, *Algebraic Theory of Semigroups* I,
+    1961, section 1.2): the y with (xy)z = x(yz) for all x, z are closed under
+    the product, so one n x n comparison per pick of `_generating_set` suffices.
+    """
+    n = mul.shape[0]
     rng_n = np.arange(n)
-    if not np.array_equal(mul[0], rng_n):
-        g = int(np.nonzero(mul[0] != rng_n)[0][0])
-        raise GroupAxiomError(f"{label}: index 0 is not a left identity at g={g}")
-    if not np.array_equal(mul[:, 0], rng_n):
-        g = int(np.nonzero(mul[:, 0] != rng_n)[0][0])
-        raise GroupAxiomError(f"{label}: index 0 is not a right identity at g={g}")
+    for side, line in (("left", mul[0]), ("right", mul[:, 0])):
+        if not np.array_equal(line, rng_n):
+            g = int(np.argmax(line != rng_n))
+            raise GroupAxiomError(f"{label}: index 0 is not a {side} identity at g={g}")
 
-    inv = np.full(n, -1, dtype=mul.dtype)
-    for g in range(n):
-        hits = np.nonzero(mul[g] == 0)[0]
-        if hits.size == 0:
+    is_unit = mul == 0
+    hits = is_unit.sum(axis=1)
+    inv = is_unit.argmax(axis=1).astype(mul.dtype)
+    bad = (hits != 1) | (mul[inv, rng_n] != 0)
+    if bad.any():
+        g = int(np.argmax(bad))
+        if hits[g] == 0:
             raise GroupAxiomError(f"{label}: element {g} has no inverse")
-        if hits.size > 1:
+        if hits[g] > 1:
             raise GroupAxiomError(
-                f"{label}: element {g} has multiple right inverses {hits.tolist()}"
+                f"{label}: element {g} has multiple right inverses "
+                f"{np.flatnonzero(is_unit[g]).tolist()}"
             )
-        inv[g] = hits[0]
-        if mul[inv[g], g] != 0:
-            raise GroupAxiomError(
-                f"{label}: inverse of {g} is one-sided (mul[{inv[g]},{g}] != 0)"
-            )
+        raise GroupAxiomError(f"{label}: inverse of {g} is one-sided (mul[{inv[g]},{g}] != 0)")
 
-    if n <= EXHAUSTIVE_AXIOM_LIMIT:
-        for a in range(n):
-            left = mul[mul[a]]          # [b, c] -> (ab)c
-            right = mul[a][mul]         # [b, c] -> a(bc)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise GroupAxiomError(
-                    f"{label}: associativity fails at (a,b,c) = ({a},{b},{c})"
-                )
-    else:
-        rng = np.random.Generator(np.random.Philox(0))
-        abc = rng.integers(0, n, size=(_AXIOM_SAMPLES, 3))
-        left = mul[mul[abc[:, 0], abc[:, 1]], abc[:, 2]]
-        right = mul[abc[:, 0], mul[abc[:, 1], abc[:, 2]]]
+    for b in _generating_set(mul)[0]:
+        left = np.take(mul, mul[:, b], axis=0)    # [a, c] -> (ab)c
+        right = np.take(mul, mul[b], axis=1)      # [a, c] -> a(bc)
         if not np.array_equal(left, right):
-            i = int(np.nonzero(left != right)[0][0])
-            a, b, c = map(int, abc[i])
-            raise GroupAxiomError(
-                f"{label}: associativity fails at (a,b,c) = ({a},{b},{c})"
-            )
+            a, c = map(int, np.argwhere(left != right)[0])
+            raise GroupAxiomError(f"{label}: associativity fails at (a,b,c) = ({a},{b},{c})")
     return inv
 
 
-def _finish_table(mul: np.ndarray, label: str) -> GroupTable:
-    mul = np.ascontiguousarray(mul, dtype=np.int32)
+def _finish_table(raw, label: str) -> GroupTable:
+    mul = _table_entries(raw, label or "group")
     inv = _check_axioms(mul, label or "group")
     return GroupTable(order=mul.shape[0], mul=mul, inv=inv, label=label)
 
@@ -263,19 +263,14 @@ def parse_group_spec(spec: str) -> GroupTable:
 
 def build_from_table(raw: Sequence[Sequence[int]] | np.ndarray, label: str = "") -> GroupTable:
     """Validate a raw multiplication table, relabeling the identity to index 0."""
-    mul = np.asarray(raw)
-    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-        raise GroupAxiomError("table must be square")
+    mul = _table_entries(raw, label or "group")
     n = mul.shape[0]
     _check_capacity(n)
     idx = np.arange(n)
-    e = -1
-    for g in range(n):
-        if np.array_equal(mul[g], idx) and np.array_equal(mul[:, g], idx):
-            e = g
-            break
-    if e < 0:
+    ident = np.flatnonzero((mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0))
+    if ident.size == 0:
         raise GroupAxiomError("table has no two-sided identity element")
+    e = int(ident[0])
     if e != 0:
         relabel = idx.copy()
         relabel[[0, e]] = relabel[[e, 0]]

@@ -16,7 +16,8 @@ from typing import Any, Optional
 import numpy as np
 
 from .fourier import Irrep, IrrepTable, ensure_valid_irreps
-from .groups import GroupFunction, GroupTable, PermGroup, Permutation, group_closure
+from .groups import (GroupFunction, GroupTable, PermGroup, Permutation, _finish_table,
+                     group_closure)
 from .norms import NormReport
 
 
@@ -109,11 +110,8 @@ def parse_group(source: str | dict) -> GroupTable:
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "group")
     n = int(obj["order"])
-    mul = np.array(obj["mul"], dtype=np.int64).reshape(n, n)
-    from .groups import _finish_table  # validates all axioms
-
-    g = _finish_table(mul, str(obj.get("label", "")))
-    inv = np.array(obj["inv"], dtype=np.int64)
+    g = _finish_table(np.array(obj["mul"]).reshape(n, n), str(obj.get("label", "")))
+    inv = np.array(obj["inv"])
     if not np.array_equal(inv, g.inv):
         raise ValueError("stored inverse table disagrees with the multiplication table")
     return g

@@ -1,6 +1,7 @@
 """Irrep tables, the group Fourier transform, and its witnesses."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,67 @@ def test_odd_dihedral_and_shuffled_abelian_tables_validate(spec):
         perm = np.random.Generator(np.random.Philox(9)).permutation(g.order)
         g = build_from_table(np.argsort(perm)[g.mul[perm][:, perm]])
     assert validate_irrep_table(g, build_irrep_table(g)) == []
+
+
+@pytest.mark.parametrize("spec", [f"D{m}" for m in range(3, 13)] + ["D128", "D384"]
+                         + [f"Z{n}" for n in range(1, 31)] + ["Z257", "Z1000", "Z16xZ16"])
+def test_builtin_tables_validate(spec):
+    g = parse_group_spec(spec)
+    assert validate_irrep_table(g, build_irrep_table(g)) == []
+
+
+def test_cyclic_characters_are_rounded_once():
+    # chi_j(k) = exp(2 pi i jk / n) against long double: the angle 2 pi q / n
+    # is rounded a few times, where a chain of k products drifts by k eps
+    n = 257
+    chars = np.stack([r.matrices[:, 0, 0] for r in build_irrep_table(cyclic_group(n)).irreps])
+    j = np.rint(np.angle(chars[:, 1]) * n / (2 * np.pi)).astype(np.int64) % n
+    angle = 2 * np.pi * np.longdouble((j[:, None] * np.arange(n)) % n) / n
+    assert sorted(j.tolist()) == list(range(n))
+    assert np.abs(chars.real - np.cos(angle)).max() <= 16 * np.finfo(float).eps
+    assert np.abs(chars.imag - np.sin(angle)).max() <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("spec", ["D4", "D385"])
+def test_validate_catches_a_homomorphism_only_corruption(spec):
+    # conjugating rho(x) and rho(x^-1) by one unitary keeps unitarity,
+    # rho(x^-1) = rho(x)* and the characters, so only the homomorphism
+    # check can see it
+    g = parse_group_spec(spec)
+    table = build_irrep_table(g)
+    idx = table.dims.index(2)
+    u = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    mats = table.irreps[idx].matrices.copy()
+    for x in (3, g.inv[3]):
+        mats[x] = u @ mats[x] @ u.conj().T
+    irreps = list(table.irreps)
+    irreps[idx] = Irrep(dim=2, matrices=mats)
+    problems = validate_irrep_table(g, IrrepTable(group=g, irreps=tuple(irreps)))
+    assert len(problems) == 1
+    assert problems[0].startswith(f"irrep {idx}: rho(ab) != rho(a)rho(b) at (a,b)=")
+    a, b = map(int, re.search(r"\(a,b\)=\((\d+),(\d+)\)", problems[0]).groups())
+    assert np.abs(mats[g.mul[a, b]] - mats[a] @ mats[b]).max() > 1e-10
+
+
+def test_validate_rejects_a_smooth_phase_error_that_passes_on_generators():
+    # chi(k) exp(i A sin(2 pi k / n)) keeps |chi| = 1 and chi(-k) = conj chi(k);
+    # on Z9 every generator product is within tol, but a pair is off by more
+    from cayleynorms.groups import _generating_set
+
+    n, tol = 9, 1e-10
+    g = cyclic_group(n)
+    table = build_irrep_table(g)
+    phase = np.sin(2 * np.pi * np.arange(n) / n)
+    _, gens, _ = _generating_set(g.mul)
+    spread = np.abs(phase[g.mul] - phase[:, None] - phase[None, :])
+    chi = table.irreps[1].matrices[:, 0, 0] * np.exp(0.95j * tol * phase / spread[:, gens].max())
+    err = np.abs(chi[g.mul] - chi[:, None] * chi[None, :])
+    assert err[:, gens].max() <= tol < err.max()
+    irreps = list(table.irreps)
+    irreps[1] = Irrep(dim=1, matrices=chi.reshape(n, 1, 1))
+    problems = validate_irrep_table(g, IrrepTable(group=g, irreps=tuple(irreps)), tol=tol)
+    assert len(problems) == 1
+    assert problems[0].startswith("irrep 1: rho(ab) != rho(a)rho(b)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Group tables, permutation closures, convolution, function norms."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +144,67 @@ def test_build_from_table_associativity_diagnostic():
 def test_build_from_table_rejects_nonsquare():
     with pytest.raises(GroupAxiomError):
         build_from_table([[0, 1]])
+
+
+def _swapped_intercalate(n, a, b):
+    """Z_n (n even) with the 2x2 subsquare on rows a, a + n/2 and columns
+    b, b + n/2 swapped: still a latin square with identity 0 and two-sided
+    inverses, but no longer associative."""
+    h = n // 2
+    idx = np.arange(n)
+    mul = (idx[:, None] + idx[None, :]) % n
+    for r in (a, a + h):
+        mul[r, [b, b + h]] = mul[r, [b + h, b]]
+    return mul
+
+
+def test_single_swapped_intercalate_at_order_770_is_caught():
+    # a sample of 200,000 random triples (Philox(0)) misses this swap, which
+    # touches 4 of the 592,900 products
+    mul = _swapped_intercalate(770, 1, 197)
+    assert (np.sort(mul, axis=0) == np.arange(770)[:, None]).all()
+    assert (np.sort(mul, axis=1) == np.arange(770)).all()
+    with pytest.raises(GroupAxiomError, match="associativity") as info:
+        build_from_table(mul)
+    a, b, c = map(int, re.search(r"\(a,b,c\) = \((\d+),(\d+),(\d+)\)",
+                                 str(info.value)).groups())
+    assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (0.7, "0.7"),
+    (2**32, "4294967296"),
+    (2**64, "18446744073709551616"),
+    (-1, "-1"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+])
+def test_build_from_table_rejects_entries_that_are_not_indices(bad, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GroupAxiomError,
+                           match=re.escape(f"mul[1,1] = {shown} is not an integer in [0, 2)")):
+            build_from_table([[0, 1], [1, bad]])
+
+
+def test_build_from_table_accepts_integral_floats():
+    g = build_from_table(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert g.mul.dtype == np.int32
+    assert g.mul.tolist() == [[0, 1], [1, 0]]
+
+
+def test_parse_group_rejects_entries_that_are_not_indices():
+    obj = serial.group_to_obj(cyclic_group(2))
+    obj["mul"] = [0, 1, 1, 0.5]
+    with pytest.raises(GroupAxiomError, match=re.escape("mul[1,1] = 0.5 is not an integer")):
+        serial.parse_group(obj)
+    obj["mul"] = [0, 1, 1, 2**32]
+    with pytest.raises(GroupAxiomError, match=re.escape("mul[1,1] = 4294967296")):
+        serial.parse_group(obj)
+    obj = serial.group_to_obj(cyclic_group(2))
+    obj["inv"] = [0, 1.5]
+    with pytest.raises(ValueError, match="inverse"):
+        serial.parse_group(obj)
 
 
 def test_group_serialization_round_trip_byte_equality():
