@@ -271,11 +271,11 @@ def cayley_certificate(cm: CayleyMatrix) -> TransitiveCertificate:
     return TransitiveCertificate(base=0, perms=perms)
 
 
-def lift_to_group(a: np.ndarray, group: PermGroup, base: int = 0) -> GroupFunction:
+def lift_to_group(a: np.ndarray, group: PermGroup) -> GroupFunction:
     """Lift a vertex-transitive matrix to a function on a transitive group.
 
     Given a transitive group of automorphisms (as permutations of the index
-    set), returns f with ``f(g) = a[g(base), base]`` on the group's abstract
+    set), returns f with ``f(g) = a[g(0), 0]`` on the group's abstract
     table.  The point of the construction is that the lift multiplies the
     spectral norm by n and the Grothendieck norm by n^2; those identities
     are checked by the norms module, not here.
@@ -296,5 +296,5 @@ def lift_to_group(a: np.ndarray, group: PermGroup, base: int = 0) -> GroupFuncti
             )
     if not group.is_transitive():
         raise ValueError("group does not act transitively on the index set")
-    values = np.array([a[p.images[base], base] for p in group.elements])
+    values = np.array([a[p.images[0], 0] for p in group.elements])
     return GroupFunction(group.table, values)

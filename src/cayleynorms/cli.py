@@ -21,7 +21,7 @@ from .cayley import cayley_from_set, find_transitive_automorphisms, lift_to_grou
 from .errors import CapacityError, GroupAxiomError
 from .families import complete_graph, cycle_graph, example1_graph, paley_graph, \
     petersen_graph, random_regular
-from .fourier import build_irrep_table, fourier_transform, spectral_via_irreps, svd_witness
+from .fourier import build_irrep_table, svd_witness
 from .groups import parse_group_spec
 from .norms import BMConfig, analyze, group_spectral, spectral_norm
 
@@ -183,10 +183,9 @@ def _cmd_fourier(args) -> int:
         raise _UsageError(f"cannot read inputs: {exc}") from exc
     if table is None:
         table = build_irrep_table(f.group)
-    via = spectral_via_irreps(f, table)
+    wit = svd_witness(f, table)  # one transform: ||f||, the witness and the coefficients
+    via = float(wit.fhat.sigma1.max())
     dense = group_spectral(f)
-    wit = svd_witness(f, table)
-    coeffs = fourier_transform(f, table).coeffs
     obj = {
         "kind": "fourier_report",
         "group_label": f.group.label,
@@ -199,7 +198,7 @@ def _cmd_fourier(args) -> int:
         "coefficients": [
             {"dim": int(c.shape[0]),
              "matrix": [[float(z.real), float(z.imag)] for z in c.ravel()]}
-            for c in coeffs
+            for c in wit.fhat.coeffs
         ],
         "provenance": {"input": str(args.input), "tool_version": __version__},
     }

@@ -167,15 +167,14 @@ def _pairing_attempt(degrees: np.ndarray, rng) -> Optional[set[tuple[int, int]]]
     return edges
 
 
-def _random_graph_with_degrees(degrees: np.ndarray, rng,
-                               max_tries: int = CONFIG_MODEL_MAX_TRIES) -> np.ndarray:
+def _random_graph_with_degrees(degrees: np.ndarray, rng) -> np.ndarray:
     """Simple graph with the given degree sequence by stub pairing with rejection."""
     n = degrees.shape[0]
     if int(degrees.sum()) % 2:
         raise ValueError("degree sequence has odd sum")
     if np.any(degrees < 0) or np.any(degrees >= n):
         raise ValueError("degrees must lie in [0, n)")
-    for _ in range(max_tries):
+    for _ in range(CONFIG_MODEL_MAX_TRIES):
         edges = _pairing_attempt(degrees, rng)
         if edges is not None:
             a = np.zeros((n, n))
@@ -183,8 +182,8 @@ def _random_graph_with_degrees(degrees: np.ndarray, rng,
                 a[s, t] = a[t, s] = 1.0
             return a
     raise RuntimeError(
-        f"configuration model failed to produce a simple graph in {max_tries} tries; "
-        "try another seed"
+        f"configuration model failed to produce a simple graph in "
+        f"{CONFIG_MODEL_MAX_TRIES} tries; try another seed"
     )
 
 

@@ -9,13 +9,15 @@ homomorphism property is checked on a generating set of the group).
 The transform is ``fhat(rho) = mean_g f(g) rho(g)``; its inverse, the
 Plancherel identity and the convolution theorem follow the averaging
 normalization, and the spectral norm of f equals the largest singular
-value among the coefficient matrices.  The witness takes the top singular
-pair from LAPACK's SVD of the attaining coefficient matrix.
+value among the coefficient matrices (`FourierCoefficients.sigma1`, one
+batched SVD per dimension).  The witness takes the top singular pair from
+LAPACK's SVD of the attaining coefficient matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -75,6 +77,18 @@ class FourierCoefficients:
                 raise ValueError(
                     f"coefficient shape {c.shape} does not match irrep dim {r.dim}"
                 )
+
+    @cached_property
+    def sigma1(self) -> np.ndarray:
+        """sigma_1 of each coefficient, from one full SVD per stack of same-dimension
+        ones: bit-identical to one SVD per matrix, which compute_uv=False is not."""
+        dims = np.array(self.table.dims)
+        sigma = np.empty(len(dims))
+        for d in np.unique(dims):
+            idx = np.flatnonzero(dims == d)
+            sigma[idx] = np.linalg.svd(np.stack([self.coeffs[i] for i in idx]))[1][:, 0]
+        sigma.setflags(write=False)
+        return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -289,31 +303,19 @@ def fourier_transform(f: GroupFunction, table: IrrepTable) -> FourierCoefficient
     return FourierCoefficients(table=table, coeffs=coeffs)
 
 
-def fourier_inverse(coeffs: FourierCoefficients, table: Optional[IrrepTable] = None) -> GroupFunction:
+def fourier_inverse(coeffs: FourierCoefficients) -> GroupFunction:
     """Reconstruct f(g) = sum_rho d_rho <fhat(rho), rho(g)>_HS."""
-    table = table or coeffs.table
-    if len(table.irreps) != len(coeffs.coeffs):
-        raise ValueError("coefficients are shaped for a different table")
-    n = table.group.order
-    values = np.zeros(n, dtype=np.complex128)
+    table = coeffs.table
+    values = np.zeros(table.group.order, dtype=np.complex128)
     for rho, c in zip(table.irreps, coeffs.coeffs):
-        if c.shape != (rho.dim, rho.dim):
-            raise ValueError("coefficient shape mismatch")
         # <c, rho(g)>_HS = sum_ij c_ij conj(rho(g)_ij)
         values += rho.dim * np.einsum("ij,gij->g", c, rho.matrices.conj())
     return GroupFunction(table.group, values)
 
 
-def _top_singular(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(sigma_1, u_1, v_1) from LAPACK's SVD, so that M v_1 = sigma_1 u_1."""
-    u, sv, vh = np.linalg.svd(mat)
-    return float(sv[0]), u[:, 0], vh[0].conj()
-
-
 def spectral_via_irreps(f: GroupFunction, table: IrrepTable) -> float:
     """||f|| as the maximum spectral norm over the coefficient matrices."""
-    coeffs = fourier_transform(f, table)
-    return max(_top_singular(c)[0] for c in coeffs.coeffs)
+    return float(fourier_transform(f, table).sigma1.max())
 
 
 def schur_average(rho: Irrep, sigma: Irrep, m: np.ndarray, group: GroupTable) -> np.ndarray:
@@ -339,6 +341,7 @@ class SvdWitness:
     y: np.ndarray
     objective: float
     irrep_index: int
+    fhat: FourierCoefficients  # the transform the singular pair came from
 
 
 # Conjugate irreps give a real function's coefficients the same sigma_1 in
@@ -363,12 +366,12 @@ def svd_witness(f: GroupFunction, table: IrrepTable) -> SvdWitness:
     8 n eps of the maximum (a tie up to rounding, n the group order), the
     one with the lowest table index is used.
     """
-    coeffs = fourier_transform(f, table)
-    tops = [_top_singular(c) for c in coeffs.coeffs]
-    sigma = np.array([top[0] for top in tops])
+    fhat = fourier_transform(f, table)
+    sigma = fhat.sigma1
     band = 1.0 - _TIE_BAND_PER_ELEMENT * f.group.order * float(np.finfo(np.float64).eps)
     best = int(np.flatnonzero(sigma >= band * sigma.max())[0])
-    _, u1, v1 = tops[best]
+    u, _, vh = np.linalg.svd(fhat.coeffs[best])
+    u1, v1 = u[:, 0], vh[0].conj()  # fhat(sigma) v1 = sigma_1 u1
     rho = table.irreps[best]
     g = table.group
     mats_inv = rho.matrices[g.inv]
@@ -377,7 +380,7 @@ def svd_witness(f: GroupFunction, table: IrrepTable) -> SvdWitness:
     fmat = f.values[g.ghinv]
     # objective = mean_{g,h} f(gh^-1) x(g)^H y(h) = tr(X^H F Y) / n^2
     objective = abs(np.einsum("gd,gh,hd->", x.conj(), fmat, y)) / g.order**2
-    return SvdWitness(x=x, y=y, objective=float(objective), irrep_index=best)
+    return SvdWitness(x=x, y=y, objective=float(objective), irrep_index=best, fhat=fhat)
 
 
 @dataclass(frozen=True)

@@ -394,11 +394,6 @@ def default_bm_rank(m: int, n: int) -> int:
     return max(1, min(m + n, math.ceil(math.sqrt(2.0 * (m + n))) + 2))
 
 
-def _unit_rows(w: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
-    return w / np.maximum(norms, 1e-300)
-
-
 def _renormalize(w: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Normalize rows of w; rows that sum to zero keep their previous vector."""
     norms = np.linalg.norm(w, axis=1, keepdims=True)
@@ -408,15 +403,19 @@ def _renormalize(w: np.ndarray, previous: np.ndarray) -> np.ndarray:
 def _bm_restart(a: np.ndarray, k: int, max_sweeps: int, tol: float, rng):
     """One ascent run; returns (objective, x, y, per-sweep objective trace)."""
     m, n = a.shape
-    x = _unit_rows(rng.standard_normal((m, k)))
-    y = _unit_rows(rng.standard_normal((n, k)))
+    x = rng.standard_normal((m, k))
+    x = _renormalize(x, x)
+    y = rng.standard_normal((n, k))
+    y = _renormalize(y, y)
+    ay = a @ y  # each sweep's objective product is the next sweep's x update
     trace: list[float] = []
     prev = -math.inf
     obj = 0.0
     for _ in range(max_sweeps):
-        x = _renormalize(a @ y, x)
+        x = _renormalize(ay, x)
         y = _renormalize(a.T @ x, y)
-        obj = float(np.sum((a @ y) * x))
+        ay = a @ y
+        obj = float(np.sum(ay * x))
         trace.append(obj)
         if obj - prev <= tol * max(abs(obj), 1e-300):
             break
@@ -472,8 +471,7 @@ def _bracket(m: int, n: int, spectral: float, bm: float, io1: Optional[float],
     return lower, upper
 
 
-def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
-                        exact_limit: int = EXACT_ENUM_LIMIT) -> tuple[float, float]:
+def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[float, float]:
     """A certified bracket [lower, upper] for the Grothendieck norm.
 
     lower = max(ascent value, exact infinity-to-one norm when feasible);
@@ -485,9 +483,9 @@ def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
     m, n = a.shape
     bm, _ = grothendieck_bm(a, cfg)
     io1 = cut = None
-    if m <= exact_limit:
-        io1 = infty_one_exact(a, max_rows=exact_limit)
-        cut = cut_norm_exact(a, max_rows=exact_limit)
+    if m <= EXACT_ENUM_LIMIT:
+        io1 = infty_one_exact(a)
+        cut = cut_norm_exact(a)
     return _bracket(m, n, spectral_norm(a), bm, io1, cut)
 
 
@@ -711,9 +709,7 @@ def _require_regular(a, d: Optional[float], name: str) -> tuple[np.ndarray, floa
     return a, float(d)
 
 
-def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None, *,
-                       exact_limit: int = EXACT_ENUM_LIMIT,
-                       cfg: Optional[BMConfig] = None) -> UniformityEstimate:
+def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEstimate:
     """Smallest epsilon with every (S, T) discrepancy at most epsilon * d * n.
 
     Exact (via the cut norm of the degree-centered matrix) up to the
@@ -725,10 +721,10 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None, *,
     if d == 0 or n == 0:
         return UniformityEstimate(0.0, 0.0, True)
     centered = center_regular(a, d)
-    if n <= exact_limit:
-        eps = cut_norm_exact(centered, max_rows=exact_limit).value / (d * n)
+    if n <= EXACT_ENUM_LIMIT:
+        eps = cut_norm_exact(centered).value / (d * n)
         return UniformityEstimate(eps, eps, True)
-    lower, upper = grothendieck_bounds(centered, cfg, exact_limit=exact_limit)
+    lower, upper = grothendieck_bounds(centered)
     return UniformityEstimate(lower / 8.0 / (d * n), upper / (d * n), False)
 
 

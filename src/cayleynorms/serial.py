@@ -85,6 +85,20 @@ def _from_pairs(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
 
 
+def _integer(value, field: str, lo: int = 0, hi: Optional[int] = None) -> int:
+    """A count or index read from a file: an integer in [lo, hi) (hi None: no
+    upper end), else a ValueError naming the field.  Booleans and strings are
+    not integers; an integral float such as 2.0 is, as for table entries."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ValueError(f"{field} must be an integer, found {value!r}")
+    if value < lo or (hi is not None and value >= hi):
+        raise ValueError(f"{field} = {int(value)} out of range "
+                         f"[{lo}, {'inf' if hi is None else hi})")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Groups
 
@@ -109,8 +123,11 @@ def group_to_text(g: GroupTable, provenance: Optional[dict] = None) -> str:
 def parse_group(source: str | dict) -> GroupTable:
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "group")
-    n = int(obj["order"])
-    g = _finish_table(np.array(obj["mul"]).reshape(n, n), str(obj.get("label", "")))
+    n = _integer(obj["order"], "order", lo=1)
+    mul = np.array(obj["mul"])
+    if mul.shape != (n * n,):
+        raise ValueError(f"mul must list order**2 = {n * n} entries, found shape {mul.shape}")
+    g = _finish_table(mul.reshape(n, n), str(obj.get("label", "")))
     inv = np.array(obj["inv"])
     if not np.array_equal(inv, g.inv):
         raise ValueError("stored inverse table disagrees with the multiplication table")
@@ -131,8 +148,10 @@ def perm_group_to_obj(pg: PermGroup, provenance: Optional[dict] = None) -> dict:
 def parse_perm_group(source: str | dict) -> PermGroup:
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "perm_group")
-    degree = int(obj["degree"])
-    gens = [Permutation(tuple(int(x) for x in images)) for images in obj["generators"]]
+    degree = _integer(obj["degree"], "degree")
+    gens = [Permutation(tuple(_integer(x, f"generators[{k}][{j}]", hi=degree)
+                              for j, x in enumerate(images)))
+            for k, images in enumerate(obj["generators"])]
     return group_closure(degree, gens)
 
 
@@ -162,7 +181,7 @@ def parse_matrix(source: str | dict) -> np.ndarray:
     obj = loads(source) if isinstance(source, str) else source
     kind = obj.get("kind")
     if kind == "matrix":
-        m, n = int(obj["rows"]), int(obj["cols"])
+        m, n = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
         entries = np.array(obj["entries"], dtype=np.float64)
         if entries.size != m * n:
             raise ValueError(f"expected {m * n} entries, found {entries.size}")
@@ -170,12 +189,10 @@ def parse_matrix(source: str | dict) -> np.ndarray:
             raise ValueError("matrix entries must be finite")
         return entries.reshape(m, n)
     if kind == "edge_list":
-        n = int(obj["n"])
+        n = _integer(obj["n"], "n")
         a = np.zeros((n, n))
-        for s, t in obj["edges"]:
-            s, t = int(s), int(t)
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"edge ({s},{t}) out of range for n = {n}")
+        for k, edge in enumerate(obj["edges"]):
+            s, t = (_integer(v, f"edges[{k}][{j}]", hi=n) for j, v in enumerate(edge))
             a[s, t] = a[t, s] = 1.0
         return a
     raise ValueError(f"expected kind 'matrix' or 'edge_list', found {kind!r}")
@@ -244,13 +261,13 @@ def parse_irreps(source: str | dict, group: GroupTable) -> IrrepTable:
     """Read an irrep table for the given group; every invariant is re-checked."""
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "irrep_table")
-    if int(obj["order"]) != group.order:
+    if _integer(obj["order"], "order", lo=1) != group.order:
         raise ValueError(
             f"irrep table is for a group of order {obj['order']}, not {group.order}"
         )
     irreps = []
-    for entry in obj["irreps"]:
-        d = int(entry["dim"])
+    for k, entry in enumerate(obj["irreps"]):
+        d = _integer(entry["dim"], f"irreps[{k}].dim", lo=1)
         mats = np.stack([
             _from_pairs(flat).reshape(d, d) for flat in entry["matrices"]
         ])

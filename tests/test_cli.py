@@ -168,6 +168,37 @@ def test_fourier_subcommand_with_user_irreps(tmp_path):
                                                          rel=1e-8)
 
 
+def test_fourier_report_takes_one_transform(tmp_path, monkeypatch):
+    import cayleynorms.cli
+    import cayleynorms.fourier
+    from cayleynorms import GroupFunction, parse_group_spec
+
+    calls = []
+    original = cayleynorms.fourier.fourier_transform
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cayleynorms.fourier, "fourier_transform", counted)
+    monkeypatch.setattr(cayleynorms.cli, "fourier_transform", counted, raising=False)
+    rng = np.random.Generator(np.random.Philox(4))
+    for spec in ("D5", "Z2xZ4"):
+        g = parse_group_spec(spec)
+        fsrc = tmp_path / f"{spec}.json"
+        fsrc.write_text(serial.function_to_text(GroupFunction(g, rng.standard_normal(g.order))))
+        calls.clear()
+        assert run(["fourier", str(fsrc), "--out", str(tmp_path / "r.json"), "--quiet"]) == 0
+        assert len(calls) == 1
+
+
+def test_analyze_non_integer_row_count_exits_two(tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_text('{"kind": "matrix", "rows": 2.5, "cols": 2, "entries": [1, 0, 0, 1]}')
+    assert run(["analyze", str(src), "--quiet"]) == 2
+    assert "rows" in capsys.readouterr().err
+
+
 def test_verify_known_and_unknown_suites(capsys):
     assert run(["verify", "factor4", "--quiet"]) == 0
     assert run(["verify", "factor4-suite", "--quiet"]) == 0

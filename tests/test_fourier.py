@@ -394,6 +394,38 @@ def test_svd_witness_matches_spectral_norm():
             assert np.linalg.norm(w.x, axis=1).max() <= 1 + 1e-12
 
 
+def _report_tables():
+    from cayleynorms.verify import load_s3_irreps
+
+    for spec in ("D5", "D384", "Z16xZ16"):
+        yield build_irrep_table(parse_group_spec(spec))
+    yield load_s3_irreps()  # a user-supplied table, dims 1, 1, 2
+
+
+def test_sigma1_is_the_per_matrix_svd_bit_for_bit():
+    # one batched SVD per dimension gives exactly what one SVD per matrix gives
+    rng = np.random.Generator(np.random.Philox(12))
+    for table in _report_tables():
+        for f in (GroupFunction(table.group, rng.standard_normal(table.group.order)),
+                  _random_complex_function(table.group, rng)):
+            fhat = fourier_transform(f, table)
+            want = [np.linalg.svd(c)[1][0] for c in fhat.coeffs]
+            assert fhat.sigma1.shape == (len(table.irreps),)
+            assert all(a == b for a, b in zip(fhat.sigma1, want))
+            assert spectral_via_irreps(f, table) == max(want)
+
+
+def test_svd_witness_carries_its_transform():
+    rng = np.random.Generator(np.random.Philox(13))
+    for table in _report_tables():
+        f = _random_complex_function(table.group, rng)
+        w = svd_witness(f, table)
+        ref = fourier_transform(f, table)
+        assert w.fhat.table is table
+        assert all(np.array_equal(a, b) for a, b in zip(w.fhat.coeffs, ref.coeffs))
+        assert w.objective == pytest.approx(float(w.fhat.sigma1.max()), rel=1e-12)
+
+
 def test_svd_witness_breaks_conjugate_ties_by_table_order():
     # conjugate characters tie exactly on a real function; the witness must
     # take the lowest index within the rounding band, not the last-bit winner

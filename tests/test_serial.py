@@ -139,3 +139,56 @@ def test_emission_is_deterministic():
     report_a = serial.report_to_text(analyze(np.ones((3, 3))))
     report_b = serial.report_to_text(analyze(np.ones((3, 3))))
     assert report_a == report_b
+
+
+# every count and index a parser reads is an integer in range, or a ValueError
+# naming the field; int() would truncate 2.7 to 2
+_Z2 = {"kind": "group", "order": 2, "mul": [0, 1, 1, 0], "inv": [0, 1]}
+
+
+@pytest.mark.parametrize("order", [2.7, True, "2"])
+def test_group_parse_rejects_non_integer_order(order):
+    with pytest.raises(ValueError, match="order"):
+        serial.parse_group(dict(_Z2, order=order))
+
+
+def test_group_parse_rejects_mul_of_wrong_length():
+    with pytest.raises(ValueError, match="mul"):
+        serial.parse_group(dict(_Z2, mul=[0, 1, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("rows, cols, field", [(2.5, 2, "rows"), (-2, -2, "rows"),
+                                               (2, "2", "cols")])
+def test_matrix_parse_rejects_bad_counts(rows, cols, field):
+    obj = {"kind": "matrix", "rows": rows, "cols": cols, "entries": [1.0, 0.0, 0.0, 1.0]}
+    with pytest.raises(ValueError, match=field):
+        serial.parse_matrix(obj)
+
+
+@pytest.mark.parametrize("n, edge", [(3.9, [0, 1]), (3, [0, 1.5]), (3, [False, 1])])
+def test_edge_list_parse_rejects_non_integers(n, edge):
+    with pytest.raises(ValueError, match="must be an integer"):
+        serial.parse_matrix({"kind": "edge_list", "n": n, "edges": [edge]})
+
+
+def test_perm_group_parse_rejects_non_integer_image():
+    with pytest.raises(ValueError, match=r"generators\[0\]\[0\]"):
+        serial.parse_perm_group({"kind": "perm_group", "degree": 2, "generators": [[1.7, 0]]})
+
+
+def test_irreps_parse_rejects_non_integer_dim():
+    g = dihedral_group(4)
+    obj = serial.loads(serial.irreps_to_text(build_irrep_table(g)))
+    obj["irreps"][0]["dim"] = 1.9
+    with pytest.raises(ValueError, match="dim"):
+        serial.parse_irreps(obj, g)
+
+
+def test_integral_float_counts_still_parse():
+    assert serial.parse_group(dict(_Z2, order=2.0)).order == 2
+    a = serial.parse_matrix({"kind": "matrix", "rows": 2.0, "cols": 2, "entries": [1, 2, 3, 4]})
+    assert a.shape == (2, 2)
+    m = serial.parse_matrix({"kind": "edge_list", "n": 3.0, "edges": [[0.0, 2]]})
+    assert m[0, 2] == m[2, 0] == 1.0
+    pg = serial.parse_perm_group({"kind": "perm_group", "degree": 2.0, "generators": [[1.0, 0]]})
+    assert pg.order == 2
