@@ -341,13 +341,40 @@ class PermGroup:
 
     @cached_property
     def table(self) -> GroupTable:
-        """The abstract multiplication table of this group (identity at 0)."""
-        index = {p.images: i for i, p in enumerate(self.elements)}
-        n = self.order
+        """The abstract multiplication table of this group (identity at 0).
+
+        An element is told apart from the others by its images of a base,
+        a few points chosen greedily.  Their images form a mixed-radix key,
+        re-ranked after each point so that it stays below order * degree.
+        The products of a block of rows with every element are composed by
+        one gather of the base images, O(order * degree) memory per block,
+        and each product's index is found from the sorted keys.
+        """
+        n, d = self.order, self.degree
+        perms = np.array([p.images for p in self.elements], dtype=np.int64)
+        base, stages = [], []
+        key = np.zeros(n, dtype=np.int64)
+        distinct = 1
+        for point in range(d):
+            if distinct == n:
+                break
+            values, ranked = np.unique(key * d + perms[:, point], return_inverse=True)
+            if len(values) > distinct:
+                base.append(point)
+                stages.append(values)
+                key, distinct = ranked.reshape(n), len(values)
+        index = np.empty(n, dtype=np.int64)
+        index[key] = np.arange(n)
+        # images[i, t, j] = perms[j, perms[i, base[t]]]: the base images of i then j
+        columns = perms.T
+        block = max(1, d // max(1, len(base)))
         mul = np.empty((n, n), dtype=np.int64)
-        for i, p in enumerate(self.elements):
-            for j, q in enumerate(self.elements):
-                mul[i, j] = index[p.then(q).images]
+        for start in range(0, n, block):
+            images = columns[perms[start:start + block, base]]
+            key = np.zeros(images.shape[::2], dtype=np.int64)
+            for t, values in enumerate(stages):
+                key = np.searchsorted(values, key * d + images[:, t])
+            mul[start:start + block] = index[key]
         return _finish_table(mul, f"perm_group_deg{self.degree}")
 
 

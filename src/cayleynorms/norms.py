@@ -394,33 +394,98 @@ def default_bm_rank(m: int, n: int) -> int:
     return max(1, min(m + n, math.ceil(math.sqrt(2.0 * (m + n))) + 2))
 
 
-def _renormalize(w: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Normalize rows of w; rows that sum to zero keep their previous vector."""
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
-    return np.where(norms > 0.0, w / np.maximum(norms, 1e-300), previous)
+def _renormalize(w: np.ndarray, out: np.ndarray, sq: np.ndarray, norms: np.ndarray) -> None:
+    """Write the rows of w (last axis) scaled to unit norm into out.
+
+    A row of w with zero norm leaves out's row as it was.  ``sq`` (w's
+    shape) and ``norms`` (w's shape with a last axis of 1) are scratch, so
+    that a sweep allocates nothing of the stack's size.
+    """
+    np.multiply(w, w, out=sq)
+    np.add.reduce(sq, axis=-1, keepdims=True, out=norms)
+    np.sqrt(norms, out=norms)
+    nonzero = norms > 0.0
+    np.maximum(norms, 1e-300, out=norms)
+    np.divide(w, norms, out=out, where=nonzero)
+
+
+def _bm_ascent(a: np.ndarray, k: int, max_sweeps: int, tol: float, rngs):
+    """Run one ascent per generator in ``rngs``, all as one stack.
+
+    Restart i draws its x, then its y, from ``rngs[i]``.  A sweep updates
+    the whole stack with one ``a @ y`` and one ``a.T @ x`` (one GEMM per
+    restart) and one renormalisation per side.  A restart leaves the stack
+    at the sweep where its own stopping rule fires; restarts still in it
+    after ``max_sweeps`` sweeps end as they stand.  Each restart's iterates
+    are those of an ascent run on its own.  Returns per-restart lists of the
+    objective, x, y (views into one stacked buffer) and the per-sweep
+    objective trace.
+    """
+    m, n = a.shape
+    r = len(rngs)
+    x_all = np.empty((r, m, k))
+    y_all = np.empty((r, n, k))
+    for i, rng in enumerate(rngs):
+        x_all[i] = rng.standard_normal((m, k))
+        y_all[i] = rng.standard_normal((n, k))
+    # `carry` holds a @ y between sweeps and a.T @ x within one; `scratch`
+    # holds the squares and the objective product.  Live restarts occupy the
+    # first slots of every buffer.
+    carry, scratch = np.empty(r * max(m, n) * k), np.empty(r * max(m, n) * k)
+    norms_m, norms_n = np.empty((r, m, 1)), np.empty((r, n, 1))
+
+    def stack(c):
+        cm, cn = c * m * k, c * n * k
+        return (x_all[:c], y_all[:c], carry[:cm].reshape(c, m, k), carry[:cn].reshape(c, n, k),
+                scratch[:cm].reshape(c, m, k), scratch[:cn].reshape(c, n, k),
+                norms_m[:c], norms_n[:c])
+
+    x, y, ay, aty, sq_m, sq_n, nm, nn = stack(r)
+    _renormalize(x, x, sq_m, nm)
+    _renormalize(y, y, sq_n, nn)
+    np.matmul(a, y, out=ay)  # each sweep's objective product is the next sweep's x update
+    objective = [0.0] * r
+    traces: list[list[float]] = [[] for _ in range(r)]
+    slots = list(range(r))  # the restart in each slot
+    live = r
+    prev = np.full(r, -np.inf)
+    for _ in range(max_sweeps):
+        _renormalize(ay, x, sq_m, nm)
+        np.matmul(a.T, x, out=aty)
+        _renormalize(aty, y, sq_n, nn)
+        np.matmul(a, y, out=ay)
+        np.multiply(ay, x, out=sq_m)
+        obj = np.add.reduce(sq_m.reshape(live, -1), axis=1)
+        for i, v in zip(slots, obj.tolist()):
+            objective[i] = v
+            traces[i].append(v)
+        done = obj - prev <= tol * np.maximum(np.abs(obj), 1e-300)
+        prev = obj
+        if done.any():
+            # swap each finished restart with the last live one; its x and y
+            # stay in their slot past the live ones
+            for j in np.flatnonzero(done)[::-1].tolist():
+                live -= 1
+                if j != live:
+                    pair, swapped = [j, live], [live, j]
+                    for b in (x, y, ay, prev):
+                        b[pair] = b[swapped]
+                    slots[j], slots[live] = slots[live], slots[j]
+            if not live:
+                break
+            prev = prev[:live]
+            x, y, ay, aty, sq_m, sq_n, nm, nn = stack(live)
+    left: list = [None] * r
+    right: list = [None] * r
+    for s, i in enumerate(slots):
+        left[i], right[i] = x_all[s], y_all[s]
+    return objective, left, right, traces
 
 
 def _bm_restart(a: np.ndarray, k: int, max_sweeps: int, tol: float, rng):
     """One ascent run; returns (objective, x, y, per-sweep objective trace)."""
-    m, n = a.shape
-    x = rng.standard_normal((m, k))
-    x = _renormalize(x, x)
-    y = rng.standard_normal((n, k))
-    y = _renormalize(y, y)
-    ay = a @ y  # each sweep's objective product is the next sweep's x update
-    trace: list[float] = []
-    prev = -math.inf
-    obj = 0.0
-    for _ in range(max_sweeps):
-        x = _renormalize(ay, x)
-        y = _renormalize(a.T @ x, y)
-        ay = a @ y
-        obj = float(np.sum(ay * x))
-        trace.append(obj)
-        if obj - prev <= tol * max(abs(obj), 1e-300):
-            break
-        prev = obj
-    return obj, x, y, trace
+    objective, left, right, traces = _bm_ascent(a, k, max_sweeps, tol, [rng])
+    return objective[0], left[0], right[0], traces[0]
 
 
 def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[float, VectorAssignment]:
@@ -429,7 +494,11 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     Every iterate is feasible, so the best objective over restarts is a
     valid lower bound on ||A||_G; as an estimate of the optimum it is
     heuristic.  Restart r uses the seeded generator jumped r times, making
-    the result deterministic and independent of evaluation order.  Complex
+    the result deterministic and independent of evaluation order.  The
+    restarts ascend as one stack, one matrix product per side per sweep;
+    each leaves the stack at the sweep where its own stopping rule fires,
+    so its iterates are identical to those of restarts run one after
+    another.  The first restart with the largest objective wins.  Complex
     or non-finite input is a ValueError.
     """
     a = _real_matrix(a, "grothendieck_bm")
@@ -447,17 +516,12 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     # row norms clear of overflow and underflow at any input scale.
     e = math.frexp(float(np.abs(a).max()))[1]
     scaled = np.ldexp(a, -e)
-    best_obj = -math.inf
-    best_xy = None
-    for r in range(cfg.restarts):
-        rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(r))
-        obj, x, y, _ = _bm_restart(scaled, k, cfg.max_sweeps, cfg.tol, rng)
-        if obj > best_obj:
-            best_obj = obj
-            best_xy = (x, y)
-    x, y = best_xy
-    best_obj = math.ldexp(best_obj, e)
-    return abs(best_obj), VectorAssignment(left=x, right=y, objective=best_obj)
+    rngs = [np.random.Generator(np.random.Philox(cfg.seed).jumped(r)) for r in range(cfg.restarts)]
+    objective, left, right, _ = _bm_ascent(scaled, k, cfg.max_sweeps, cfg.tol, rngs)
+    best = max(range(cfg.restarts), key=objective.__getitem__)
+    best_obj = math.ldexp(objective[best], e)
+    return abs(best_obj), VectorAssignment(left=left[best].copy(), right=right[best].copy(),
+                                            objective=best_obj)
 
 
 def _bracket(m: int, n: int, spectral: float, bm: float, io1: Optional[float],
@@ -728,21 +792,26 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEs
     return UniformityEstimate(lower / 8.0 / (d * n), upper / (d * n), False)
 
 
+# `mixing_lemma_check` enumerates every pair (S, T) up to this many vertices
+# and samples pairs from this seed above it.
+_MIXING_EXHAUSTIVE_LIMIT = 14
+_MIXING_SEED = 0
+
+
 def mixing_lemma_check(a: np.ndarray, d: float, lam: float, *,
-                       exhaustive_limit: int = 14, samples: int = 100_000,
-                       seed: int = 0) -> bool:
+                       samples: int = 100_000) -> bool:
     """Check |e(S,T) - (d/n)|S||T|| <= lam sqrt(|S||T|) over vertex-set pairs.
 
-    e(S,T) counts ordered adjacent pairs.  Exhaustive for n up to the limit:
-    for each S the worst T of each size is extremal for the sorted shifted
-    column sums, so all 2^n * 2^n pairs reduce to 2^n * n closed-form checks.
-    Above the limit, a seeded random sample of pairs.  Complex or non-finite
-    input is a ValueError.
+    e(S,T) counts ordered adjacent pairs.  Exhaustive for n up to
+    `_MIXING_EXHAUSTIVE_LIMIT`: for each S the worst T of each size is
+    extremal for the sorted shifted column sums, so all 2^n * 2^n pairs
+    reduce to 2^n * n closed-form checks.  Above it, a random sample of
+    pairs from a fixed seed.  Complex or non-finite input is a ValueError.
     """
     a, d = _require_regular(a, d, "mixing_lemma_check")
     n = a.shape[0]
     tol = 1e-9 * d  # d is an integer degree; d = 0 leaves only exact zeros
-    if n <= exhaustive_limit:
+    if n <= _MIXING_EXHAUSTIVE_LIMIT:
         sizes = _subset_sums(np.ones((n, 1)))[:, 0]
         z = _subset_sums(a) - (d / n) * sizes[:, None]
         zs = np.sort(z, axis=1)
@@ -753,7 +822,7 @@ def mixing_lemma_check(a: np.ndarray, d: float, lam: float, *,
             if np.any(suffix[:, j - 1] > bound) or np.any(-prefix[:, j - 1] > bound):
                 return False
         return True
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(_MIXING_SEED))
     block = 4096
     done = 0
     while done < samples:

@@ -14,11 +14,14 @@ from cayleynorms import (
     Permutation,
     build_from_table,
     build_standard_group,
+    cayley_from_set,
     convolve,
     cyclic_group,
     dihedral_group,
+    find_transitive_automorphisms,
     function_norm,
     group_closure,
+    paley_graph,
     parse_group_spec,
     product_group,
     symmetric_group,
@@ -288,6 +291,27 @@ def test_closure_to_table_identity_first():
     table = group_closure(3, gens).table
     assert table.order == 6
     assert not table.is_abelian
+
+
+def _reference_perm_table(group):
+    # the double loop over compositions that the gather-and-search table replaced
+    elems = [p.images for p in group.elements]
+    index = {e: i for i, e in enumerate(elems)}
+    return np.array([[index[tuple(map(q.__getitem__, p))] for q in elems] for p in elems])
+
+
+def test_perm_group_table_matches_the_double_loop():
+    gens = [Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(0, 1, 2)])]
+    groups = [group_closure(4, []), group_closure(3, gens)]
+    for a in (paley_graph(13).matrix, paley_graph(29).matrix, paley_graph(37).matrix,
+              cayley_from_set(dihedral_group(4), [1, 3, 4]).matrix):
+        groups.append(find_transitive_automorphisms(a).subgroup)
+    assert [g.order for g in groups[2:]] == [78, 406, 666, 48]
+    for g in groups:
+        want = _reference_perm_table(g)
+        assert np.array_equal(g.table.mul, want)
+        p, q = g.elements[-1], g.elements[len(g.elements) // 2]
+        assert g.elements[want[-1, len(g.elements) // 2]] == p.then(q)
 
 
 def test_convolution_identity_point_mass():

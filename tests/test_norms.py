@@ -554,6 +554,130 @@ def test_bm_objective_monotone_within_restart():
     assert all(b >= a_ - 1e-12 for a_, b in zip(trace, trace[1:]))
 
 
+# The ascent against a reference: the per-restart loop that the stacked
+# ascent replaced, kept here as an oracle for bit-identical iterates.
+
+
+def _reference_renormalize(w, previous):
+    norms_ = np.linalg.norm(w, axis=1, keepdims=True)
+    return np.where(norms_ > 0.0, w / np.maximum(norms_, 1e-300), previous)
+
+
+def _reference_restart(a, k, max_sweeps, tol, rng):
+    m, n = a.shape
+    x = rng.standard_normal((m, k))
+    x = _reference_renormalize(x, x)
+    y = rng.standard_normal((n, k))
+    y = _reference_renormalize(y, y)
+    ay = a @ y
+    trace = []
+    prev = -math.inf
+    obj = 0.0
+    for _ in range(max_sweeps):
+        x = _reference_renormalize(ay, x)
+        y = _reference_renormalize(a.T @ x, y)
+        ay = a @ y
+        obj = float(np.sum(ay * x))
+        trace.append(obj)
+        if obj - prev <= tol * max(abs(obj), 1e-300):
+            break
+        prev = obj
+    return obj, x, y, trace
+
+
+def _scaled_rank(a, cfg):
+    m, n = a.shape
+    k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e, k
+
+
+def _reference_restarts(a, cfg):
+    """Per-restart (objective, x, y, trace) of the old loop, in restart order."""
+    scaled, _, k = _scaled_rank(a, cfg)
+    return [_reference_restart(scaled, k, cfg.max_sweeps, cfg.tol,
+                               np.random.Generator(np.random.Philox(cfg.seed).jumped(r)))
+            for r in range(cfg.restarts)]
+
+
+def _reference_bm(a, cfg):
+    """(value, objective, left, right) of the old loop: the first best restart wins."""
+    best_obj, best_xy = -math.inf, None
+    for obj, x, y, _ in _reference_restarts(a, cfg):
+        if obj > best_obj:
+            best_obj, best_xy = obj, (x, y)
+    best_obj = math.ldexp(best_obj, _scaled_rank(a, cfg)[1])
+    return abs(best_obj), best_obj, best_xy[0], best_xy[1]
+
+
+def _assert_same_as_reference(a, cfg, name):
+    scaled, _, k = _scaled_rank(a, cfg)
+    rngs = [np.random.Generator(np.random.Philox(cfg.seed).jumped(r))
+            for r in range(cfg.restarts)]
+    stacked = zip(*norms._bm_ascent(scaled, k, cfg.max_sweeps, cfg.tol, rngs))
+    for r, (got, want) in enumerate(zip(stacked, _reference_restarts(a, cfg), strict=True)):
+        assert got[0] == want[0] and got[3] == want[3], (name, r)
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), (name, r)
+    value, objective, left, right = _reference_bm(a, cfg)
+    val, assignment = grothendieck_bm(a, cfg)
+    assert (val, assignment.objective) == (value, objective), name
+    assert np.array_equal(assignment.left, left), name
+    assert np.array_equal(assignment.right, right), name
+
+
+def _bm_corpus():
+    rng = np.random.Generator(np.random.Philox(57))
+    gauss = rng.standard_normal((9, 11))
+    sign = rng.choice([-1.0, 1.0], size=(8, 8))
+    rr = random_regular(24, 4, seed=1)
+    yield "gaussian", gauss, BMConfig()
+    yield "sign", sign, BMConfig()
+    yield "paley13", center_regular(paley_graph(13).matrix, 6), BMConfig()
+    yield "rr24", center_regular(rr.matrix, rr.degree), BMConfig()
+    yield "rank1", gauss, BMConfig(rank=1)
+    yield "rank_full", gauss, BMConfig(rank=25)
+    yield "restarts1", sign, BMConfig(restarts=1)
+    yield "restarts16", sign, BMConfig(restarts=16)
+    yield "1x1", np.array([[-2.5]]), BMConfig()
+    yield "1xn", rng.standard_normal((1, 7)), BMConfig()
+    yield "m>n", rng.standard_normal((12, 3)), BMConfig()
+    for c in (1e-300, 1e200):
+        yield f"scale{c:g}", c * gauss, BMConfig()
+    yield "ones", np.ones((4, 4)), BMConfig()
+    # a zero row and a zero column: those rows of x and y keep their start
+    holes = rng.standard_normal((6, 7))
+    holes[2, :] = 0.0
+    holes[:, 4] = 0.0
+    yield "zero_row_and_column", holes, BMConfig()
+
+
+def test_bm_stack_matches_sequential_restarts_bit_for_bit():
+    for name, a, cfg in _bm_corpus():
+        _assert_same_as_reference(a, cfg, name)
+
+
+def test_bm_stack_ties_pick_the_first_restart():
+    # rank 2 on the all-ones matrix: several restarts end on the largest
+    # objective, at different vectors
+    a, cfg = np.ones((4, 4)), BMConfig(rank=2)
+    restarts = _reference_restarts(a, cfg)
+    best = max(obj for obj, *_ in restarts)
+    tied = [x for obj, x, _, _ in restarts if obj == best]
+    assert len(tied) >= 2 and not np.array_equal(tied[0], tied[1])
+    _assert_same_as_reference(a, cfg, "ones_rank2")
+
+
+def test_bm_stack_with_restarts_cut_off_by_max_sweeps():
+    # with max_sweeps between the shortest and the longest restart, some
+    # restarts leave the stack converged and the rest are still in it when
+    # the sweeps run out
+    a = np.random.Generator(np.random.Philox(58)).choice([-1.0, 1.0], size=(8, 8))
+    lengths = [len(t) for *_, t in _reference_restarts(a, BMConfig())]
+    cfg = BMConfig(max_sweeps=(min(lengths) + max(lengths)) // 2)
+    assert min(lengths) < cfg.max_sweeps < max(lengths)
+    _assert_same_as_reference(a, cfg, "cut_off")
+
+
 def test_bm_is_always_a_valid_lower_bound():
     rng = np.random.Generator(np.random.Philox(56))
     for _ in range(5):
