@@ -48,6 +48,15 @@ def _provenance(args, family: str, params: list) -> dict:
     }
 
 
+# Families built from a fixed number of integer parameters: (builder, arity).
+_FIXED_FAMILIES = {
+    "cycle": (cycle_graph, 1),
+    "complete": (complete_graph, 1),
+    "paley": (paley_graph, 1),
+    "petersen": (petersen_graph, 0),
+}
+
+
 def _cmd_construct(args) -> int:
     family = args.family.lower().replace("_", "-")
     params = list(args.params)
@@ -57,18 +66,9 @@ def _cmd_construct(args) -> int:
             raise _UsageError(f"family {family!r} takes {k} positional parameter(s)")
         return params
 
-    if family == "cycle":
-        g = cycle_graph(int(need(1)[0]))
-        obj = serial.matrix_to_obj(g.matrix, _provenance(args, family, params))
-    elif family == "complete":
-        g = complete_graph(int(need(1)[0]))
-        obj = serial.matrix_to_obj(g.matrix, _provenance(args, family, params))
-    elif family == "paley":
-        g = paley_graph(int(need(1)[0]))
-        obj = serial.matrix_to_obj(g.matrix, _provenance(args, family, params))
-    elif family == "petersen":
-        need(0)
-        g = petersen_graph()
+    if family in _FIXED_FAMILIES:
+        build, arity = _FIXED_FAMILIES[family]
+        g = build(*map(int, need(arity)))
         obj = serial.matrix_to_obj(g.matrix, _provenance(args, family, params))
     elif family == "random-regular":
         if args.n is None or args.d is None:
@@ -110,16 +110,16 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _bm_config(args) -> BMConfig:
-    return BMConfig(rank=args.rank, restarts=args.restarts, seed=args.seed)
+def _read_matrix(path: str) -> np.ndarray:
+    try:
+        return serial.parse_matrix(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read matrix from {path}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        a = serial.parse_matrix(Path(args.input).read_text())
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read matrix from {args.input}: {exc}") from exc
-    report = analyze(a, _bm_config(args), exact_limit=args.exact_cut_limit)
+    a = _read_matrix(args.input)
+    report = analyze(a, BMConfig(rank=args.rank, restarts=args.restarts, seed=args.seed))
     text = serial.report_to_text(report, provenance={
         "input": str(args.input), "seed": args.seed, "tool_version": __version__,
     })
@@ -145,10 +145,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    try:
-        a = serial.parse_matrix(Path(args.input).read_text())
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read matrix from {args.input}: {exc}") from exc
+    a = _read_matrix(args.input)
     cert = find_transitive_automorphisms(a)
     if cert is None:
         print("matrix is not vertex-transitive; nothing to lift", file=sys.stderr)
@@ -164,7 +161,7 @@ def _cmd_lift(args) -> int:
     obj["lift_checks"] = {
         "n_times_f_norm": lhs,
         "matrix_spectral": rhs,
-        "agree_1e8": bool(abs(lhs - rhs) <= 1e-8 * max(rhs, 1.0)),
+        "agree_1e8": bool(abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))),
     }
     if not args.quiet:
         print(f"transitive subgroup of order {cert.subgroup.order}; "
@@ -236,17 +233,15 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for anything random")
-    common.add_argument("--out", type=str, default=None, help="output file path")
-    common.add_argument("--rank", type=int, default=None,
-                        help="rank for the Grothendieck ascent (default: auto)")
-    common.add_argument("--restarts", type=int, default=8,
-                        help="restarts for the Grothendieck ascent")
-    common.add_argument("--exact-cut-limit", type=int, default=26,
-                        help="max rows for exact cut/infinity-to-one enumeration")
-    common.add_argument("--quiet", action="store_true", help="suppress chatter")
-
+    flags = {
+        "seed": dict(type=int, default=0, help="seed for anything random"),
+        "out": dict(type=str, default=None, help="output file path"),
+        "quiet": dict(action="store_true", help="suppress chatter"),
+        "rank": dict(type=int, default=None,
+                     help="rank for the Grothendieck ascent (default: auto)"),
+        "restarts": dict(type=int, default=BMConfig.restarts,
+                         help="restarts for the Grothendieck ascent"),
+    }
     parser = argparse.ArgumentParser(
         prog="cayleynorms",
         description="norms and quasirandomness checks for Cayley graphs and "
@@ -255,8 +250,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="build a named family and write it to a file")
+    def command(name: str, func, summary: str, *names: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("construct", _cmd_construct, "build a named family and write it to a file",
+                "seed", "out", "quiet")
     p.add_argument("family", help="cycle | complete | paley | petersen | "
                                   "random-regular | example1 | group | cayley")
     p.add_argument("params", nargs="*", help="family parameters")
@@ -264,29 +266,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--set", type=str, default=None,
                    help="comma-separated generating set for cayley")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="compute all norms and checks for a matrix file")
+    p = command("analyze", _cmd_analyze, "compute all norms and checks for a matrix file",
+                "seed", "out", "quiet", "rank", "restarts")
     p.add_argument("input", help="matrix or edge-list file")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("lift", parents=[common],
-                       help="lift a vertex-transitive matrix to a group function")
+    p = command("lift", _cmd_lift, "lift a vertex-transitive matrix to a group function",
+                "out", "quiet")
     p.add_argument("input", help="matrix or edge-list file")
-    p.set_defaults(func=_cmd_lift)
 
-    p = sub.add_parser("fourier", parents=[common],
-                       help="Fourier-analyze a group function file")
+    p = command("fourier", _cmd_fourier, "Fourier-analyze a group function file",
+                "out", "quiet")
     p.add_argument("input", help="group function file")
     p.add_argument("--irreps", type=str, default=None,
                    help="user-supplied irrep table file")
-    p.set_defaults(func=_cmd_fourier)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a named verification suite")
+    p = command("verify", _cmd_verify, "run a named verification suite", "out", "quiet")
     p.add_argument("suite", help=f"one of: {', '.join(verify.suite_names())}")
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 

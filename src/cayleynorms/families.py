@@ -80,8 +80,8 @@ def paley_graph(p: int) -> RegularGraph:
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"p = {p} is {p % 4} mod 4; need 1 mod 4 for a symmetric set")
-    residues = quadratic_residues(p)
-    cm = cayley_matrix(cyclic_group(p), GroupFunction.indicator(cyclic_group(p), residues))
+    g = cyclic_group(p)
+    cm = cayley_matrix(g, GroupFunction.indicator(g, quadratic_residues(p)))
     return RegularGraph(
         n=p, degree=(p - 1) // 2, matrix=np.asarray(cm.matrix),
         provenance=f"paley p={p}",

@@ -675,11 +675,10 @@ def verify_sandwich(a: np.ndarray, report: NormReport) -> list[Check]:
 
 
 def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
-            exact_limit: int = EXACT_ENUM_LIMIT,
             transitivity_limit: int = AUTOMORPHISM_SEARCH_LIMIT) -> NormReport:
     """Compute every norm of a matrix and verify the sandwich inequalities.
 
-    Capacity misses (cut and infinity-to-one above the exact limit,
+    Capacity misses (cut and infinity-to-one above EXACT_ENUM_LIMIT rows,
     transitivity above the search limit) are recorded as notes rather than
     raised, so a report is always produced.  Complex or non-finite input is
     a ValueError; a matrix without rows or columns gets a report of zeros.
@@ -699,11 +698,11 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
     io1 = None
     try:
         t0 = time.perf_counter()
-        cut = cut_norm_exact(a, max_rows=exact_limit)
+        cut = cut_norm_exact(a)
         timings["cut"] = time.perf_counter() - t0
         work["cut_subsets"] = 1 << m
         t0 = time.perf_counter()
-        io1 = infty_one_exact(a, max_rows=exact_limit)
+        io1 = infty_one_exact(a)
         timings["infty_one"] = time.perf_counter() - t0
         work["infty_one_signs"] = (1 << m) >> 1
     except CapacityError as exc:

@@ -50,10 +50,17 @@ def _emit(obj: Any, indent: int) -> str:
             f'{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()  # Python scalars, nested lists
+    if isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
             return "[]"
+        kinds = set(map(type, items))
+        if kinds == {int}:
+            return "[" + ", ".join(map(str, items)) + "]"
+        if kinds == {float}:
+            return "[" + ", ".join(map(_fmt_float, items)) + "]"
         if all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in items):
             return "[" + ", ".join(_emit(x, indent) for x in items) + "]"
         inner = ",\n".join(f"{pad}  {_emit(x, indent + 1)}" for x in items)
@@ -108,8 +115,8 @@ def group_to_obj(g: GroupTable, provenance: Optional[dict] = None) -> dict:
         "kind": "group",
         "label": g.label,
         "order": g.order,
-        "mul": [int(x) for x in g.mul.ravel()],
-        "inv": [int(x) for x in g.inv],
+        "mul": g.mul.ravel().tolist(),
+        "inv": g.inv.tolist(),
     }
     if provenance:
         obj["provenance"] = provenance

@@ -211,3 +211,60 @@ def test_verify_writes_report(tmp_path):
     obj = serial.loads(out.read_text())
     assert obj["kind"] == "verify_report"
     assert obj["passed"] is True
+
+
+# the flags each subcommand no longer takes: it reads none of them
+_DROPPED_FLAGS = [
+    *((cmd, flag) for cmd in ("lift", "fourier", "verify")
+      for flag in ("--seed", "--rank", "--restarts", "--exact-cut-limit")),
+    *(("construct", flag) for flag in ("--rank", "--restarts", "--exact-cut-limit")),
+    ("analyze", "--exact-cut-limit"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _DROPPED_FLAGS)
+def test_subcommand_rejects_flags_it_does_not_read(command, flag):
+    positional = {"construct": ["cycle", "5"], "verify": ["factor4"]}.get(command, ["m.json"])
+    with pytest.raises(SystemExit) as exc:
+        run([command, *positional, flag, "3", "--quiet"])
+    assert exc.value.code == 2
+
+
+def test_parser_accepts_only_the_flags_each_subcommand_reads():
+    import argparse
+
+    from cayleynorms.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "construct": ["--d", "--n", "--out", "--quiet", "--seed", "--set"],
+        "analyze": ["--out", "--quiet", "--rank", "--restarts", "--seed"],
+        "lift": ["--out", "--quiet"],
+        "fourier": ["--irreps", "--out", "--quiet"],
+        "verify": ["--out", "--quiet"],
+    }
+
+
+def test_construct_fixed_arity_families_check_their_parameter_count(capsys):
+    assert run(["construct", "petersen", "3", "--quiet"]) == 2
+    assert run(["construct", "cycle", "--quiet"]) == 2
+    assert "takes 1 positional parameter" in capsys.readouterr().err
+
+
+def test_lift_agreement_is_relative_at_tiny_scale(tmp_path, monkeypatch):
+    import cayleynorms.cli
+    from cayleynorms import paley_graph
+
+    src = tmp_path / "p13.json"
+    src.write_text(serial.matrix_to_text(1e-12 * paley_graph(13).matrix))
+    out = tmp_path / "lift.json"
+    assert run(["lift", str(src), "--out", str(out), "--quiet"]) == 0
+    assert serial.loads(out.read_text())["lift_checks"]["agree_1e8"] is True
+    exact = cayleynorms.cli.group_spectral
+    monkeypatch.setattr(cayleynorms.cli, "group_spectral", lambda f: exact(f) * (1 + 1e-6))
+    assert run(["lift", str(src), "--out", str(out), "--quiet"]) == 0
+    assert serial.loads(out.read_text())["lift_checks"]["agree_1e8"] is False

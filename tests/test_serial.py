@@ -29,6 +29,45 @@ def test_nonfinite_rejected():
         serial.dumps({"kind": "probe", "v": math.inf})
 
 
+def test_list_emission_text_is_pinned():
+    # lists of only int or only float are joined in one pass; bool, mixed and
+    # nested lists take the per-item path; arrays are emitted as their tolist()
+    obj = {
+        "ints": [3, -1, 0, 10**20],
+        "floats": [0.1, -0.0, 1e300, 2.5],
+        "bools": [True, False],
+        "mixed": [1, 2.5, True, None, "s", np.int64(4), np.float64(0.5)],
+        "nested": [[1, 2], [0.5, -0.0], []],
+        "array": np.array([[1.0, -0.0], [3.0, 0.25]]),
+        "iarray": np.arange(3),
+        "empty": [],
+        "tuple": (1, 2),
+    }
+    assert serial.dumps(obj) == (
+        '{\n'
+        '  "ints": [3, -1, 0, 100000000000000000000],\n'
+        '  "floats": [0.10000000000000001, -0, 1.0000000000000001e+300, 2.5],\n'
+        '  "bools": [true, false],\n'
+        '  "mixed": [1, 2.5, true, null, "s", 4, 0.5],\n'
+        '  "nested": [\n'
+        '    [1, 2],\n'
+        '    [0.5, -0],\n'
+        '    []\n'
+        '  ],\n'
+        '  "array": [\n'
+        '    [1, -0],\n'
+        '    [3, 0.25]\n'
+        '  ],\n'
+        '  "iarray": [0, 1, 2],\n'
+        '  "empty": [],\n'
+        '  "tuple": [1, 2]\n'
+        '}\n'
+    )
+    for bad in ([math.nan, 1.0], np.array([1.0, math.nan]), [1, math.nan]):
+        with pytest.raises(ValueError, match="non-finite"):
+            serial.dumps({"v": bad})
+
+
 def test_group_round_trip():
     g = dihedral_group(5)
     text = serial.group_to_text(g)
