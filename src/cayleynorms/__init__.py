@@ -12,9 +12,7 @@ from .groups import (
     GroupFunction,
     GroupTable,
     PermGroup,
-    Permutation,
     build_from_table,
-    build_standard_group,
     convolve,
     cyclic_group,
     dihedral_group,

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CapacityError
-from .groups import GroupFunction, GroupTable, PermGroup, Permutation, group_closure
+from .groups import _BLOCK_ENTRIES, GroupFunction, GroupTable, PermGroup, group_closure
 
 AUTOMORPHISM_SEARCH_LIMIT = 64
 
@@ -42,20 +42,23 @@ class CayleyMatrix:
 class TransitiveCertificate:
     """One automorphism per vertex mapping the base vertex onto it.
 
-    ``perms[t]`` is an automorphism with ``perms[t](base) = t``; ``subgroup``
-    is the closure of all of them, a transitive group of automorphisms.  The
-    closure is enumerated lazily: for highly symmetric matrices it can be
-    factorially large, in which case accessing it raises CapacityError while
-    the transitivity decision itself stands.
+    ``perms`` is a read-only n x n int64 array whose row t is an automorphism
+    with ``perms[t, base] = t``; ``subgroup`` is the closure of all the rows,
+    a transitive group of automorphisms.  The closure is enumerated lazily:
+    for highly symmetric matrices it can be factorially large, in which case
+    accessing it raises CapacityError while the transitivity decision itself
+    stands.
     """
 
     base: int
-    perms: tuple[Permutation, ...]
+    perms: np.ndarray
+
+    def __post_init__(self):
+        self.perms.setflags(write=False)
 
     @cached_property
     def subgroup(self) -> PermGroup:
-        gens = list(dict.fromkeys(self.perms))
-        return group_closure(self.perms[0].degree, gens)
+        return group_closure(self.perms.shape[1], self.perms)
 
 
 def cayley_matrix(group: GroupTable, f: GroupFunction) -> CayleyMatrix:
@@ -241,21 +244,22 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
         )
     if n < 2:
         # no vertex or one: the identity, if any, is the whole certificate
-        return TransitiveCertificate(base=0, perms=(Permutation(tuple(range(n))),) * n)
+        return TransitiveCertificate(base=0, perms=np.zeros((n, n), dtype=np.int64))
     search = _Search(a)
     cls, size = search.root
     if np.any(cls[:n] != cls[0]):
         # refinement alone tells some vertex from vertex 0
         return None
+    perms = np.empty((n, n), dtype=np.int64)
     # the identity is the lexicographically first permutation of all
-    perms = [Permutation(tuple(range(n)))]
+    perms[0] = np.arange(n)
     for t in range(1, n):
         node = search.individualize(cls, size, 0, t)
         p = None if node is None else search.first_automorphism(*node)
         if p is None:
             return None
-        perms.append(Permutation(tuple(p.tolist())))
-    return TransitiveCertificate(base=0, perms=tuple(perms))
+        perms[t] = p
+    return TransitiveCertificate(base=0, perms=perms)
 
 
 def cayley_certificate(cm: CayleyMatrix) -> TransitiveCertificate:
@@ -264,11 +268,7 @@ def cayley_certificate(cm: CayleyMatrix) -> TransitiveCertificate:
     The map g -> g*t is an automorphism sending the identity to t, so Cayley
     matrices are always vertex-transitive; no search is needed.
     """
-    g = cm.group
-    perms = tuple(
-        Permutation(tuple(int(x) for x in g.mul[:, t])) for t in range(g.order)
-    )
-    return TransitiveCertificate(base=0, perms=perms)
+    return TransitiveCertificate(base=0, perms=cm.group.mul.T.astype(np.int64))
 
 
 def lift_to_group(a: np.ndarray, group: PermGroup) -> GroupFunction:
@@ -278,23 +278,26 @@ def lift_to_group(a: np.ndarray, group: PermGroup) -> GroupFunction:
     set), returns f with ``f(g) = a[g(0), 0]`` on the group's abstract
     table.  The point of the construction is that the lift multiplies the
     spectral norm by n and the Grothendieck norm by n^2; those identities
-    are checked by the norms module, not here.
+    are checked by the norms module, not here.  An empty matrix is a
+    ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise ValueError("lift needs a square matrix")
+    if a.ndim != 2 or a.shape != (n, n) or n == 0:
+        raise ValueError("lift needs a non-empty square matrix")
     if group.degree != n:
         raise ValueError(f"group degree {group.degree} != matrix size {n}")
-    for g_idx, perm in enumerate(group.elements):
-        img = np.asarray(perm.images)
-        if not np.array_equal(a[np.ix_(img, img)], a):
-            bad = np.argwhere(a[np.ix_(img, img)] != a)[0]
+    elements = group.elements
+    block = max(1, _BLOCK_ENTRIES // (n * n))
+    for start in range(0, group.order, block):
+        p = elements[start:start + block]
+        bad = np.argwhere(a[p[:, :, None], p[:, None, :]] != a)
+        if bad.size:
+            g_idx, s, t = bad[0].tolist()
             raise ValueError(
-                f"element {g_idx} is not an automorphism: entry (s,t) = "
-                f"({bad[0]},{bad[1]}) maps to a different value"
+                f"element {start + g_idx} is not an automorphism: entry (s,t) = "
+                f"({s},{t}) maps to a different value"
             )
     if not group.is_transitive():
         raise ValueError("group does not act transitively on the index set")
-    values = np.array([a[p.images[0], 0] for p in group.elements])
-    return GroupFunction(group.table, values)
+    return GroupFunction(group.table, a[elements[:, 0], 0])

@@ -1,8 +1,9 @@
 """Finite groups as multiplication tables, and functions defined on them.
 
 Elements are integers ``0..n-1`` with the identity always at index 0.
-Permutations compose left-to-right: the product ``gh`` acts as
-``(gh)(s) = h(g(s))``.  All norms of group functions use the averaging
+A permutation is a row of images, an int array; permutations compose
+left-to-right: the product ``gh`` acts as ``(gh)(s) = h(g(s))``, which is
+the row ``h[g]``.  All norms of group functions use the averaging
 measure, so the 2-norm of ``f`` is ``sqrt(mean |f(g)|^2)``, not the
 euclidean norm of the value vector.
 """
@@ -22,8 +23,11 @@ from .errors import CapacityError, GroupAxiomError
 # Largest multiplication table we agree to materialize (7! elements).
 MAX_TABLE_ORDER = 5040
 
-# Default cap on permutation-group closure enumeration.
+# Cap on the number of elements a permutation-group closure enumerates.
 CLOSURE_CAP = 10**6
+
+# Entries gathered at once when composing many permutations.
+_BLOCK_ENTRIES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +190,6 @@ def symmetric_group(m: int) -> GroupTable:
     """S_m with elements enumerated in lexicographic one-line order."""
     if m < 1:
         raise ValueError(f"symmetric parameter must be >= 1, got {m}")
-    if math.factorial(m) > 10**6:
-        raise CapacityError(f"S_{m} has {m}! > 1e6 elements")
     _check_capacity(math.factorial(m))
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
     n = perms.shape[0]
@@ -216,21 +218,6 @@ def _check_capacity(order: int) -> None:
         raise CapacityError(
             f"group order {order} exceeds the table cap {MAX_TABLE_ORDER}"
         )
-
-
-def build_standard_group(family: str, *params) -> GroupTable:
-    """Dispatch on a family name: cyclic(n), dihedral(m), symmetric(m), product(G,H)."""
-    family = family.lower()
-    if family == "cyclic":
-        return cyclic_group(int(params[0]))
-    if family == "dihedral":
-        return dihedral_group(int(params[0]))
-    if family == "symmetric":
-        return symmetric_group(int(params[0]))
-    if family == "product":
-        g, h = params
-        return product_group(g, h)
-    raise ValueError(f"unknown group family {family!r}")
 
 
 def parse_group_spec(spec: str) -> GroupTable:
@@ -279,65 +266,28 @@ def build_from_table(raw: Sequence[Sequence[int]] | np.ndarray, label: str = "")
 
 
 # ---------------------------------------------------------------------------
-# Permutations and permutation groups
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of ``0..n-1`` stored in one-line notation."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of [0,{n}): {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(n))
-        for cyc in cycles:
-            for i, a in enumerate(cyc):
-                images[a] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, s: int) -> int:
-        return self.images[s]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """The group product self*other, acting as s -> other(self(s))."""
-        return Permutation(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * len(self.images)
-        for s, t in enumerate(self.images):
-            images[t] = s
-        return Permutation(tuple(images))
+# Groups of permutations
 
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group given by generators together with its full element list."""
+    """A permutation group: its generators (k x degree) and its elements
+    (order x degree, the identity first), each a read-only int64 row of images."""
 
     degree: int
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
+    generators: np.ndarray
+    elements: np.ndarray
+
+    def __post_init__(self):
+        self.generators.setflags(write=False)
+        self.elements.setflags(write=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def is_transitive(self) -> bool:
-        seen = {p.images[0] for p in self.elements}
-        return len(seen) == self.degree
+        return np.unique(self.elements[:, :1]).size == self.degree
 
     @cached_property
     def table(self) -> GroupTable:
@@ -350,8 +300,9 @@ class PermGroup:
         one gather of the base images, O(order * degree) memory per block,
         and each product's index is found from the sorted keys.
         """
+        _check_capacity(self.order)
         n, d = self.order, self.degree
-        perms = np.array([p.images for p in self.elements], dtype=np.int64)
+        perms = self.elements
         base, stages = [], []
         key = np.zeros(n, dtype=np.int64)
         distinct = 1
@@ -378,36 +329,53 @@ class PermGroup:
         return _finish_table(mul, f"perm_group_deg{self.degree}")
 
 
-def group_closure(
-    degree: int, gens: Sequence[Permutation], cap: int = CLOSURE_CAP
-) -> PermGroup:
-    """Enumerate the subgroup generated by ``gens``.
+def group_closure(degree: int, gens) -> PermGroup:
+    """Enumerate the subgroup generated by the rows of ``gens``.
 
-    Breadth-first from the identity, applying generators in list order, so
-    the element ordering is deterministic.  Raises CapacityError past ``cap``.
+    Breadth-first from the identity: each frontier row p in turn, followed
+    by each generator g in turn, gives the product g[p], and new products
+    are kept in that order, so the element order is deterministic.  A row
+    that is not a permutation of range(degree) is a ValueError; more than
+    CLOSURE_CAP elements is a CapacityError.
     """
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != {degree}")
-    ident = Permutation.identity(degree)
-    elements = [ident]
-    seen = {ident.images}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = p.then(g)
-                if q.images not in seen:
-                    if len(elements) >= cap:
+    rows = np.asarray(gens)
+    if rows.size == 0:
+        rows = np.empty((0, degree), dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != degree:
+        raise ValueError(f"generators must be rows of {degree} images, got shape {rows.shape}")
+    bad = np.flatnonzero((np.sort(rows, axis=1) != np.arange(degree)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"generator {bad[0]} is not a permutation of [0,{degree}): "
+                         f"{rows[bad[0]].tolist()}")
+    gens = rows.astype(np.int64)
+    # rows are told apart by their bytes in the narrowest type that holds them
+    key_type = np.min_scalar_type(max(degree - 1, 0))
+    width = degree * key_type.itemsize
+    frontier = np.arange(degree, dtype=np.int64)[None]
+    seen = {frontier.astype(key_type).tobytes()}
+    found = [frontier]
+    block = max(1, _BLOCK_ENTRIES // max(1, len(gens) * degree))
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), block):
+            p = frontier[start:start + block]
+            # row i * k + j is generator j after frontier row i
+            cand = np.swapaxes(gens[:, p], 0, 1).reshape(len(p) * len(gens), degree)
+            keys = cand.astype(key_type).tobytes()
+            new = []
+            for i in range(len(cand)):
+                key = keys[i * width:(i + 1) * width]
+                if key not in seen:
+                    if len(seen) >= CLOSURE_CAP:
                         raise CapacityError(
-                            f"closure exceeded the cap of {cap} elements"
+                            f"closure exceeded the cap of {CLOSURE_CAP} elements"
                         )
-                    seen.add(q.images)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return PermGroup(degree=degree, generators=tuple(gens), elements=tuple(elements))
+                    seen.add(key)
+                    new.append(i)
+            fresh.append(cand[new])
+        frontier = np.concatenate(fresh)
+        found.append(frontier)
+    return PermGroup(degree=degree, generators=gens, elements=np.concatenate(found))
 
 
 # ---------------------------------------------------------------------------

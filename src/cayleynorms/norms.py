@@ -482,12 +482,6 @@ def _bm_ascent(a: np.ndarray, k: int, max_sweeps: int, tol: float, rngs):
     return objective, left, right, traces
 
 
-def _bm_restart(a: np.ndarray, k: int, max_sweeps: int, tol: float, rng):
-    """One ascent run; returns (objective, x, y, per-sweep objective trace)."""
-    objective, left, right, traces = _bm_ascent(a, k, max_sweeps, tol, [rng])
-    return objective[0], left[0], right[0], traces[0]
-
-
 def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[float, VectorAssignment]:
     """Lower-bound the Grothendieck norm by rank-k block-coordinate ascent.
 
@@ -674,8 +668,7 @@ def verify_sandwich(a: np.ndarray, report: NormReport) -> list[Check]:
     return checks
 
 
-def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
-            transitivity_limit: int = AUTOMORPHISM_SEARCH_LIMIT) -> NormReport:
+def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     """Compute every norm of a matrix and verify the sandwich inequalities.
 
     Capacity misses (cut and infinity-to-one above EXACT_ENUM_LIMIT rows,
@@ -718,13 +711,14 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None, *,
     lower, upper = _bracket(m, n, spectral, bm_value, io1, cut)
 
     transitive = None
-    if m == n and n <= transitivity_limit:
+    if m == n and n <= AUTOMORPHISM_SEARCH_LIMIT:
         t0 = time.perf_counter()
         transitive = find_transitive_automorphisms(a) is not None
         timings["transitivity"] = time.perf_counter() - t0
     elif m == n:
         notes.append(
-            f"transitivity not attempted: n = {n} exceeds the search cap {transitivity_limit}"
+            f"transitivity not attempted: n = {n} exceeds the search cap "
+            f"{AUTOMORPHISM_SEARCH_LIMIT}"
         )
 
     report = NormReport(

@@ -16,8 +16,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .fourier import Irrep, IrrepTable, ensure_valid_irreps
-from .groups import (GroupFunction, GroupTable, PermGroup, Permutation, _finish_table,
-                     group_closure)
+from .groups import GroupFunction, GroupTable, PermGroup, _finish_table, group_closure
 from .norms import NormReport
 
 
@@ -145,7 +144,7 @@ def perm_group_to_obj(pg: PermGroup, provenance: Optional[dict] = None) -> dict:
     obj = {
         "kind": "perm_group",
         "degree": pg.degree,
-        "generators": [list(p.images) for p in pg.generators],
+        "generators": pg.generators.tolist(),
     }
     if provenance:
         obj["provenance"] = provenance
@@ -156,8 +155,7 @@ def parse_perm_group(source: str | dict) -> PermGroup:
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "perm_group")
     degree = _integer(obj["degree"], "degree")
-    gens = [Permutation(tuple(_integer(x, f"generators[{k}][{j}]", hi=degree)
-                              for j, x in enumerate(images)))
+    gens = [[_integer(x, f"generators[{k}][{j}]", hi=degree) for j, x in enumerate(images)]
             for k, images in enumerate(obj["generators"])]
     return group_closure(degree, gens)
 

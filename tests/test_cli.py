@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour: files, reports, exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,41 @@ def test_lift_nontransitive_exits_one(tmp_path, capsys):
     src.write_text(serial.matrix_to_text(star))
     assert run(["lift", str(src), "--quiet"]) == 1
     assert "not vertex-transitive" in capsys.readouterr().err
+
+
+# sha256 of `lift NAME.json --out lift.json --quiet`, run from the directory of
+# the input, since provenance records the path as given
+LIFT_SHA256 = {
+    ("paley", "13"): "246079b08aad563b325d94b217f3f7fa0b7d7eb2b6aed4f138122953b69579fe",
+    ("petersen",): "bde4d12af7ec62a87027fa5b7f419d346ae608d593d216d369651fdfa69141bd",
+    ("cayley", "D4", "--set", "1,3,4"):
+        "3fd024b0a1fbe9645727cc791778da34bff059314176ec316f451d2bb3f218a1",
+}
+
+
+@pytest.mark.parametrize("family", list(LIFT_SHA256), ids=lambda f: f[0])
+def test_lift_writes_pinned_bytes(family, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = {"paley": "paley13", "petersen": "petersen", "cayley": "d4"}[family[0]]
+    assert run(["construct", *family, "--out", f"{name}.json", "--quiet"]) == 0
+    assert run(["lift", f"{name}.json", "--out", "lift.json", "--quiet"]) == 0
+    digest = hashlib.sha256((tmp_path / "lift.json").read_bytes()).hexdigest()
+    assert digest == LIFT_SHA256[family]
+
+
+def test_lift_empty_matrix_exits_one(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    src.write_text('{"kind": "matrix", "rows": 0, "cols": 0, "entries": []}')
+    assert run(["lift", str(src), "--quiet"]) == 1
+    assert "error: lift needs a non-empty square matrix" in capsys.readouterr().err
+
+
+def test_lift_group_past_the_table_cap_exits_one(tmp_path, capsys):
+    # the automorphisms of K8 close to S_8, of order 40320
+    src = tmp_path / "k8.json"
+    assert run(["construct", "complete", "8", "--out", str(src), "--quiet"]) == 0
+    assert run(["lift", str(src), "--quiet"]) == 1
+    assert "error: group order 40320 exceeds the table cap 5040" in capsys.readouterr().err
 
 
 def test_fourier_subcommand_with_user_irreps(tmp_path):

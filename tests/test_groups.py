@@ -11,11 +11,12 @@ from cayleynorms import (
     CapacityError,
     GroupAxiomError,
     GroupFunction,
-    Permutation,
     build_from_table,
-    build_standard_group,
+    cayley_certificate,
     cayley_from_set,
+    complete_graph,
     convolve,
+    cycle_graph,
     cyclic_group,
     dihedral_group,
     find_transitive_automorphisms,
@@ -23,9 +24,11 @@ from cayleynorms import (
     group_closure,
     paley_graph,
     parse_group_spec,
+    petersen_graph,
     product_group,
     symmetric_group,
 )
+from cayleynorms import groups
 from cayleynorms import serial
 
 
@@ -76,22 +79,12 @@ def test_klein_four_group_self_inverse():
 
 def test_symmetric_group_capacity():
     with pytest.raises(CapacityError):
-        symmetric_group(10)  # 10! > 1e6
+        symmetric_group(10)  # 10! elements, past the table cap
 
 
 def test_table_order_cap():
     with pytest.raises(CapacityError):
         cyclic_group(6000)
-
-
-def test_build_standard_group_dispatch():
-    assert build_standard_group("cyclic", 5).order == 5
-    assert build_standard_group("dihedral", 3).order == 6
-    assert build_standard_group("symmetric", 3).order == 6
-    prod = build_standard_group("product", cyclic_group(2), cyclic_group(3))
-    assert prod.order == 6
-    with pytest.raises(ValueError):
-        build_standard_group("wallpaper", 17)
 
 
 def test_parse_group_spec():
@@ -218,100 +211,167 @@ def test_group_serialization_round_trip_byte_equality():
     assert np.array_equal(g2.mul, g.mul)
 
 
+def _cycles(n, *cycles):
+    """The image row of a product of disjoint cycles on range(n)."""
+    images = list(range(n))
+    for cyc in cycles:
+        for i, a in enumerate(cyc):
+            images[a] = cyc[(i + 1) % len(cyc)]
+    return images
+
+
+S3_GENS = [_cycles(3, (0, 1)), _cycles(3, (0, 1, 2))]
+
+
+def _reference_closure(degree, gens):
+    """The tuple closure that the array closure replaced, on plain tuples:
+    breadth-first, frontier-major and generator-minor, p then g is g[p]."""
+    ident = tuple(range(degree))
+    elements, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[i] for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    elements.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    return elements
+
+
 def test_permutation_composition_convention():
-    # (gh)(s) = h(g(s))
-    g = Permutation((1, 0, 2))
-    h = Permutation((0, 2, 1))
-    gh = g.then(h)
-    for s in range(3):
-        assert gh(s) == h(g(s))
+    # (gh)(s) = h(g(s)): the product of rows g then h is the row h[g]
+    g, h = [1, 0, 2], [0, 2, 1]
+    group = group_closure(3, [g, h])
+    rows = group.elements.tolist()
+    gh = group.table.mul[rows.index(g), rows.index(h)]
+    assert rows[gh] == [h[g[s]] for s in range(3)]
 
 
 def test_permutation_inverse_and_validation():
-    p = Permutation.from_cycles(5, [(0, 1, 2)])
-    q = p.then(p.inverse())
-    assert q.images == tuple(range(5))
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+    group = group_closure(5, [_cycles(5, (0, 1, 2))])
+    e = group.elements
+    for i, j in enumerate(group.table.inv):
+        assert e[j][e[i]].tolist() == list(range(5))
+    for bad in ([[0, 0, 1]], [[0.5, 1, 2]], [[0, 1]], [0, 1, 2]):
+        with pytest.raises(ValueError):
+            group_closure(3, bad)
+
+
+def test_permutation_rows_are_read_only_int64():
+    group = group_closure(3, S3_GENS)
+    for rows in (group.generators, group.elements):
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert group.generators.tolist() == S3_GENS
 
 
 def _brute_force_closure_order(degree, gens):
     """Independent oracle: pairwise-product fixpoint."""
-    elems = {Permutation.identity(degree).images}
-    for g in gens:
-        elems.add(g.images)
+    elems = {tuple(range(degree))} | {tuple(g) for g in gens}
     while True:
-        new = set()
-        for a in elems:
-            for b in elems:
-                c = Permutation(a).then(Permutation(b)).images
-                if c not in elems:
-                    new.add(c)
+        new = {tuple(b[i] for i in a) for a in elems for b in elems} - elems
         if not new:
             return len(elems)
         elems |= new
 
 
 def test_closure_s3():
-    gens = [Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(0, 1, 2)])]
-    g = group_closure(3, gens)
+    g = group_closure(3, S3_GENS)
     assert g.order == 6
-    assert g.elements[0].images == (0, 1, 2)
-    assert g.order == _brute_force_closure_order(3, gens)
+    assert g.elements[0].tolist() == [0, 1, 2]
+    assert g.order == _brute_force_closure_order(3, S3_GENS)
 
 
 def test_closure_trivial_and_cyclic():
     assert group_closure(4, []).order == 1
-    ncycle = Permutation.from_cycles(8, [tuple(range(8))])
+    assert group_closure(0, []).order == 1
+    ncycle = _cycles(8, tuple(range(8)))
     g = group_closure(8, [ncycle])
     assert g.order == 8
-    powers = {Permutation.identity(8).images}
-    p = ncycle
-    while p.images not in powers:
-        powers.add(p.images)
-        p = p.then(ncycle)
-    assert {e.images for e in g.elements} == powers
+    powers = {tuple(range(8))}
+    p = tuple(ncycle)
+    while p not in powers:
+        powers.add(p)
+        p = tuple(ncycle[i] for i in p)
+    assert set(map(tuple, g.elements.tolist())) == powers
 
 
 def test_closure_matches_brute_force_on_random_gens():
     rng = np.random.Generator(np.random.Philox(3))
     for _ in range(5):
-        gens = [Permutation(tuple(rng.permutation(4))) for _ in range(2)]
+        gens = [rng.permutation(4).tolist() for _ in range(2)]
         assert group_closure(4, gens).order == _brute_force_closure_order(4, gens)
 
 
-def test_closure_cap():
-    gens = [Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(0, 1, 2)])]
-    with pytest.raises(CapacityError):
-        group_closure(3, gens, cap=4)
+def _closure_cases():
+    for p in (13, 29, 37):
+        yield f"paley{p}", find_transitive_automorphisms(paley_graph(p).matrix).perms
+    yield "petersen", find_transitive_automorphisms(petersen_graph().matrix).perms
+    yield "complete6", find_transitive_automorphisms(complete_graph(6).matrix).perms
+    yield "cycle12", find_transitive_automorphisms(cycle_graph(12).matrix).perms
+    d4 = cayley_from_set(dihedral_group(4), [1, 3, 4])
+    yield "D4{1,3,4}", find_transitive_automorphisms(d4.matrix).perms
+    yield "D4 translations", cayley_certificate(d4).perms
+    rng = np.random.Generator(np.random.Philox(7))
+    for k in range(20):
+        d = int(rng.integers(2, 8))
+        yield f"random{k}", np.array([rng.permutation(d) for _ in range(2)])
+
+
+def test_closure_matches_the_tuple_closure():
+    orders = {}
+    for name, gens in _closure_cases():
+        got = group_closure(gens.shape[1], gens)
+        want = _reference_closure(gens.shape[1], gens.tolist())
+        assert got.elements.tolist() == [list(e) for e in want], name
+        orders[name] = got.order
+    assert [orders[k] for k in ("paley13", "paley29", "paley37", "petersen", "complete6",
+                                "cycle12", "D4{1,3,4}", "D4 translations")] == [
+        78, 406, 666, 120, 720, 24, 48, 8]
+
+
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 4)
+    with pytest.raises(CapacityError, match="cap of 4 elements"):
+        group_closure(3, S3_GENS)
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 6)
+    assert group_closure(3, S3_GENS).order == 6
 
 
 def test_closure_to_table_identity_first():
-    gens = [Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(0, 1, 2)])]
-    table = group_closure(3, gens).table
+    table = group_closure(3, S3_GENS).table
     assert table.order == 6
     assert not table.is_abelian
 
 
+def test_perm_group_table_is_capped_before_it_allocates():
+    # a transposition and an 8-cycle generate S_8, of order 40320 > 5040
+    g = group_closure(8, [_cycles(8, (0, 1)), _cycles(8, tuple(range(8)))])
+    assert g.order == 40320
+    with pytest.raises(CapacityError, match="group order 40320 exceeds the table cap 5040"):
+        g.table
+
+
 def _reference_perm_table(group):
     # the double loop over compositions that the gather-and-search table replaced
-    elems = [p.images for p in group.elements]
+    elems = [tuple(p) for p in group.elements.tolist()]
     index = {e: i for i, e in enumerate(elems)}
     return np.array([[index[tuple(map(q.__getitem__, p))] for q in elems] for p in elems])
 
 
 def test_perm_group_table_matches_the_double_loop():
-    gens = [Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(0, 1, 2)])]
-    groups = [group_closure(4, []), group_closure(3, gens)]
+    groups_ = [group_closure(4, []), group_closure(3, S3_GENS)]
     for a in (paley_graph(13).matrix, paley_graph(29).matrix, paley_graph(37).matrix,
               cayley_from_set(dihedral_group(4), [1, 3, 4]).matrix):
-        groups.append(find_transitive_automorphisms(a).subgroup)
-    assert [g.order for g in groups[2:]] == [78, 406, 666, 48]
-    for g in groups:
+        groups_.append(find_transitive_automorphisms(a).subgroup)
+    assert [g.order for g in groups_[2:]] == [78, 406, 666, 48]
+    for g in groups_:
         want = _reference_perm_table(g)
         assert np.array_equal(g.table.mul, want)
-        p, q = g.elements[-1], g.elements[len(g.elements) // 2]
-        assert g.elements[want[-1, len(g.elements) // 2]] == p.then(q)
+        p, q = g.elements[-1], g.elements[g.order // 2]
+        assert np.array_equal(g.elements[want[-1, g.order // 2]], q[p])
 
 
 def test_convolution_identity_point_mass():

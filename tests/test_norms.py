@@ -36,7 +36,7 @@ from cayleynorms import (
     verify_sandwich,
 )
 from cayleynorms import norms, serial
-from cayleynorms.norms import _bm_restart, default_bm_rank
+from cayleynorms.norms import _bm_ascent, default_bm_rank
 
 TWO = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -550,7 +550,7 @@ def test_bm_zero_matrix_short_circuits():
 def test_bm_objective_monotone_within_restart():
     rng = np.random.Generator(np.random.Philox(55))
     a = rng.standard_normal((8, 8))
-    _, _, _, trace = _bm_restart(a, 4, 200, 1e-12, rng)
+    _, _, _, (trace,) = _bm_ascent(a, 4, 200, 1e-12, [rng])
     assert all(b >= a_ - 1e-12 for a_, b in zip(trace, trace[1:]))
 
 
