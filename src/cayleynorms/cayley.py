@@ -40,17 +40,16 @@ class CayleyMatrix:
 
 @dataclass(frozen=True)
 class TransitiveCertificate:
-    """One automorphism per vertex mapping the base vertex onto it.
+    """One automorphism per vertex mapping the base vertex 0 onto it.
 
     ``perms`` is a read-only n x n int64 array whose row t is an automorphism
-    with ``perms[t, base] = t``; ``subgroup`` is the closure of all the rows,
+    with ``perms[t, 0] = t``; ``subgroup`` is the closure of all the rows,
     a transitive group of automorphisms.  The closure is enumerated lazily:
-    for highly symmetric matrices it can be factorially large, in which case
-    accessing it raises CapacityError while the transitivity decision itself
-    stands.
+    for highly symmetric matrices it can pass the table cap MAX_TABLE_ORDER,
+    in which case accessing it raises CapacityError while the transitivity
+    decision itself stands.
     """
 
-    base: int
     perms: np.ndarray
 
     def __post_init__(self):
@@ -244,7 +243,7 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
         )
     if n < 2:
         # no vertex or one: the identity, if any, is the whole certificate
-        return TransitiveCertificate(base=0, perms=np.zeros((n, n), dtype=np.int64))
+        return TransitiveCertificate(perms=np.zeros((n, n), dtype=np.int64))
     search = _Search(a)
     cls, size = search.root
     if np.any(cls[:n] != cls[0]):
@@ -259,7 +258,7 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
         if p is None:
             return None
         perms[t] = p
-    return TransitiveCertificate(base=0, perms=perms)
+    return TransitiveCertificate(perms=perms)
 
 
 def cayley_certificate(cm: CayleyMatrix) -> TransitiveCertificate:
@@ -268,7 +267,7 @@ def cayley_certificate(cm: CayleyMatrix) -> TransitiveCertificate:
     The map g -> g*t is an automorphism sending the identity to t, so Cayley
     matrices are always vertex-transitive; no search is needed.
     """
-    return TransitiveCertificate(base=0, perms=cm.group.mul.T.astype(np.int64))
+    return TransitiveCertificate(perms=cm.group.mul.T.astype(np.int64))
 
 
 def lift_to_group(a: np.ndarray, group: PermGroup) -> GroupFunction:

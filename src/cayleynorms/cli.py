@@ -193,8 +193,7 @@ def _cmd_fourier(args) -> int:
         "svd_witness_objective": wit.objective,
         "svd_witness_irrep": wit.irrep_index,
         "coefficients": [
-            {"dim": int(c.shape[0]),
-             "matrix": [[float(z.real), float(z.imag)] for z in c.ravel()]}
+            {"dim": int(c.shape[0]), "matrix": serial._complex_pairs(c.ravel())}
             for c in wit.fhat.coeffs
         ],
         "provenance": {"input": str(args.input), "tool_version": __version__},

@@ -20,11 +20,9 @@ import numpy as np
 
 from .errors import CapacityError, GroupAxiomError
 
-# Largest multiplication table we agree to materialize (7! elements).
+# Largest multiplication table we agree to materialize (7! elements), and
+# so the largest permutation group a closure enumerates.
 MAX_TABLE_ORDER = 5040
-
-# Cap on the number of elements a permutation-group closure enumerates.
-CLOSURE_CAP = 10**6
 
 # Entries gathered at once when composing many permutations.
 _BLOCK_ENTRIES = 1 << 22
@@ -336,7 +334,7 @@ def group_closure(degree: int, gens) -> PermGroup:
     by each generator g in turn, gives the product g[p], and new products
     are kept in that order, so the element order is deterministic.  A row
     that is not a permutation of range(degree) is a ValueError; more than
-    CLOSURE_CAP elements is a CapacityError.
+    MAX_TABLE_ORDER elements, which no table could hold, is a CapacityError.
     """
     rows = np.asarray(gens)
     if rows.size == 0:
@@ -366,9 +364,10 @@ def group_closure(degree: int, gens) -> PermGroup:
             for i in range(len(cand)):
                 key = keys[i * width:(i + 1) * width]
                 if key not in seen:
-                    if len(seen) >= CLOSURE_CAP:
+                    if len(seen) >= MAX_TABLE_ORDER:
                         raise CapacityError(
-                            f"closure exceeded the cap of {CLOSURE_CAP} elements"
+                            f"group closure reached {len(seen) + 1} elements: "
+                            f"its order exceeds the table cap {MAX_TABLE_ORDER}"
                         )
                     seen.add(key)
                     new.append(i)

@@ -1,12 +1,12 @@
 """The four matrix norms and the identities/inequalities relating them.
 
 Spectral norm and symmetric spectra: LAPACK through numpy (svd, eigvalsh).
-Cut and infinity-to-one norms: exact subset enumeration (capped at 26 rows),
-with the inner optimum in closed form.  Grothendieck norm: bracketed, by
-`_bracket` alone, between a low-rank block-coordinate ascent (a feasible lower
-bound) and the cheapest of three upper bounds (sqrt(mn)||A|| inflated by the
-SVD's backward error, K_G times the infinity-to-one norm, 8 times the cut
-norm).  Two-number inequality verdicts are `_check`'s (1e-9 of the larger side).
+Cut and infinity-to-one norms, and the mixing-lemma check: exact subset
+enumeration (capped at EXACT_ENUM_LIMIT = 26 rows), with the inner optimum in
+closed form.  Grothendieck norm: bracketed, by `_bracket` alone, between a
+low-rank block-coordinate ascent (a feasible lower bound) and the cheapest of
+three upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error, K_G
+times the infinity-to-one norm, 8 times the cut norm).  Two-number inequality verdicts are `_check`'s (1e-9 of the larger side).
 
 The enumeration reads each row subset's column sums as L[lo] + H[hi] from
 two subset-sum tables over the low and high halves of the rows: one vector
@@ -292,7 +292,7 @@ def _column_witness(c: np.ndarray) -> tuple[int, ...]:
     return min(build(c > 0), build(c < 0))
 
 
-def cut_norm_exact(a: np.ndarray, *, max_rows: int = EXACT_ENUM_LIMIT) -> CutNormResult:
+def cut_norm_exact(a: np.ndarray) -> CutNormResult:
     """Exact cut norm: max over row/column subsets of |sum of the submatrix|.
 
     Enumerates the row subsets with split subset-sum tables; the inner column
@@ -301,14 +301,14 @@ def cut_norm_exact(a: np.ndarray, *, max_rows: int = EXACT_ENUM_LIMIT) -> CutNor
     `_enumeration_form` finds an integer form.  With zero margins only half
     the row sets are visited.  The value is recomputed from the witness with
     math.fsum, so it does not depend on summation order.  An empty matrix
-    has value 0.0 and empty witness sets; complex or non-finite input is a
-    ValueError.
+    has value 0.0 and empty witness sets; more than EXACT_ENUM_LIMIT rows is
+    a CapacityError, complex or non-finite input a ValueError.
     """
     a = _real_matrix(a, "cut_norm_exact")
     m, n = a.shape
-    if m > max_rows:
+    if m > EXACT_ENUM_LIMIT:
         raise CapacityError(
-            f"cut norm enumeration is capped at {max_rows} rows (got {m}); "
+            f"cut norm enumeration is capped at {EXACT_ENUM_LIMIT} rows (got {m}); "
             "use grothendieck_bounds for larger matrices"
         )
     if a.size == 0:
@@ -321,20 +321,21 @@ def cut_norm_exact(a: np.ndarray, *, max_rows: int = EXACT_ENUM_LIMIT) -> CutNor
     return CutNormResult(value=value, row_set=rows, col_set=cols)
 
 
-def infty_one_exact(a: np.ndarray, *, max_rows: int = EXACT_ENUM_LIMIT) -> float:
+def infty_one_exact(a: np.ndarray) -> float:
     """Exact infinity-to-one norm: max of |x^T A y| over x, y with +-1 entries.
 
     Enumerates sign vectors x with the first entry pinned to +1 (the x <-> -x
     symmetry) with split subset-sum tables; the optimal y is the sign pattern
     of A^T x, so the inner value is the l1 norm of A^T x.  The value is
     recomputed from the sign witnesses with math.fsum.  An empty matrix has
-    value 0.0; complex or non-finite input is a ValueError.
+    value 0.0; more than EXACT_ENUM_LIMIT rows is a CapacityError, complex or
+    non-finite input a ValueError.
     """
     a = _real_matrix(a, "infty_one_exact")
     m, _ = a.shape
-    if m > max_rows:
+    if m > EXACT_ENUM_LIMIT:
         raise CapacityError(
-            f"infinity-to-one enumeration is capped at {max_rows} rows (got {m}); "
+            f"infinity-to-one enumeration is capped at {EXACT_ENUM_LIMIT} rows (got {m}); "
             "use grothendieck_bounds for larger matrices"
         )
     if a.size == 0:
@@ -640,15 +641,14 @@ class NormReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_sandwich(a: np.ndarray, report: NormReport) -> list[Check]:
-    """Check every applicable norm inequality, recording margins.
+def verify_sandwich(report: NormReport) -> list[Check]:
+    """Check every applicable norm inequality of a report, recording margins.
 
     Failures are reported in the returned checks, never raised.  The
     vertex-transitive cut/spectral sandwich is checked only when the report
-    carries a positive transitivity flag.
+    carries a positive transitivity flag for a square matrix.
     """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
+    n = report.rows
     checks: list[Check] = []
     cut = report.cut.value if report.cut is not None else None
     io1 = report.infty_one
@@ -662,7 +662,7 @@ def verify_sandwich(a: np.ndarray, report: NormReport) -> list[Check]:
     if cut is not None:
         checks.append(_check("cut_le_groth_upper", cut, report.groth_upper))
         checks.append(_check("groth_lower_le_8cut", report.groth_lower, 8.0 * cut))
-    if report.transitive and cut is not None and a.shape[0] == a.shape[1]:
+    if report.transitive and cut is not None and report.rows == report.cols:
         checks.append(_check("transitive_cut_le_n_spectral", cut, n * report.spectral))
         checks.append(_check("transitive_n_spectral_le_8cut", n * report.spectral, 8.0 * cut))
     return checks
@@ -727,7 +727,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
         bm_restarts=cfg.restarts, assignment=assignment,
         transitive=transitive, notes=notes, work=work, timings=timings,
     )
-    report.checks = verify_sandwich(a, report)
+    report.checks = verify_sandwich(report)
     return report
 
 
@@ -785,50 +785,49 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEs
     return UniformityEstimate(lower / 8.0 / (d * n), upper / (d * n), False)
 
 
-# `mixing_lemma_check` enumerates every pair (S, T) up to this many vertices
-# and samples pairs from this seed above it.
-_MIXING_EXHAUSTIVE_LIMIT = 14
-_MIXING_SEED = 0
+def mixing_lemma_check(a: np.ndarray, d: float, lam: float) -> bool:
+    """Check |e(S,T) - (d/n)|S||T|| <= lam sqrt(|S||T|) over every vertex-set pair.
 
-
-def mixing_lemma_check(a: np.ndarray, d: float, lam: float, *,
-                       samples: int = 100_000) -> bool:
-    """Check |e(S,T) - (d/n)|S||T|| <= lam sqrt(|S||T|) over vertex-set pairs.
-
-    e(S,T) counts ordered adjacent pairs.  Exhaustive for n up to
-    `_MIXING_EXHAUSTIVE_LIMIT`: for each S the worst T of each size is
-    extremal for the sorted shifted column sums, so all 2^n * 2^n pairs
-    reduce to 2^n * n closed-form checks.  Above it, a random sample of
-    pairs from a fixed seed.  Complex or non-finite input is a ValueError.
+    e(S,T) counts ordered adjacent pairs, so the deviation is z_S . 1_T for
+    the column sums z_S of S's rows of A - (d/n) J.  The worst T of each size
+    j holds the j largest or the j smallest entries of z_S, and regularity
+    makes z_S sum to 0, so the j smallest sum to minus the n - j largest: one
+    sort per S checks all T.  As z_{S^c} = -z_S, only the sets S without
+    vertex 0 are visited, against the smaller bound of S and S^c.  They come
+    in blocks from the subset-sum tables of the two halves of the vertices,
+    in int64 scaled by n; the first violating block ends the check.  Above
+    EXACT_ENUM_LIMIT vertices it is a CapacityError; complex or non-finite
+    input is a ValueError.
     """
     a, d = _require_regular(a, d, "mixing_lemma_check")
     n = a.shape[0]
+    if n > EXACT_ENUM_LIMIT:
+        raise CapacityError(
+            f"mixing-lemma enumeration is capped at {EXACT_ENUM_LIMIT} vertices "
+            f"(got {n})"
+        )
     tol = 1e-9 * d  # d is an integer degree; d = 0 leaves only exact zeros
-    if n <= _MIXING_EXHAUSTIVE_LIMIT:
-        sizes = _subset_sums(np.ones((n, 1)))[:, 0]
-        z = _subset_sums(a) - (d / n) * sizes[:, None]
-        zs = np.sort(z, axis=1)
-        prefix = np.cumsum(zs, axis=1)
-        suffix = np.cumsum(zs[:, ::-1], axis=1)
-        for j in range(1, n + 1):
-            bound = lam * np.sqrt(sizes * j) + tol
-            if np.any(suffix[:, j - 1] > bound) or np.any(-prefix[:, j - 1] > bound):
-                return False
-        return True
-    rng = np.random.Generator(np.random.Philox(_MIXING_SEED))
-    block = 4096
-    done = 0
-    while done < samples:
-        cnt = min(block, samples - done)
-        xs = rng.integers(0, 2, size=(cnt, n)).astype(np.float64)
-        ys = rng.integers(0, 2, size=(cnt, n)).astype(np.float64)
-        e = np.einsum("ij,jk,ik->i", xs, a, ys)
-        ssz = xs.sum(axis=1)
-        tsz = ys.sum(axis=1)
-        lhs = np.abs(e - (d / n) * ssz * tsz)
-        if np.any(lhs > lam * np.sqrt(ssz * tsz) + tol):
+    # row i of n A - d J: n z_S is exact in int64
+    rows = (n * a - d).astype(np.int64)
+    h = (n + 1) // 2
+    low = _subset_sums(rows[:h])[::2]
+    low_sizes = _subset_sums(np.ones(h, dtype=np.int64))[::2]
+    high = _subset_sums(rows[h:])
+    high_sizes = _subset_sums(np.ones(n - h, dtype=np.int64))
+    # bound[k, j - 1]: n (lam sqrt(k j) + tol) for the smaller sizes k of
+    # S, S^c and j of T, T^c
+    small = np.arange(n + 1)
+    small = np.minimum(small, n - small)
+    bound = n * (lam * np.sqrt(np.outer(small, small[1:n])) + tol)
+    per_block = max(1, _BLOCK_ENTRIES // max(1, low.size))
+    for first in range(0, high.shape[0], per_block):
+        last = min(first + per_block, high.shape[0])
+        z = low + high[first:last, None]
+        z.sort(axis=-1)
+        # largest[..., j - 1]: the sum of the j largest entries, for j < n
+        largest = np.cumsum(z[..., :0:-1], axis=-1)
+        if np.any(largest > bound[low_sizes + high_sizes[first:last, None]]):
             return False
-        done += cnt
     return True
 
 

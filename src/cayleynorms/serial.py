@@ -84,7 +84,7 @@ def _expect_kind(obj: dict, kind: str) -> None:
 
 
 def _complex_pairs(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _from_pairs(pairs) -> np.ndarray:
@@ -170,7 +170,7 @@ def matrix_to_obj(a: np.ndarray, provenance: Optional[dict] = None) -> dict:
         "kind": "matrix",
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": [float(x) for x in a.ravel()],
+        "entries": a.ravel().tolist(),
     }
     if provenance:
         obj["provenance"] = provenance
@@ -213,8 +213,7 @@ def function_to_obj(f: GroupFunction, provenance: Optional[dict] = None) -> dict
         "kind": "group_function",
         "group": group_to_obj(f.group),
         "complex": complex_valued,
-        "values": _complex_pairs(f.values) if complex_valued
-        else [float(v) for v in f.values],
+        "values": _complex_pairs(f.values) if complex_valued else f.values.tolist(),
     }
     if provenance:
         obj["provenance"] = provenance
@@ -320,8 +319,8 @@ def report_to_obj(report: NormReport, provenance: Optional[dict] = None) -> dict
     if report.assignment is not None:
         obj["witness"] = {
             "objective": report.assignment.objective,
-            "left": [[float(x) for x in row] for row in report.assignment.left],
-            "right": [[float(x) for x in row] for row in report.assignment.right],
+            "left": report.assignment.left.tolist(),
+            "right": report.assignment.right.tolist(),
         }
     if provenance:
         obj["provenance"] = provenance

@@ -179,11 +179,13 @@ def test_lift_empty_matrix_exits_one(tmp_path, capsys):
 
 
 def test_lift_group_past_the_table_cap_exits_one(tmp_path, capsys):
-    # the automorphisms of K8 close to S_8, of order 40320
+    # the automorphisms of K8 close to S_8, of order 40320; the closure stops
+    # at the first element past the cap
     src = tmp_path / "k8.json"
     assert run(["construct", "complete", "8", "--out", str(src), "--quiet"]) == 0
     assert run(["lift", str(src), "--quiet"]) == 1
-    assert "error: group order 40320 exceeds the table cap 5040" in capsys.readouterr().err
+    assert ("error: group closure reached 5041 elements: its order exceeds the table cap 5040"
+            in capsys.readouterr().err)
 
 
 def test_fourier_subcommand_with_user_irreps(tmp_path):

@@ -1,5 +1,6 @@
 """Group tables, permutation closures, convolution, function norms."""
 
+import itertools
 import math
 import re
 import warnings
@@ -333,10 +334,10 @@ def test_closure_matches_the_tuple_closure():
 
 
 def test_closure_cap(monkeypatch):
-    monkeypatch.setattr(groups, "CLOSURE_CAP", 4)
-    with pytest.raises(CapacityError, match="cap of 4 elements"):
+    monkeypatch.setattr(groups, "MAX_TABLE_ORDER", 4)
+    with pytest.raises(CapacityError, match="reached 5 elements: its order exceeds the table cap 4"):
         group_closure(3, S3_GENS)
-    monkeypatch.setattr(groups, "CLOSURE_CAP", 6)
+    monkeypatch.setattr(groups, "MAX_TABLE_ORDER", 6)
     assert group_closure(3, S3_GENS).order == 6
 
 
@@ -347,8 +348,10 @@ def test_closure_to_table_identity_first():
 
 
 def test_perm_group_table_is_capped_before_it_allocates():
-    # a transposition and an 8-cycle generate S_8, of order 40320 > 5040
-    g = group_closure(8, [_cycles(8, (0, 1)), _cycles(8, tuple(range(8)))])
+    # S_8, of order 40320 > 5040, built directly: its closure stops at the cap
+    gens = np.array([_cycles(8, (0, 1)), _cycles(8, tuple(range(8)))])
+    g = groups.PermGroup(degree=8, generators=gens,
+                         elements=np.array(list(itertools.permutations(range(8)))))
     assert g.order == 40320
     with pytest.raises(CapacityError, match="group order 40320 exceeds the table cap 5040"):
         g.table

@@ -267,11 +267,12 @@ def test_cut_zero_matrix_witness_is_empty():
     assert res.col_set == ()
 
 
-def test_cut_capacity_error():
+def test_cut_capacity_error(monkeypatch):
     with pytest.raises(CapacityError, match="grothendieck_bounds"):
         cut_norm_exact(np.zeros((27, 3)))
-    # the cap is caller-adjustable
-    assert cut_norm_exact(np.zeros((27, 3)), max_rows=27).value == 0.0
+    # the cap is read at call time
+    monkeypatch.setattr(norms, "EXACT_ENUM_LIMIT", 27)
+    assert cut_norm_exact(np.zeros((27, 3))).value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +889,7 @@ def test_verify_sandwich_corollary_only_with_certificate():
     report = analyze(np.ones((3, 5)))
     names = {c.name for c in report.checks}
     assert "transitive_cut_le_n_spectral" not in names
-    checks = verify_sandwich(np.ones((3, 5)), report)
+    checks = verify_sandwich(report)
     assert all(c.passed for c in checks)
 
 

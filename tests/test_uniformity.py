@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cayleynorms import (
+    CapacityError,
     center_regular,
     complete_graph,
     cut_norm_exact,
@@ -13,10 +14,12 @@ from cayleynorms import (
     epsilon_uniformity,
     mixing_lemma_check,
     paley_graph,
+    petersen_graph,
     random_regular,
     second_eigenvalue,
     theorem3_check,
 )
+from cayleynorms import norms
 
 
 def test_epsilon_complete_graph_closed_form():
@@ -84,13 +87,59 @@ def test_mixing_lemma_k4():
 def test_mixing_lemma_empty_sets_are_fine():
     a = np.zeros((3, 3))
     assert mixing_lemma_check(a, 0, 0.0)
+    assert mixing_lemma_check(np.zeros((0, 0)), 0, 0.0)
 
 
 def test_mixing_lemma_sampled_mode():
     g = random_regular(20, 4, seed=2)
     lam = second_eigenvalue(g.matrix)
-    assert mixing_lemma_check(g.matrix, 4, lam + 1e-9, samples=20_000)
-    assert not mixing_lemma_check(g.matrix, 4, 0.01, samples=20_000)
+    assert mixing_lemma_check(g.matrix, 4, lam + 1e-9)
+    assert not mixing_lemma_check(g.matrix, 4, 0.01)
+
+
+def _all_pair_deviations(a, d):
+    """|e(S,T) - (d/n)|S||T|| and |S||T| for every pair (S, T), by brute force."""
+    n = a.shape[0]
+    x = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    sizes = np.outer(x.sum(axis=1), x.sum(axis=1))
+    return np.abs(x @ a @ x.T - (d / n) * sizes), sizes
+
+
+# The intransitive rr7/rr8 graphs have worst pairs whose smaller S holds
+# vertex 0 or whose worst T is the small side of a negative deviation, so
+# they test the complement pairing of S and of T.
+@pytest.mark.parametrize("g", [
+    cycle_graph(7), cycle_graph(10), complete_graph(6), complete_graph(9),
+    petersen_graph(), paley_graph(5), random_regular(7, 4, seed=0),
+    random_regular(8, 2, seed=0), random_regular(8, 3, seed=0),
+    random_regular(8, 4, seed=1), random_regular(9, 4, seed=1),
+    random_regular(10, 3, seed=1),
+], ids=lambda g: g.provenance)
+def test_mixing_lemma_matches_all_pairs(g, monkeypatch):
+    dev, sizes = _all_pair_deviations(g.matrix, g.degree)
+    pairs = sizes > 0
+    threshold = float((dev[pairs] / np.sqrt(sizes[pairs])).max())
+    assert threshold > 0
+    # one block, then one block per row of the high half's table
+    for entries in (norms._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(norms, "_BLOCK_ENTRIES", entries)
+        for factor in (0.5, 0.9, 1.0, 1.1):
+            lam = factor * threshold
+            every_pair = not np.any(dev > lam * np.sqrt(sizes) + 1e-9 * g.degree)
+            assert every_pair == (factor >= 1.0)
+            assert mixing_lemma_check(g.matrix, g.degree, lam) == every_pair
+
+
+def test_mixing_lemma_refutes_below_threshold_past_14_vertices():
+    # exact thresholds: 2.0656 for rr20 (seed 2), 1.7879 for rr22 (seed 0)
+    assert not mixing_lemma_check(random_regular(20, 4, seed=2).matrix, 4, 1.85)
+    assert not mixing_lemma_check(random_regular(22, 4, seed=0).matrix, 4, 1.77)
+
+
+def test_mixing_lemma_capacity_error():
+    g = random_regular(27, 4, seed=0)
+    with pytest.raises(CapacityError, match="capped at 26 vertices"):
+        mixing_lemma_check(g.matrix, 4, 4.0)
 
 
 def test_theorem3_paley13():
