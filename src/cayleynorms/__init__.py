@@ -23,7 +23,6 @@ from .groups import (
     symmetric_group,
 )
 from .cayley import (
-    CayleyMatrix,
     TransitiveCertificate,
     cayley_certificate,
     cayley_from_set,
@@ -71,9 +70,7 @@ from .fourier import (
     validate_irrep_table,
 )
 from .families import (
-    BipartiteCayley,
     RegularGraph,
-    bipartite_cayley,
     bipartite_cayley_deviation,
     bipartite_deviation,
     complete_graph,

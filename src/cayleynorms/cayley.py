@@ -20,25 +20,6 @@ AUTOMORPHISM_SEARCH_LIMIT = 64
 
 
 @dataclass(frozen=True)
-class CayleyMatrix:
-    """The matrix ``a[g, h] = f(g h^-1)`` of a weighted Cayley graph."""
-
-    group: GroupTable
-    f: GroupFunction
-    matrix: np.ndarray
-    symmetric: bool
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    @property
-    def row_sum(self) -> float:
-        """Common row sum: every row sums to sum_s f(s)."""
-        return float(self.f.values.sum())
-
-
-@dataclass(frozen=True)
 class TransitiveCertificate:
     """One automorphism per vertex mapping the base vertex 0 onto it.
 
@@ -60,19 +41,22 @@ class TransitiveCertificate:
         return group_closure(self.perms.shape[1], self.perms)
 
 
-def cayley_matrix(group: GroupTable, f: GroupFunction) -> CayleyMatrix:
-    """Build the Cayley matrix of f; flags symmetry when f(g) = f(g^-1)."""
-    if not f.group.same_as(group):
-        raise ValueError("function is defined on a different group")
-    matrix = f.values[group.ghinv].copy()
-    matrix.setflags(write=False)
-    return CayleyMatrix(group=group, f=f, matrix=matrix, symmetric=f.is_symmetric())
+def cayley_matrix(f: GroupFunction) -> np.ndarray:
+    """The read-only matrix ``a[g, h] = f(g h^-1)`` of f on its own group.
+
+    Every row sums to sum_s f(s), and the matrix is symmetric exactly when
+    f(g) = f(g^-1) for every g (the undirected case).  The matrix is
+    C-ordered like every other matrix the library builds; indexing by the
+    column-major ``ghinv`` alone would give a Fortran-ordered array.
+    """
+    a = np.ascontiguousarray(f.values[f.group.ghinv])
+    a.setflags(write=False)
+    return a
 
 
-def cayley_from_set(group: GroupTable, subset: Iterable[int]) -> CayleyMatrix:
+def cayley_from_set(group: GroupTable, subset: Iterable[int]) -> np.ndarray:
     """Cayley matrix of the indicator of a subset S; undirected iff S = S^-1."""
-    f = GroupFunction.indicator(group, subset)
-    return cayley_matrix(group, f)
+    return cayley_matrix(GroupFunction.indicator(group, subset))
 
 
 def center_regular(a: np.ndarray, d: float) -> np.ndarray:
@@ -261,13 +245,13 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
     return TransitiveCertificate(perms=perms)
 
 
-def cayley_certificate(cm: CayleyMatrix) -> TransitiveCertificate:
-    """The right-translation certificate of a Cayley matrix.
+def cayley_certificate(group: GroupTable) -> TransitiveCertificate:
+    """The right-translation certificate of every Cayley matrix on a group.
 
     The map g -> g*t is an automorphism sending the identity to t, so Cayley
     matrices are always vertex-transitive; no search is needed.
     """
-    return TransitiveCertificate(perms=cm.group.mul.T.astype(np.int64))
+    return TransitiveCertificate(perms=group.mul.T.astype(np.int64))
 
 
 def lift_to_group(a: np.ndarray, group: PermGroup) -> GroupFunction:

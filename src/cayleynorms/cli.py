@@ -96,11 +96,10 @@ def _cmd_construct(args) -> int:
             raise _UsageError("cayley needs --set with comma-separated element indices")
         group = parse_group_spec(spec)
         subset = [int(x) for x in args.set.split(",") if x != ""]
-        cm = cayley_from_set(group, subset)
-        obj = serial.matrix_to_obj(
-            np.asarray(cm.matrix), _provenance(args, family, [spec, args.set])
-        )
-        obj["symmetric_set"] = bool(cm.symmetric)
+        a = cayley_from_set(group, subset)
+        obj = serial.matrix_to_obj(a, _provenance(args, family, [spec, args.set]))
+        # a[g, h] = f(g h^-1), so a == a.T exactly when the set is closed under inverses
+        obj["symmetric_set"] = bool(np.array_equal(a, a.T))
     else:
         raise _UsageError(
             f"unknown family {args.family!r}; known: cycle, complete, paley, "

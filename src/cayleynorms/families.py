@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .cayley import cayley_matrix
-from .groups import GroupFunction, GroupTable, cyclic_group
+from .groups import GroupFunction, cyclic_group
 from .norms import BMConfig, grothendieck_bounds, spectral_norm
 
 CONFIG_MODEL_MAX_TRIES = 10_000
@@ -46,16 +46,6 @@ class RegularGraph:
         object.__setattr__(self, "matrix", a)
 
 
-@dataclass(frozen=True)
-class BipartiteCayley:
-    """Bipartite graph between two copies of G with weights b[g, h] = f(g h^-1)."""
-
-    group: GroupTable
-    f: GroupFunction
-    matrix: np.ndarray
-    density: Optional[float]  # edge density when f is 0/1, else None
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -80,22 +70,16 @@ def paley_graph(p: int) -> RegularGraph:
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"p = {p} is {p % 4} mod 4; need 1 mod 4 for a symmetric set")
-    g = cyclic_group(p)
-    cm = cayley_matrix(g, GroupFunction.indicator(g, quadratic_residues(p)))
-    return RegularGraph(
-        n=p, degree=(p - 1) // 2, matrix=np.asarray(cm.matrix),
-        provenance=f"paley p={p}",
-    )
+    a = cayley_matrix(GroupFunction.indicator(cyclic_group(p), quadratic_residues(p)))
+    return RegularGraph(n=p, degree=(p - 1) // 2, matrix=a, provenance=f"paley p={p}")
 
 
 def cycle_graph(n: int) -> RegularGraph:
     """The n-cycle C_n (n >= 3)."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    g = cyclic_group(n)
-    cm = cayley_matrix(g, GroupFunction.indicator(g, {1 % n, (n - 1) % n}))
-    return RegularGraph(n=n, degree=2, matrix=np.asarray(cm.matrix),
-                        provenance=f"cycle n={n}")
+    a = cayley_matrix(GroupFunction.indicator(cyclic_group(n), {1 % n, (n - 1) % n}))
+    return RegularGraph(n=n, degree=2, matrix=a, provenance=f"cycle n={n}")
 
 
 def complete_graph(n: int) -> RegularGraph:
@@ -256,16 +240,6 @@ def example1_graph(d: int, n: int, seed: int = 0) -> RegularGraph:
 # Bipartite analogues
 
 
-def bipartite_cayley(group: GroupTable, f: GroupFunction) -> BipartiteCayley:
-    """The bipartite Cayley graph between two copies of G with weights f(gh^-1)."""
-    cm = cayley_matrix(group, f)
-    vals = f.values
-    density = None
-    if not np.iscomplexobj(vals) and np.isin(vals, (0.0, 1.0)).all():
-        density = float(vals.sum() / group.order)
-    return BipartiteCayley(group=group, f=f, matrix=cm.matrix, density=density)
-
-
 def bipartite_deviation(b: np.ndarray, p: float) -> float:
     """Largest singular value of B - pJ, the bipartite analogue of lambda_2."""
     b = np.asarray(b, dtype=np.float64)
@@ -291,22 +265,23 @@ class BipartiteDeviationReport:
         )
 
 
-def bipartite_cayley_deviation(bc: BipartiteCayley, cfg: Optional[BMConfig] = None,
+def bipartite_cayley_deviation(f: GroupFunction, cfg: Optional[BMConfig] = None,
                                p: Optional[float] = None) -> BipartiteDeviationReport:
-    """Deviation report for a bipartite Cayley matrix.
+    """Deviation report for the bipartite Cayley matrix B = cayley_matrix(f).
 
-    Centers by the density (or a supplied p), computes sigma_max, and checks
-    the bitransitive identity ||B - pJ||_G = n ||B - pJ|| via the
-    Grothendieck bracket.
+    Centers by the edge density sum f / n of a 0/1 function (or a supplied
+    p), computes sigma_max, and checks the bitransitive identity
+    ||B - pJ||_G = n ||B - pJ|| via the Grothendieck bracket.  Complex f is a
+    ValueError: the Grothendieck bracket is for real matrices.
     """
+    n = f.group.order
     if p is None:
-        if bc.density is None:
-            raise ValueError("matrix is weighted; pass the centering density p")
-        p = bc.density
-    centered = np.asarray(bc.matrix, dtype=np.float64) - p
+        if np.iscomplexobj(f.values) or not np.isin(f.values, (0.0, 1.0)).all():
+            raise ValueError("function is weighted; pass the centering density p")
+        p = float(f.values.sum() / n)
+    centered = cayley_matrix(f) - p
     sigma = spectral_norm(centered)
     lower, upper = grothendieck_bounds(centered, cfg)
     return BipartiteDeviationReport(
-        sigma=sigma, groth_lower=lower, groth_upper=upper,
-        n_sigma=bc.group.order * sigma,
+        sigma=sigma, groth_lower=lower, groth_upper=upper, n_sigma=n * sigma,
     )

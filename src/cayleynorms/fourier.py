@@ -217,15 +217,17 @@ def build_irrep_table(g: GroupTable) -> IrrepTable:
 # entry, so each letter adds at most 2 d delta to ||rho(ab) - rho(a) rho(b)||.
 # Generator products within tol / (2 d L) thus put every product within tol,
 # up to a factor 1 + O(L d tol) that the unitarity tolerance allows.
-def validate_irrep_table(g: GroupTable, table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
-    """Check every irrep-table invariant; return diagnostics (none: valid).
+def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
+    """Check every invariant of an irrep table on its own group; return diagnostics.
 
-    Batched over the irreps of each dimension d: identity image, unitarity,
-    rho(g^-1) = rho(g)*, the homomorphism property on the generators of
-    `_generating_set` within tol / (2 d L) (so every product is within tol),
-    and irreducibility via the character norm; then completeness (sum of
-    squared dims) and pairwise character orthogonality.
+    No diagnostics means valid.  Batched over the irreps of each dimension
+    d: identity image, unitarity, rho(g^-1) = rho(g)*, the homomorphism
+    property on the generators of `_generating_set` within tol / (2 d L) (so
+    every product is within tol), and irreducibility via the character norm;
+    then completeness (sum of squared dims) and pairwise character
+    orthogonality.
     """
+    g = table.group
     n = g.order
     _, gens, depth = _generating_set(g.mul)
     found = {i: [f"irrep {i}: {r.matrices.shape[0]} matrices for a group of order {n}"]
@@ -281,8 +283,8 @@ def validate_irrep_table(g: GroupTable, table: IrrepTable, *, tol: float = 1e-10
     return problems
 
 
-def ensure_valid_irreps(g: GroupTable, table: IrrepTable) -> IrrepTable:
-    problems = validate_irrep_table(g, table)
+def ensure_valid_irreps(table: IrrepTable) -> IrrepTable:
+    problems = validate_irrep_table(table)
     if problems:
         raise ValueError("invalid irrep table:\n  " + "\n  ".join(problems))
     return table

@@ -412,10 +412,6 @@ class GroupFunction:
             values[g] = 1.0
         return cls(group, values)
 
-    def is_symmetric(self) -> bool:
-        """True when f(g) = f(g^-1) for every g (the undirected case)."""
-        return bool(np.array_equal(self.values, self.values[self.group.inv]))
-
 
 def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
     """Convolution under the averaging measure: (f1*f2)(g) = mean_h f1(g h^-1) f2(h)."""

@@ -362,8 +362,6 @@ class BMConfig:
 
     rank: Optional[int] = None
     restarts: int = 8
-    max_sweeps: int = 500
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -389,6 +387,12 @@ class VectorAssignment:
                     f"{name} vector {int(norms.argmax())} has norm "
                     f"{float(norms.max())} > 1"
                 )
+
+
+# Every ascent stops after _BM_MAX_SWEEPS sweeps, or at the first sweep that
+# raises its objective by at most _BM_TOL relative.
+_BM_MAX_SWEEPS = 500
+_BM_TOL = 1e-10
 
 
 def default_bm_rank(m: int, n: int) -> int:
@@ -512,7 +516,7 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     e = math.frexp(float(np.abs(a).max()))[1]
     scaled = np.ldexp(a, -e)
     rngs = [np.random.Generator(np.random.Philox(cfg.seed).jumped(r)) for r in range(cfg.restarts)]
-    objective, left, right, _ = _bm_ascent(scaled, k, cfg.max_sweeps, cfg.tol, rngs)
+    objective, left, right, _ = _bm_ascent(scaled, k, _BM_MAX_SWEEPS, _BM_TOL, rngs)
     best = max(range(cfg.restarts), key=objective.__getitem__)
     best_obj = math.ldexp(objective[best], e)
     return abs(best_obj), VectorAssignment(left=left[best].copy(), right=right[best].copy(),
@@ -554,8 +558,7 @@ def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[
 
 def group_spectral(f: GroupFunction) -> float:
     """Spectral norm of a group function: ||A(f)|| / |G| (averaging scaling)."""
-    cm = cayley_matrix(f.group, f)
-    return spectral_norm(cm.matrix) / f.group.order
+    return spectral_norm(cayley_matrix(f)) / f.group.order
 
 
 def translate_witness(f: GroupFunction, x: GroupFunction, y: GroupFunction) -> VectorAssignment:
@@ -797,9 +800,11 @@ def mixing_lemma_check(a: np.ndarray, d: float, lam: float) -> bool:
     in blocks from the subset-sum tables of the two halves of the vertices,
     in int64 scaled by n; the first violating block ends the check.  Above
     EXACT_ENUM_LIMIT vertices it is a CapacityError; complex or non-finite
-    input is a ValueError.
+    input, a non-finite lam included, is a ValueError.
     """
     a, d = _require_regular(a, d, "mixing_lemma_check")
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
     n = a.shape[0]
     if n > EXACT_ENUM_LIMIT:
         raise CapacityError(

@@ -276,8 +276,7 @@ def parse_irreps(source: str | dict, group: GroupTable) -> IrrepTable:
             _from_pairs(flat).reshape(d, d) for flat in entry["matrices"]
         ])
         irreps.append(Irrep(dim=d, matrices=mats))
-    table = IrrepTable(group=group, irreps=tuple(irreps))
-    return ensure_valid_irreps(group, table)
+    return ensure_valid_irreps(IrrepTable(group=group, irreps=tuple(irreps)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,48 +34,58 @@ from cayleynorms.verify import _dihedral4_graphs
 
 def test_cayley_matrix_z2():
     g = cyclic_group(2)
-    cm = cayley_matrix(g, GroupFunction(g, np.array([1.0, -1.0])))
-    assert np.array_equal(cm.matrix, [[1.0, -1.0], [-1.0, 1.0]])
-    assert cm.symmetric
+    a = cayley_matrix(GroupFunction(g, np.array([1.0, -1.0])))
+    assert np.array_equal(a, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.array_equal(a, a.T)
+    assert not a.flags.writeable
 
 
 def test_cayley_matrix_cycle_indicator():
     for n in (5, 8):
         g = cyclic_group(n)
-        cm = cayley_matrix(g, GroupFunction.indicator(g, [1, n - 1]))
+        a = cayley_matrix(GroupFunction.indicator(g, [1, n - 1]))
         expected = np.zeros((n, n))
         for i in range(n):
             expected[i, (i + 1) % n] = expected[i, (i - 1) % n] = 1.0
-        assert np.array_equal(cm.matrix, expected)
-        assert cm.symmetric
+        assert np.array_equal(a, expected)
+        assert np.array_equal(a, a.T)
 
 
 def test_cayley_matrix_defining_formula():
     g = dihedral_group(3)
     rng = np.random.Generator(np.random.Philox(0))
     f = GroupFunction(g, rng.standard_normal(6))
-    cm = cayley_matrix(g, f)
+    m = cayley_matrix(f)
     for a in range(6):
         for b in range(6):
-            assert cm.matrix[a, b] == f.values[g.mul[a, g.inv[b]]]
+            assert m[a, b] == f.values[g.mul[a, g.inv[b]]]
+    assert m.flags.c_contiguous
 
 
 def test_cayley_asymmetric_flag_and_row_sums():
     g = cyclic_group(5)
-    cm = cayley_matrix(g, GroupFunction.indicator(g, [1]))
-    assert not cm.symmetric
-    assert np.all(cm.matrix.sum(axis=1) == 1.0)
-    assert cm.row_sum == 1.0
+    a = cayley_matrix(GroupFunction.indicator(g, [1]))
+    assert not np.array_equal(a, a.T)
+    # every row sums to sum_s f(s) = 1
+    assert np.all(a.sum(axis=1) == 1.0)
+
+
+def test_cayley_matrix_is_symmetric_exactly_when_f_is():
+    for g in (cyclic_group(6), dihedral_group(3), dihedral_group(4)):
+        for values in itertools.product((0.0, 1.0), repeat=g.order):
+            f = GroupFunction(g, np.array(values))
+            a = cayley_matrix(f)
+            assert np.array_equal(a, a.T) == np.array_equal(f.values, f.values[g.inv])
 
 
 def test_cayley_rows_are_value_permutations():
     g = dihedral_group(4)
     f = GroupFunction(g, np.arange(8, dtype=float))
-    cm = cayley_matrix(g, f)
+    a = cayley_matrix(f)
     want = np.sort(f.values)
     for i in range(8):
-        assert np.array_equal(np.sort(cm.matrix[i]), want)
-        assert np.array_equal(np.sort(cm.matrix[:, i]), want)
+        assert np.array_equal(np.sort(a[i]), want)
+        assert np.array_equal(np.sort(a[:, i]), want)
 
 
 def test_cayley_from_set_paley13():
@@ -83,16 +93,16 @@ def test_cayley_from_set_paley13():
     residues = sorted({(x * x) % 13 for x in range(1, 13)})
     assert residues == [1, 3, 4, 9, 10, 12]
     assert quadratic_residues(13) == residues
-    cm = cayley_from_set(g, residues)
-    assert cm.symmetric
-    assert np.all(cm.matrix.sum(axis=1) == 6.0)
-    assert np.array_equal(cm.matrix, paley_graph(13).matrix)
+    a = cayley_from_set(g, residues)
+    assert np.array_equal(a, a.T)
+    assert np.all(a.sum(axis=1) == 6.0)
+    assert np.array_equal(a, paley_graph(13).matrix)
 
 
 def test_cayley_from_set_edge_cases():
     g = cyclic_group(4)
-    assert not cayley_from_set(g, []).matrix.any()
-    assert np.array_equal(cayley_from_set(g, range(4)).matrix, np.ones((4, 4)))
+    assert not cayley_from_set(g, []).any()
+    assert np.array_equal(cayley_from_set(g, range(4)), np.ones((4, 4)))
     with pytest.raises(ValueError):
         cayley_from_set(g, [7])
 
@@ -127,8 +137,7 @@ def test_find_transitive_automorphisms_star_absent():
 
 def test_find_transitive_automorphisms_cayley_always_present():
     g = dihedral_group(3)
-    cm = cayley_from_set(g, [1, 2, 3])
-    assert find_transitive_automorphisms(np.asarray(cm.matrix)) is not None
+    assert find_transitive_automorphisms(cayley_from_set(g, [1, 2, 3])) is not None
 
 
 def test_automorphism_search_capacity():
@@ -184,7 +193,7 @@ def test_right_translations_are_automorphisms():
     for g in (cyclic_group(7), dihedral_group(4), cyclic_group(12)):
         rng = np.random.Generator(np.random.Philox(g.order))
         f = GroupFunction(g, rng.standard_normal(g.order))
-        a = np.asarray(cayley_matrix(g, f).matrix)
+        a = cayley_matrix(f)
         for h in range(g.order):
             img = g.mul[:, h]
             assert np.array_equal(a[np.ix_(img, img)], a)
@@ -192,11 +201,12 @@ def test_right_translations_are_automorphisms():
 
 def test_cayley_certificate_is_right_translation():
     g = dihedral_group(4)
-    cm = cayley_from_set(g, [1, 3, 4])
-    cert = cayley_certificate(cm)
+    cert = cayley_certificate(g)
+    a = cayley_from_set(g, [1, 3, 4])
     for t, sigma in enumerate(cert.perms):
         assert sigma[0] == t
         assert np.array_equal(sigma, g.mul[:, t])
+        assert np.array_equal(a[np.ix_(sigma, sigma)], a)
     assert cert.subgroup.is_transitive()
     assert cert.subgroup.order == 8
 
@@ -252,11 +262,10 @@ def test_lift_then_cayley_reproduces_matrix_under_regular_action():
     g = dihedral_group(3)
     rng = np.random.Generator(np.random.Philox(21))
     f = GroupFunction(g, rng.standard_normal(6))
-    cm = cayley_matrix(g, f)
-    a = np.asarray(cm.matrix)
-    cert = cayley_certificate(cm)
+    a = cayley_matrix(f)
+    cert = cayley_certificate(g)
     lifted = lift_to_group(a, cert.subgroup)
-    a2 = np.asarray(cayley_matrix(lifted.group, lifted).matrix)
+    a2 = cayley_matrix(lifted)
     # relabel vertex i of the rebuilt matrix by where element i sends the base
     relabel = cert.subgroup.elements[:, 0]
     assert np.array_equal(a2, a[np.ix_(relabel, relabel)])
@@ -341,9 +350,9 @@ def _weighted_cayley_matrices():
     for g in (cyclic_group(12), dihedral_group(4), dihedral_group(5)):
         rng = np.random.Generator(np.random.Philox(g.order))
         for values in (rng.standard_normal(g.order), rng.integers(-2, 3, g.order) * 1.0):
-            yield f"{g.order}-asymmetric", cayley_matrix(g, GroupFunction(g, values)).matrix
+            yield f"{g.order}-asymmetric", cayley_matrix(GroupFunction(g, values))
             sym = values + values[g.inv]
-            yield f"{g.order}-symmetric", cayley_matrix(g, GroupFunction(g, sym)).matrix
+            yield f"{g.order}-symmetric", cayley_matrix(GroupFunction(g, sym))
 
 
 def _reference_cases():

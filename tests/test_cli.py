@@ -55,6 +55,10 @@ def test_construct_group_and_cayley(tmp_path):
     a = serial.parse_matrix(cout.read_text())
     assert np.all(a.sum(axis=1) == 3)
     assert serial.loads(cout.read_text())["symmetric_set"] is True
+    # {1, 2, 5} in Z8 lacks the inverse 7 of 1
+    assert run(["construct", "cayley", "Z8", "--set", "1,2,5",
+                "--out", str(cout), "--quiet"]) == 0
+    assert serial.loads(cout.read_text())["symmetric_set"] is False
 
 
 def test_construct_errors_exit_one(tmp_path, capsys):
@@ -159,6 +163,26 @@ LIFT_SHA256 = {
     ("cayley", "D4", "--set", "1,3,4"):
         "3fd024b0a1fbe9645727cc791778da34bff059314176ec316f451d2bb3f218a1",
 }
+
+
+# sha256 of `construct FAMILY ... --out FILE --quiet`
+CONSTRUCT_SHA256 = {
+    ("cayley", "D4", "--set", "1,3,4"):
+        "2b93e5ce3a837f0f33693c0b1b8842068ac90218399c50c192db1309639c7b18",
+    # not closed under inverses: "symmetric_set": false
+    ("cayley", "Z8", "--set", "1,2,5"):
+        "0eadda90cdbf5c10956332061758406035e98c363eccc664b1b4a17f21492d78",
+    ("paley", "13"): "8b169cdd29d7396715154301729a634fb11e6c2c3f5f246d4e87d0dcec3d69b8",
+}
+
+
+@pytest.mark.parametrize("family", list(CONSTRUCT_SHA256),
+                         ids=lambda f: "-".join(x for x in f if not x.startswith("--")))
+def test_construct_writes_pinned_bytes(family, tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["construct", *family, "--out", str(out), "--quiet"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CONSTRUCT_SHA256[family]
 
 
 @pytest.mark.parametrize("family", list(LIFT_SHA256), ids=lambda f: f[0])

@@ -9,8 +9,8 @@ from cayleynorms import (
     BMConfig,
     GroupFunction,
     RegularGraph,
-    bipartite_cayley,
     bipartite_cayley_deviation,
+    cayley_matrix,
     bipartite_deviation,
     complete_graph,
     cycle_graph,
@@ -159,11 +159,13 @@ def test_bipartite_deviation_trivial_cases():
 
 def test_bipartite_cayley_z4_report():
     g = cyclic_group(4)
-    bc = bipartite_cayley(g, GroupFunction.indicator(g, [1]))
-    assert bc.density == pytest.approx(0.25)
-    report = bipartite_cayley_deviation(bc, BMConfig(rank=8, restarts=8))
+    f = GroupFunction.indicator(g, [1])
+    cfg = BMConfig(rank=8, restarts=8)
+    report = bipartite_cayley_deviation(f, cfg)
+    # the default centering is the edge density 1/4
+    assert report == bipartite_cayley_deviation(f, cfg, p=0.25)
     # B - J/4 for a permutation matrix: sigma via the dense oracle
-    centered = np.asarray(bc.matrix) - 0.25
+    centered = cayley_matrix(f) - 0.25
     want = np.linalg.svd(centered, compute_uv=False)[0]
     assert report.sigma == pytest.approx(want, rel=1e-10)
     assert report.n_sigma == pytest.approx(4 * want, rel=1e-10)
@@ -174,18 +176,28 @@ def test_bipartite_identity_on_weighted_functions():
     g = cyclic_group(5)
     rng = np.random.Generator(np.random.Philox(13))
     f = GroupFunction(g, rng.standard_normal(5))  # not symmetric, fine
-    bc = bipartite_cayley(g, f)
-    assert bc.density is None
-    report = bipartite_cayley_deviation(bc, BMConfig(rank=10, restarts=8), p=0.0)
+    with pytest.raises(ValueError, match="weighted"):
+        bipartite_cayley_deviation(f)
+    report = bipartite_cayley_deviation(f, BMConfig(rank=10, restarts=8), p=0.0)
     assert report.transitive_equality_ok
+
+
+def test_bipartite_cayley_deviation_rejects_complex_f():
+    # a character of Z8: its Cayley matrix has rank one and sigma 8, while
+    # its real part alone has sigma 4
+    g = cyclic_group(8)
+    f = GroupFunction(g, np.exp(2j * np.pi * np.arange(8) / 8))
+    assert spectral_norm(cayley_matrix(f)) == pytest.approx(8.0, rel=1e-12)
+    with pytest.raises(ValueError, match="real matrix"):
+        bipartite_cayley_deviation(f, p=0.0)
 
 
 def test_bipartite_deviation_translation_invariance():
     g = cyclic_group(6)
     f = GroupFunction.indicator(g, [1, 2])
-    bc = bipartite_cayley(g, f)
-    base = bipartite_deviation(bc.matrix, bc.density)
+    b = cayley_matrix(f)
+    base = bipartite_deviation(b, 2 / 6)
     for h in range(6):
         img = g.mul[:, h]
-        relabeled = np.asarray(bc.matrix)[np.ix_(img, img)]
-        assert bipartite_deviation(relabeled, bc.density) == pytest.approx(base, rel=1e-10)
+        relabeled = b[np.ix_(img, img)]
+        assert bipartite_deviation(relabeled, 2 / 6) == pytest.approx(base, rel=1e-10)

@@ -29,7 +29,7 @@ from cayleynorms import (
     svd_witness as _svd_witness,
     validate_irrep_table,
 )
-from cayleynorms.fourier import Irrep, IrrepTable
+from cayleynorms.fourier import Irrep, IrrepTable, ensure_valid_irreps
 
 SHIPPED = ("Z8", "Z12", "Z2xZ2", "D4", "D5")
 
@@ -65,19 +65,19 @@ def test_dihedral4_table_shape():
     table = build_irrep_table(dihedral_group(4))
     assert sorted(table.dims) == [1, 1, 1, 1, 2]
     assert sum(d * d for d in table.dims) == 8
-    assert validate_irrep_table(dihedral_group(4), table) == []
+    assert validate_irrep_table(table) == []
 
 
 def test_dihedral5_table_shape():
     table = build_irrep_table(dihedral_group(5))
     assert sorted(table.dims) == [1, 1, 2, 2]
-    assert validate_irrep_table(dihedral_group(5), table) == []
+    assert validate_irrep_table(table) == []
 
 
 def test_every_shipped_table_validates():
     for spec in SHIPPED:
         g = parse_group_spec(spec)
-        assert validate_irrep_table(g, build_irrep_table(g)) == []
+        assert validate_irrep_table(build_irrep_table(g)) == []
 
 
 def test_abelian_builder_handles_relabelled_tables():
@@ -86,7 +86,7 @@ def test_abelian_builder_handles_relabelled_tables():
     shuffled = relabel[z6.mul[relabel][:, relabel]]
     g = build_from_table(shuffled)
     table = build_irrep_table(g)
-    assert validate_irrep_table(g, table) == []
+    assert validate_irrep_table(table) == []
     assert len(table.irreps) == 6
 
 
@@ -96,11 +96,23 @@ def test_unsupported_family_points_to_parse_irreps():
         build_irrep_table(g)
 
 
+def test_validate_checks_the_tables_own_group():
+    # Z4's characters on a table whose group is the Klein group Z2xZ2
+    z4 = cyclic_group(4)
+    klein = product_group(cyclic_group(2), cyclic_group(2))
+    mislabelled = IrrepTable(group=klein, irreps=build_irrep_table(z4).irreps)
+    problems = validate_irrep_table(mislabelled)
+    assert problems
+    assert any("rho(ab) != rho(a)rho(b)" in p for p in problems)
+    with pytest.raises(ValueError, match="invalid irrep table"):
+        ensure_valid_irreps(mislabelled)
+
+
 def test_validate_catches_incomplete_table():
     g = dihedral_group(4)
     table = build_irrep_table(g)
     partial = IrrepTable(group=g, irreps=table.irreps[:-1])
-    problems = validate_irrep_table(g, partial)
+    problems = validate_irrep_table(partial)
     assert any("incomplete" in p for p in problems)
 
 
@@ -112,7 +124,7 @@ def test_validate_catches_non_unitary():
     bad = IrrepTable(group=g, irreps=(table.irreps[0],
                                       Irrep(dim=1, matrices=mats),
                                       table.irreps[2]))
-    problems = validate_irrep_table(g, bad)
+    problems = validate_irrep_table(bad)
     assert any("unitary" in p or "rho(ab)" in p for p in problems)
 
 
@@ -125,7 +137,7 @@ def test_validate_catches_reducible_fake_irrep():
     stack[:, 0, 0] = ones[0].matrices[:, 0, 0]
     stack[:, 1, 1] = ones[1].matrices[:, 0, 0]
     fake = Irrep(dim=2, matrices=stack)
-    problems = validate_irrep_table(g, IrrepTable(group=g, irreps=(fake,)))
+    problems = validate_irrep_table(IrrepTable(group=g, irreps=(fake,)))
     assert any("not irreducible" in p for p in problems)
     # its character norm is 2, the reducibility fingerprint
     char_norm = float(np.mean(np.abs(fake.characters) ** 2))
@@ -136,7 +148,7 @@ def test_validate_names_a_repeated_irrep():
     g = dihedral_group(4)
     table = build_irrep_table(g)
     doubled = IrrepTable(group=g, irreps=table.irreps + (table.irreps[1],))
-    problems = validate_irrep_table(g, doubled)
+    problems = validate_irrep_table(doubled)
     assert [p for p in problems if "equivalent" in p] == [
         "irreps 1 and 5 are equivalent (character inner product 1.00e+00)"
     ]
@@ -147,7 +159,7 @@ def test_validate_reports_a_short_matrix_stack():
     table = build_irrep_table(g)
     short = Irrep(dim=1, matrices=table.irreps[1].matrices[:5])
     irreps = (table.irreps[0], short) + table.irreps[2:]
-    problems = validate_irrep_table(g, IrrepTable(group=g, irreps=irreps))
+    problems = validate_irrep_table(IrrepTable(group=g, irreps=irreps))
     assert "irrep 1: 5 matrices for a group of order 8" in problems
 
 
@@ -168,14 +180,14 @@ def test_odd_dihedral_and_shuffled_abelian_tables_validate(spec):
     if g.is_abelian:
         perm = np.random.Generator(np.random.Philox(9)).permutation(g.order)
         g = build_from_table(np.argsort(perm)[g.mul[perm][:, perm]])
-    assert validate_irrep_table(g, build_irrep_table(g)) == []
+    assert validate_irrep_table(build_irrep_table(g)) == []
 
 
 @pytest.mark.parametrize("spec", [f"D{m}" for m in range(3, 13)] + ["D128", "D384"]
                          + [f"Z{n}" for n in range(1, 31)] + ["Z257", "Z1000", "Z16xZ16"])
 def test_builtin_tables_validate(spec):
     g = parse_group_spec(spec)
-    assert validate_irrep_table(g, build_irrep_table(g)) == []
+    assert validate_irrep_table(build_irrep_table(g)) == []
 
 
 def test_cyclic_characters_are_rounded_once():
@@ -204,7 +216,7 @@ def test_validate_catches_a_homomorphism_only_corruption(spec):
         mats[x] = u @ mats[x] @ u.conj().T
     irreps = list(table.irreps)
     irreps[idx] = Irrep(dim=2, matrices=mats)
-    problems = validate_irrep_table(g, IrrepTable(group=g, irreps=tuple(irreps)))
+    problems = validate_irrep_table(IrrepTable(group=g, irreps=tuple(irreps)))
     assert len(problems) == 1
     assert problems[0].startswith(f"irrep {idx}: rho(ab) != rho(a)rho(b) at (a,b)=")
     a, b = map(int, re.search(r"\(a,b\)=\((\d+),(\d+)\)", problems[0]).groups())
@@ -227,7 +239,7 @@ def test_validate_rejects_a_smooth_phase_error_that_passes_on_generators():
     assert err[:, gens].max() <= tol < err.max()
     irreps = list(table.irreps)
     irreps[1] = Irrep(dim=1, matrices=chi.reshape(n, 1, 1))
-    problems = validate_irrep_table(g, IrrepTable(group=g, irreps=tuple(irreps)), tol=tol)
+    problems = validate_irrep_table(IrrepTable(group=g, irreps=tuple(irreps)), tol=tol)
     assert len(problems) == 1
     assert problems[0].startswith("irrep 1: rho(ab) != rho(a)rho(b)")
 
@@ -341,7 +353,7 @@ def test_spectral_via_irreps_matches_dense():
         for _ in range(10):
             f = _random_complex_function(g, rng)
             via = spectral_via_irreps(f, table)
-            dense = spectral_norm(cayley_matrix(g, f).matrix) / g.order
+            dense = spectral_norm(cayley_matrix(f)) / g.order
             assert via == pytest.approx(dense, rel=1e-10)
 
 
@@ -493,7 +505,7 @@ def test_ascent_rank_twice_max_irrep_dim_reaches_full_norm():
         k = 2 * table.max_dim
         for _ in range(3):
             f = GroupFunction(g, rng.standard_normal(g.order))
-            a = np.asarray(cayley_matrix(g, f).matrix)
+            a = cayley_matrix(f)
             target = g.order * spectral_norm(a)
             val, _ = grothendieck_bm(a, BMConfig(rank=k, restarts=16))
             assert val >= (1 - 1e-6) * target
@@ -504,7 +516,7 @@ def test_real_rank_one_is_not_enough_on_z3():
     # the infinity-to-one norm 4 while the full norm is 4.5
     g = cyclic_group(3)
     f = GroupFunction(g, np.array([1.0, -0.5, -0.5]))
-    a = np.asarray(cayley_matrix(g, f).matrix)
+    a = cayley_matrix(f)
     assert 3 * spectral_norm(a) == pytest.approx(4.5, abs=1e-9)
     val1, _ = grothendieck_bm(a, BMConfig(rank=1, restarts=16))
     assert val1 == pytest.approx(4.0, abs=1e-9)

@@ -142,6 +142,19 @@ def test_mixing_lemma_capacity_error():
         mixing_lemma_check(g.matrix, 4, 4.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_mixing_lemma_rejects_a_non_finite_lambda(lam):
+    # NaN fails every comparison, so unchecked it would pass every pair
+    g = paley_graph(13)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        mixing_lemma_check(g.matrix, 6, lam)
+
+
+def test_mixing_lemma_negative_lambda_fails():
+    g = paley_graph(13)
+    assert not mixing_lemma_check(g.matrix, 6, -1.0)
+
+
 def test_theorem3_paley13():
     r = theorem3_check(paley_graph(13).matrix, 6)
     assert r.passed
