@@ -60,10 +60,11 @@ def cayley_from_set(group: GroupTable, subset: Iterable[int]) -> np.ndarray:
 
 
 def center_regular(a: np.ndarray, d: float) -> np.ndarray:
-    """Return ``A - (d/n) J`` for a square matrix A."""
-    a = np.asarray(a, dtype=np.float64)
+    """Return ``A - (d/n) J`` for a square matrix A; complex or non-finite
+    input is a ValueError."""
+    a = _real_matrix(a, "center_regular")
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
+    if a.shape != (n, n):
         raise ValueError("center_regular needs a square matrix")
     return a - (d / n)
 
@@ -261,12 +262,12 @@ def lift_to_group(a: np.ndarray, group: PermGroup) -> GroupFunction:
     set), returns f with ``f(g) = a[g(0), 0]`` on the group's abstract
     table.  The point of the construction is that the lift multiplies the
     spectral norm by n and the Grothendieck norm by n^2; those identities
-    are checked by the norms module, not here.  An empty matrix is a
-    ValueError.
+    are checked by the norms module, not here.  An empty, complex or
+    non-finite matrix is a ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _real_matrix(a, "lift")
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n) or n == 0:
+    if a.shape != (n, n) or n == 0:
         raise ValueError("lift needs a non-empty square matrix")
     if group.degree != n:
         raise ValueError(f"group degree {group.degree} != matrix size {n}")

@@ -241,9 +241,9 @@ def example1_graph(d: int, n: int, seed: int = 0) -> RegularGraph:
 
 
 def bipartite_deviation(b: np.ndarray, p: float) -> float:
-    """Largest singular value of B - pJ, the bipartite analogue of lambda_2."""
-    b = np.asarray(b, dtype=np.float64)
-    return spectral_norm(b - p)
+    """Largest singular value of B - pJ, the bipartite analogue of lambda_2;
+    complex B or p is kept complex."""
+    return spectral_norm(np.asarray(b) - p)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,24 @@ Spectral norm and symmetric spectra: LAPACK through numpy (svd, eigvalsh).
 Cut and infinity-to-one norms, and the mixing-lemma check: exact subset
 enumeration (capped at EXACT_ENUM_LIMIT = 26 rows), with the inner optimum in
 closed form.  Grothendieck norm: bracketed, by `_bracket` alone, between a
-low-rank block-coordinate ascent (a feasible lower bound) and the cheapest of
-three upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error, K_G
-times the infinity-to-one norm, 8 times the cut norm).  Two-number inequality verdicts are `_check`'s (1e-9 of the larger side).
+low-rank block-coordinate ascent (a feasible lower bound) and the cheaper of
+two upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error, K_G
+times the infinity-to-one norm).  Two-number inequality verdicts are `_check`'s (1e-9 of the larger side).
 
 The enumeration reads each row subset's column sums as L[lo] + H[hi] from
 two subset-sum tables over the low and high halves of the rows: one vector
 add, abs and sum per subset.  When k * A is integral for k = 1 or k = ncols
 (every 0/1 or +-1 matrix, every degree-centered graph matrix A - (d/n) J)
-it runs on rint(k * A) in int64, so the maximum, its ties and the
-lexicographically smallest witness are decided exactly; other input is
-compared in float64 as computed.  When every row and column sum is exactly
-zero (the paper's setting), a row set and its complement have the same cut
-value |c_S|_1 / 2 and ||A||_inf->1 = 4 ||A||_cut, so the cut visits only the
-row sets without row 0; the infinity-to-one norm pins row 0 on every input.
-Reported values are recomputed from their witnesses with math.fsum.
+it runs on N = rint(k * A), in float32 when 3 m n max|N| < 2^24 (every
+table entry, block sum and maximum is then an exactly represented integer)
+and in int64 otherwise, so the maximum, its ties and the lexicographically
+smallest witness are decided exactly; other input is compared in float64 as
+computed.  When every row and column sum is exactly zero (the paper's
+setting), a row set and its complement have the same cut value |c_S|_1 / 2
+and ||A||_inf->1 = 4 ||A||_cut, so the cut visits only the row sets without
+row 0, and `analyze` takes both norms from that one enumeration; the
+infinity-to-one norm pins row 0 on every input.  Reported values are
+recomputed from their witnesses with math.fsum.
 """
 
 from __future__ import annotations
@@ -146,20 +149,25 @@ def _enumeration_form(a: np.ndarray) -> tuple[np.ndarray, bool]:
 
     When k * a is integral (within _INTEGRAL_RTOL) for k = 1 or k = ncols and
     every sum the enumeration forms, at most m * n * max|k * a|, stays below
-    2^53, this is N = rint(k * a) in int64: scaling by k > 0 keeps maximizers,
-    so the maximum, its ties and the zero margins are decided exactly for
-    N / k, the matrix that `a` rounds.  That covers every 0/1 and +-1 matrix
-    and every degree-centered graph matrix A - (d/n) J.  Otherwise it is `a`
-    itself, compared in float64 as computed, and never has zero margins.
+    2^53, this is N = rint(k * a): scaling by k > 0 keeps maximizers, so the
+    maximum, its ties and the zero margins are decided exactly for N / k,
+    the matrix that `a` rounds.  That covers every 0/1 and +-1 matrix and
+    every degree-centered graph matrix A - (d/n) J.  N is float32 when
+    3 m n max|N| < 2^24, which bounds every table entry (|t - 2 c_S| <=
+    3 m max|N| per column) and every block sum, so each is an exactly
+    represented integer and the enumeration moves half the bytes; otherwise
+    it is int64.  Other input is `a` itself, compared in float64 as
+    computed, and never has zero margins.
     """
     m, n = a.shape
     scale = float(np.abs(a).max())
     for k in (1, n):
         ka = k * a
         ints = np.rint(ka)
+        largest = m * n * float(np.abs(ints).max())
         if (float(np.abs(ka - ints).max()) <= _INTEGRAL_RTOL * k * scale
-                and m * n * float(np.abs(ints).max()) < 2.0 ** 53):
-            w = ints.astype(np.int64)
+                and largest < 2.0 ** 53):
+            w = ints.astype(np.float32 if 3 * largest < 2.0 ** 24 else np.int64)
             return w, not w.sum(axis=0).any() and not w.sum(axis=1).any()
     return a, False
 
@@ -173,14 +181,15 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
-            choose=None) -> tuple[float, int]:
-    """Largest |base + sum of rows[i] over i in S|_1 over row subsets S, and a
-    mask attaining it; S never holds row 0 when pinned.
+            choose=None) -> tuple[float, int, int]:
+    """Largest |base + sum of rows[i] over i in S|_1 over row subsets S, a
+    chosen mask attaining it, and the first (smallest) mask attaining it; S
+    never holds row 0 when pinned.
 
-    Masks are visited in ascending order and the first attaining one is
-    returned, unless ``choose(masks) -> (key, mask)`` picks among the tied
-    masks of each block; then the mask with the smallest key wins, and a key
-    of () (the empty set, the smallest there is) ends the contest.
+    Masks are visited in ascending order.  The chosen mask is the first one,
+    unless ``choose(masks) -> (key, mask)`` picks among the tied masks of
+    each block; then the mask with the smallest key wins, and a key of ()
+    (the empty set, the smallest there is) ends the contest.
     """
     m = rows.shape[0]
     h = (m + 1) // 2
@@ -196,7 +205,7 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
     per_block = max(1, _BLOCK_ENTRIES // (cols * width))
     buf = np.empty((per_block, cols, width), dtype=rows.dtype)
     best = best_key = None
-    best_mask = 0
+    best_mask = first_mask = 0
     for first in range(0, high.shape[0], per_block):
         block = buf[: min(per_block, high.shape[0] - first)]
         np.add(low, high[first:first + len(block), :, None], out=block)
@@ -208,10 +217,12 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
             continue
         hi_idx, lo_idx = np.nonzero(vals == top)
         masks = ((first + hi_idx) << h) | low_masks[lo_idx]
-        key, mask = (None, int(masks[0])) if choose is None else choose(masks)
+        if best is None or top > best:
+            first_mask = int(masks[0])
+        key, mask = (None, first_mask) if choose is None else choose(masks)
         if best is None or top > best or key < best_key:
             best, best_key, best_mask = top, key, mask
-    return best, best_mask
+    return best, best_mask, first_mask
 
 
 def _subset_key(mask: int, m: int) -> tuple[int, ...]:
@@ -233,9 +244,9 @@ def _lex_min_mask(masks: np.ndarray, m: int) -> int:
     return chosen
 
 
-def _cut_rows(w: np.ndarray, zero_margins: bool) -> tuple[float, int]:
-    """Twice the cut norm of w, and the lexicographically smallest row mask
-    attaining it.
+def _cut_rows(w: np.ndarray, zero_margins: bool) -> tuple[float, int, int]:
+    """Twice the cut norm of w, the lexicographically smallest row mask
+    attaining it, and the first mask the enumeration found attaining it.
 
     For a row set with column sums c the best column set gives
     max(sum c+, sum c-) = (|c|_1 + |sum c|) / 2, so a last column holding
@@ -262,7 +273,8 @@ def _infty_one_signs(w: np.ndarray) -> tuple[float, int]:
     x = 1 - 2 1_S with x_0 = +1: x^T w = t - 2 c_S for the column sums t of
     w and c_S of S.
     """
-    return _max_l1(-2 * w, base=w.sum(axis=0), pinned=True)
+    best, mask, _ = _max_l1(-2 * w, base=w.sum(axis=0), pinned=True)
+    return best, mask
 
 
 def _column_witness(c: np.ndarray) -> tuple[int, ...]:
@@ -292,6 +304,30 @@ def _column_witness(c: np.ndarray) -> tuple[int, ...]:
     return min(build(c > 0), build(c < 0))
 
 
+def _check_enumeration_cap(m: int, what: str) -> None:
+    if m > EXACT_ENUM_LIMIT:
+        raise CapacityError(
+            f"{what} enumeration is capped at {EXACT_ENUM_LIMIT} rows (got {m}); "
+            "use grothendieck_bounds for larger matrices"
+        )
+
+
+def _cut_from_mask(a: np.ndarray, w: np.ndarray, mask: int) -> CutNormResult:
+    """The cut witness with row mask `mask` of `a`, whose enumeration form is w."""
+    rows = _subset_key(mask, a.shape[0])
+    cols = _column_witness(w[list(rows)].sum(axis=0))
+    value = abs(math.fsum(a[np.ix_(rows, cols)].ravel())) if rows and cols else 0.0
+    return CutNormResult(value=value, row_set=rows, col_set=cols)
+
+
+def _infty_one_from_mask(a: np.ndarray, w: np.ndarray, mask: int) -> float:
+    """|x^T a y| for x = 1 - 2 1_S with S = `mask` and y the sign pattern of
+    x^T w, where w is the enumeration form of `a`."""
+    x = 1 - 2 * ((mask >> np.arange(a.shape[0])) & 1)
+    y = np.where(x @ w < 0, -1, 1)
+    return abs(math.fsum((a * np.outer(x, y)).ravel()))
+
+
 def cut_norm_exact(a: np.ndarray) -> CutNormResult:
     """Exact cut norm: max over row/column subsets of |sum of the submatrix|.
 
@@ -305,20 +341,12 @@ def cut_norm_exact(a: np.ndarray) -> CutNormResult:
     a CapacityError, complex or non-finite input a ValueError.
     """
     a = _real_matrix(a, "cut_norm_exact")
-    m, n = a.shape
-    if m > EXACT_ENUM_LIMIT:
-        raise CapacityError(
-            f"cut norm enumeration is capped at {EXACT_ENUM_LIMIT} rows (got {m}); "
-            "use grothendieck_bounds for larger matrices"
-        )
+    _check_enumeration_cap(a.shape[0], "cut norm")
     if a.size == 0:
         return CutNormResult(value=0.0, row_set=(), col_set=())
     w, zero_margins = _enumeration_form(a)
-    _, mask = _cut_rows(w, zero_margins)
-    rows = _subset_key(mask, m)
-    cols = _column_witness(w[list(rows)].sum(axis=0))
-    value = abs(math.fsum(a[np.ix_(rows, cols)].ravel())) if rows and cols else 0.0
-    return CutNormResult(value=value, row_set=rows, col_set=cols)
+    _, mask, _ = _cut_rows(w, zero_margins)
+    return _cut_from_mask(a, w, mask)
 
 
 def infty_one_exact(a: np.ndarray) -> float:
@@ -332,19 +360,34 @@ def infty_one_exact(a: np.ndarray) -> float:
     non-finite input a ValueError.
     """
     a = _real_matrix(a, "infty_one_exact")
-    m, _ = a.shape
-    if m > EXACT_ENUM_LIMIT:
-        raise CapacityError(
-            f"infinity-to-one enumeration is capped at {EXACT_ENUM_LIMIT} rows (got {m}); "
-            "use grothendieck_bounds for larger matrices"
-        )
+    _check_enumeration_cap(a.shape[0], "infinity-to-one")
     if a.size == 0:
         return 0.0
     w, _ = _enumeration_form(a)
     _, mask = _infty_one_signs(w)
-    x = 1 - 2 * ((mask >> np.arange(m)) & 1)
-    y = np.where(x @ w < 0, -1, 1)
-    return abs(math.fsum((a * np.outer(x, y)).ravel()))
+    return _infty_one_from_mask(a, w, mask)
+
+
+def _cut_and_infty_one(a: np.ndarray) -> tuple[CutNormResult, float, bool]:
+    """`cut_norm_exact(a)` and `infty_one_exact(a)` of a real matrix, and
+    whether one enumeration gave both (the margins are zero).
+
+    With zero margins the column sums t of the enumeration form are 0, so
+    on every row set without row 0 the infinity-to-one objective
+    |t - 2 c_S|_1 is exactly twice the cut objective |c_S|_1 on the same
+    tables: the first mask attaining the cut maximum is the mask
+    `_infty_one_signs` finds, and the same recompute gives the same bits.
+    Otherwise both enumerations run.  More than EXACT_ENUM_LIMIT rows is the
+    cut norm's CapacityError.
+    """
+    _check_enumeration_cap(a.shape[0], "cut norm")
+    if a.size == 0:
+        return CutNormResult(value=0.0, row_set=(), col_set=()), 0.0, False
+    w, zero_margins = _enumeration_form(a)
+    _, mask, first = _cut_rows(w, zero_margins)
+    if not zero_margins:
+        _, first = _infty_one_signs(w)
+    return _cut_from_mask(a, w, mask), _infty_one_from_mask(a, w, first), zero_margins
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +566,12 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
                                             objective=best_obj)
 
 
-def _bracket(m: int, n: int, spectral: float, bm: float, io1: Optional[float],
-             cut: Optional[CutNormResult]) -> tuple[float, float]:
-    """The bracket of `grothendieck_bounds` from computed norms (None: not run)."""
+def _bracket(m: int, n: int, spectral: float, bm: float,
+             io1: Optional[float]) -> tuple[float, float]:
+    """The bracket of `grothendieck_bounds` from computed norms (io1 None: not run)."""
     lower, upper = bm, _spectral_upper(spectral, m, n)
     if io1 is not None:
         lower, upper = max(lower, io1), min(upper, K_G * io1)
-    if cut is not None:
-        upper = min(upper, 8.0 * cut.value)
     return lower, upper
 
 
@@ -538,18 +579,16 @@ def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[
     """A certified bracket [lower, upper] for the Grothendieck norm.
 
     lower = max(ascent value, exact infinity-to-one norm when feasible);
-    upper = min(`_spectral_upper`, K_G * infinity-to-one, 8 * cut norm), the
-    last two only when the exact enumerations are feasible.  `analyze` and
+    upper = min(`_spectral_upper`, K_G * infinity-to-one), the second only
+    when the exact enumeration is feasible.  A cut-norm term 8 cut would
+    never be the minimum, since K_G io1 <= 4 K_G cut < 8 cut.  `analyze` and
     the `factor4` verify suite get theirs from the same rule, `_bracket`.
     """
     a = _real_matrix(a, "grothendieck_bounds")
     m, n = a.shape
     bm, _ = grothendieck_bm(a, cfg)
-    io1 = cut = None
-    if m <= EXACT_ENUM_LIMIT:
-        io1 = infty_one_exact(a)
-        cut = cut_norm_exact(a)
-    return _bracket(m, n, spectral_norm(a), bm, io1, cut)
+    io1 = infty_one_exact(a) if m <= EXACT_ENUM_LIMIT else None
+    return _bracket(m, n, spectral_norm(a), bm, io1)
 
 
 # ---------------------------------------------------------------------------
@@ -694,13 +733,11 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     io1 = None
     try:
         t0 = time.perf_counter()
-        cut = cut_norm_exact(a)
-        timings["cut"] = time.perf_counter() - t0
-        work["cut_subsets"] = 1 << m
-        t0 = time.perf_counter()
-        io1 = infty_one_exact(a)
-        timings["infty_one"] = time.perf_counter() - t0
-        work["infty_one_signs"] = (1 << m) >> 1
+        cut, io1, one_pass = _cut_and_infty_one(a)
+        timings["enumeration"] = time.perf_counter() - t0
+        # the subsets and sign vectors actually visited
+        work["cut_subsets"] = (1 << m) >> one_pass
+        work["infty_one_signs"] = 0 if one_pass else (1 << m) >> 1
     except CapacityError as exc:
         notes.append(str(exc))
 
@@ -711,7 +748,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     work["bm_rank"] = k
     work["bm_restarts"] = cfg.restarts
 
-    lower, upper = _bracket(m, n, spectral, bm_value, io1, cut)
+    lower, upper = _bracket(m, n, spectral, bm_value, io1)
 
     transitive = None
     if m == n and n <= AUTOMORPHISM_SEARCH_LIMIT:
@@ -772,9 +809,21 @@ def _require_regular(a, d: Optional[float], name: str) -> tuple[np.ndarray, floa
 def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEstimate:
     """Smallest epsilon with every (S, T) discrepancy at most epsilon * d * n.
 
-    Exact (via the cut norm of the degree-centered matrix) up to the
-    enumeration cap; above it, a bracket derived from the Grothendieck
-    bounds via cut <= G <= 8 cut.  Complex or non-finite input is a ValueError.
+    Exact up to the enumeration cap: the cut norm of the degree-centered
+    matrix, over d n.  Above it, [G_lower / (4 K_G), G_upper / 4] / (d n)
+    from the Grothendieck bracket of B, the float matrix that rounds
+    C = A - (d/n) J with an error of at most u = 2^-53 per entry:
+    - the lower end holds for every real matrix, B included:
+      ||B||_G <= K_G ||B||_inf->1 <= 4 K_G ||B||_cut;
+    - the upper end needs zero margins, which `_enumeration_form` confirms on
+      n B.  C has them exactly, so ||C||_cut = ||C||_inf->1 / 4 <= ||C||_G / 4
+      <= n sigma_1(C) / 4, and then ||B||_cut <= n sigma_1(B) / 4 +
+      5 n^2 u / 4.  Above the cap G_upper is n sigma_hat(B) (1 + 16 n u),
+      whose slack adds 4 n^2 u sigma_hat to G_upper / 4, and sigma_hat is
+      about sigma_1(C) >= 1: the non-trivial eigenvalues' squares sum to
+      d (n - d) >= n - 1 for 0 < d < n, and d = n gives B = C = 0.
+    Without zero margins it would be [G_lower / 8, G_upper] / (d n), from
+    cut <= G <= 8 cut.  Complex or non-finite input is a ValueError.
     """
     a, d = _require_regular(a, d, "epsilon_uniformity")
     n = a.shape[0]
@@ -785,6 +834,8 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEs
         eps = cut_norm_exact(centered).value / (d * n)
         return UniformityEstimate(eps, eps, True)
     lower, upper = grothendieck_bounds(centered)
+    if _enumeration_form(centered)[1]:
+        return UniformityEstimate(lower / (4.0 * K_G) / (d * n), upper / 4.0 / (d * n), False)
     return UniformityEstimate(lower / 8.0 / (d * n), upper / (d * n), False)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ def test_center_regular():
     pal = paley_graph(13)
     centered = center_regular(pal.matrix, 6)
     assert np.allclose(centered.sum(axis=1), 0.0)
+
+
+def test_center_regular_rejects_complex_and_non_finite():
+    # a complex matrix was silently cast to its real part
+    for bad, match in ((np.eye(3) + 1j * np.eye(3), "real"),
+                       (np.full((3, 3), np.nan), "finite"), (np.full((3, 3), np.inf), "finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                center_regular(bad, 1)
 
 
 def test_find_transitive_automorphisms_petersen():
@@ -256,6 +267,17 @@ def test_lift_rejects_intransitive_group():
 def test_lift_rejects_an_empty_matrix():
     with pytest.raises(ValueError, match="non-empty"):
         lift_to_group(np.zeros((0, 0)), group_closure(0, []))
+
+
+def test_lift_rejects_complex_and_non_finite():
+    # a complex matrix was silently cast to its real part
+    z4 = group_closure(4, [[1, 2, 3, 0]])
+    circulant = cayley_matrix(GroupFunction(cyclic_group(4), np.array([0.0, 1.0, 0.0, 1.0])))
+    for bad, match in ((circulant + 1j * np.eye(4), "real"), (circulant + np.nan, "finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                lift_to_group(bad, z4)
 
 
 def test_lift_then_cayley_reproduces_matrix_under_regular_action():

@@ -1,6 +1,7 @@
 """Graph family constructors and bipartite Cayley deviations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ def test_random_regular_rejects_odd_product():
 def test_bipartite_deviation_trivial_cases():
     assert bipartite_deviation(np.ones((4, 6)), 1.0) == 0.0
     assert bipartite_deviation(np.ones((3, 3)), 1.0) == 0.0
+
+
+def test_bipartite_deviation_keeps_complex_input():
+    # the imaginary part was silently dropped, giving 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bipartite_deviation(1j * np.eye(2), 0.0) == 1.0
+        assert bipartite_deviation(np.eye(2), 1j) == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
 def test_bipartite_cayley_z4_report():

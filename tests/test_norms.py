@@ -21,6 +21,7 @@ from cayleynorms import (
     cycle_graph,
     cyclic_group,
     dihedral_group,
+    example1_graph,
     grothendieck_bm,
     grothendieck_bounds,
     group_spectral,
@@ -425,19 +426,20 @@ def test_zero_margin_shortcut_equals_full_enumeration():
         for d in (3, 4):
             g = random_regular(n, d, seed=n + d)
             w, zero_margins = norms._enumeration_form(center_regular(g.matrix, d))
-            assert zero_margins and w.dtype == np.int64
-            cut2, mask = norms._cut_rows(w, True)
-            assert (cut2, mask) == norms._cut_rows(w, False)
-            io1, _ = norms._infty_one_signs(w)
+            assert zero_margins and w.dtype == np.float32
+            cut2, mask, first = norms._cut_rows(w, True)
+            assert (cut2, mask) == norms._cut_rows(w, False)[:2]
+            io1, io1_mask = norms._infty_one_signs(w)
             assert io1 == 2 * cut2  # io1 = 4 cut with zero margins
+            assert io1_mask == first  # the one pass finds the sign enumeration's mask
 
 
 def test_enumeration_form_covers_integer_and_centered_inputs():
     w, zero = norms._enumeration_form(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert w.dtype == np.int64 and zero
+    assert w.dtype == np.float32 and zero
     g = paley_graph(17)
     w, zero = norms._enumeration_form(center_regular(g.matrix, g.degree))
-    assert w.dtype == np.int64 and zero
+    assert w.dtype == np.float32 and zero
     assert np.array_equal(w, 17 * g.matrix.astype(np.int64) - 8)
     # not integral for k = 1 or k = ncols: stays in float64
     a = np.array([[0.5, 1.0 / 3.0], [1.0, 0.0]])
@@ -446,6 +448,94 @@ def test_enumeration_form_covers_integer_and_centered_inputs():
     # too large for exact sums
     w, _ = norms._enumeration_form(np.full((2, 2), 2.0 ** 52))
     assert w.dtype == np.float64
+    # float32 exactly while 3 m n max|N| < 2^24, int64 from there on
+    for shape in ((2, 2), (26, 26), (26, 40)):
+        m, n = shape
+        below = (2 ** 24 - 1) // (3 * m * n)
+        assert norms._enumeration_form(np.full(shape, float(below)))[0].dtype == np.float32
+        assert norms._enumeration_form(np.full(shape, below + 1.0))[0].dtype == np.int64
+    # every +-1 matrix and every centered graph up to the enumeration cap
+    assert norms._enumeration_form(np.ones((26, 26)))[0].dtype == np.float32
+    g = random_regular(26, 13, seed=0)
+    w, zero = norms._enumeration_form(center_regular(g.matrix, g.degree))
+    assert w.dtype == np.float32 and zero
+
+
+def _exact_norm_inputs():
+    """Graphs, +-1, integer, Gaussian, single-row and empty matrices."""
+    for n in range(4, 21):
+        g = cycle_graph(n)
+        yield f"cycle{n}", center_regular(g.matrix, g.degree)
+    for n in range(4, 17):
+        g = complete_graph(n)
+        yield f"complete{n}", center_regular(g.matrix, g.degree)
+        yield f"complete{n}-raw", g.matrix
+    for q in (5, 13, 17):
+        g = paley_graph(q)
+        yield f"paley{q}", center_regular(g.matrix, g.degree)
+    for seed in range(3):
+        g = example1_graph(6, 16, seed=seed)
+        yield f"example1-6-16-{seed}", center_regular(g.matrix, g.degree)
+    for n, d, seed in ((10, 3, 0), (12, 4, 1), (14, 5, 2), (16, 3, 3), (17, 4, 4)):
+        g = random_regular(n, d, seed=seed)
+        yield f"rr{n}-{d}", center_regular(g.matrix, d)
+        yield f"rr{n}-{d}-raw", g.matrix
+    rng = np.random.Generator(np.random.Philox(94))
+    for m, n in ((1, 1), (1, 7), (7, 1), (3, 5), (6, 9), (9, 6), (12, 12), (14, 3)):
+        yield f"signs{m}x{n}", rng.choice([-1.0, 1.0], size=(m, n))
+        ints = rng.integers(-4, 5, size=(m, n)).astype(float)
+        yield f"ints{m}x{n}", ints
+        yield f"ints{m}x{n}-zero-cols", _zero_column_sums(ints)
+        yield f"gauss{m}x{n}", rng.standard_normal((m, n))
+    for shape in ((0, 0), (0, 4), (4, 0)):
+        yield f"empty{shape}", np.zeros(shape)
+
+
+@pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _exact_norm_inputs()])
+def test_shared_enumeration_equals_both_public_norms_bit_for_bit(a):
+    cut, io1, one_pass = norms._cut_and_infty_one(a)
+    want_cut, want_io1 = cut_norm_exact(a), infty_one_exact(a)
+    assert cut == want_cut and float.hex(cut.value) == float.hex(want_cut.value)
+    assert float.hex(io1) == float.hex(want_io1)
+    assert one_pass == (a.size > 0 and norms._enumeration_form(a)[1])
+
+
+def test_int64_enumeration_form_matches_brute_force():
+    # 3 m n max|N| >= 2^24: too large for exact float32 sums
+    rng = np.random.Generator(np.random.Philox(95))
+    for shape in ((5, 4), (4, 6), (7, 7)):
+        a = rng.integers(-2 ** 20, 2 ** 20, size=shape).astype(float)
+        a[0, 0] = 2.0 ** 20
+        w, _ = norms._enumeration_form(a)
+        assert w.dtype == np.int64
+        assert cut_norm_exact(a).value == _cut_by_matmul(a).max()
+        assert infty_one_exact(a) == _io1_brute(a)
+        for b in (_zero_column_sums(a), _zero_column_sums(_zero_column_sums(a).T).T):
+            w, zero = norms._enumeration_form(b)
+            assert w.dtype == np.int64
+            cut, io1, _ = norms._cut_and_infty_one(b)
+            assert cut.value == _cut_by_matmul(b).max()
+            assert io1 == _io1_brute(b)
+
+
+def test_analyze_enumerates_once_at_zero_margins(monkeypatch):
+    calls = []
+    real = norms._max_l1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_max_l1", counting)
+    g = paley_graph(13)
+    for a, passes in ((center_regular(g.matrix, g.degree), 1), (g.matrix, 2),
+                      (np.random.Generator(np.random.Philox(96)).standard_normal((6, 5)), 2)):
+        calls.clear()
+        report = analyze(a)
+        assert len(calls) == passes
+        m = a.shape[0]
+        assert report.work["cut_subsets"] == (1 << m) >> (passes == 1)
+        assert report.work["infty_one_signs"] == (0 if passes == 1 else 1 << (m - 1))
 
 
 def test_subset_sums_match_bit_unpacking():

@@ -12,6 +12,8 @@ from cayleynorms import (
     cut_norm_exact,
     cycle_graph,
     epsilon_uniformity,
+    example1_graph,
+    grothendieck_bounds,
     mixing_lemma_check,
     paley_graph,
     petersen_graph,
@@ -64,6 +66,24 @@ def test_epsilon_bracket_mode_above_exact_cap():
     assert 0 <= est.lower <= est.upper
     with pytest.raises(ValueError):
         _ = est.value
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(5), cycle_graph(12), cycle_graph(20), complete_graph(4), complete_graph(9),
+    complete_graph(16), paley_graph(5), paley_graph(13), paley_graph(17),
+    random_regular(12, 3, seed=0), random_regular(18, 4, seed=1), random_regular(24, 5, seed=2),
+    example1_graph(6, 16, seed=0), example1_graph(4, 20, seed=1),
+], ids=lambda g: g.provenance)
+def test_epsilon_bracket_above_the_cap_contains_the_exact_value(g, monkeypatch):
+    exact = epsilon_uniformity(g.matrix, g.degree).value
+    monkeypatch.setattr(norms, "EXACT_ENUM_LIMIT", g.n - 1)
+    est = epsilon_uniformity(g.matrix, g.degree)
+    assert not est.exact
+    assert est.lower <= exact <= est.upper
+    # the zero-margin ends, not [G_lower / 8, G_upper]
+    g_lower, g_upper = grothendieck_bounds(center_regular(g.matrix, g.degree))
+    scale = g.degree * g.n
+    assert (est.lower, est.upper) == (g_lower / (4 * norms.K_G) / scale, g_upper / 4 / scale)
 
 
 def test_epsilon_degree_inferred():
