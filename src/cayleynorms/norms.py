@@ -810,20 +810,21 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEs
     """Smallest epsilon with every (S, T) discrepancy at most epsilon * d * n.
 
     Exact up to the enumeration cap: the cut norm of the degree-centered
-    matrix, over d n.  Above it, [G_lower / (4 K_G), G_upper / 4] / (d n)
-    from the Grothendieck bracket of B, the float matrix that rounds
-    C = A - (d/n) J with an error of at most u = 2^-53 per entry:
+    matrix, over d n.  Above it, [G_lower / (4 K_G), G_upper / 4 + r] / (d n)
+    with r = 5 n^2 eps / 4, eps = 2^-52, from the Grothendieck bracket of B,
+    the float matrix that rounds C = A - (d/n) J:
     - the lower end holds for every real matrix, B included:
       ||B||_G <= K_G ||B||_inf->1 <= 4 K_G ||B||_cut;
-    - the upper end needs zero margins, which `_enumeration_form` confirms on
-      n B.  C has them exactly, so ||C||_cut = ||C||_inf->1 / 4 <= ||C||_G / 4
-      <= n sigma_1(C) / 4, and then ||B||_cut <= n sigma_1(B) / 4 +
-      5 n^2 u / 4.  Above the cap G_upper is n sigma_hat(B) (1 + 16 n u),
-      whose slack adds 4 n^2 u sigma_hat to G_upper / 4, and sigma_hat is
-      about sigma_1(C) >= 1: the non-trivial eigenvalues' squares sum to
-      d (n - d) >= n - 1 for 0 < d < n, and d = n gives B = C = 0.
-    Without zero margins it would be [G_lower / 8, G_upper] / (d n), from
-    cut <= G <= 8 cut.  Complex or non-finite input is a ValueError.
+    - the upper end needs the zero margins of C, which `_require_regular`
+      guarantees: it accepts only 0/1 matrices with every row and column sum
+      d.  So ||C||_cut = ||C||_inf->1 / 4 <= ||C||_G / 4 <= n sigma_1(C) / 4.
+      Each entry of B is within e = (eps / 2)(1 + eps) of C's, so
+      ||B||_cut <= ||C||_cut + n^2 e and sigma_1(C) <= sigma_1(B) + n e;
+      with n sigma_1(B) <= G_upper (`_spectral_upper`),
+      ||B||_cut <= G_upper / 4 + 5 n^2 e / 4.  r is exact and exceeds that
+      last term by more than the two roundings in forming the end lose, at
+      most eps of G_upper / 4 + r <= n^2 / 2 as sigma_1 <= d <= n.
+    Complex or non-finite input is a ValueError.
     """
     a, d = _require_regular(a, d, "epsilon_uniformity")
     n = a.shape[0]
@@ -834,9 +835,9 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEs
         eps = cut_norm_exact(centered).value / (d * n)
         return UniformityEstimate(eps, eps, True)
     lower, upper = grothendieck_bounds(centered)
-    if _enumeration_form(centered)[1]:
-        return UniformityEstimate(lower / (4.0 * K_G) / (d * n), upper / 4.0 / (d * n), False)
-    return UniformityEstimate(lower / 8.0 / (d * n), upper / (d * n), False)
+    rounding = 5.0 * n * n * float(np.finfo(np.float64).eps) / 4.0
+    return UniformityEstimate(lower / (4.0 * K_G) / (d * n), (upper / 4.0 + rounding) / (d * n),
+                              False)
 
 
 def mixing_lemma_check(a: np.ndarray, d: float, lam: float) -> bool:
