@@ -380,8 +380,13 @@ def svd_witness(f: GroupFunction, table: IrrepTable) -> SvdWitness:
     x = mats_inv @ u1
     y = mats_inv @ v1
     fmat = f.values[g.ghinv]
-    # objective = mean_{g,h} f(gh^-1) x(g)^H y(h) = tr(X^H F Y) / n^2
-    objective = abs(np.einsum("gd,gh,hd->", x.conj(), fmat, y)) / g.order**2
+    # objective = mean_{g,h} f(gh^-1) x(g)^H y(h) = x^H (F y) / n^2, by BLAS; a real F
+    # multiplies y's interleaved real and imaginary parts, so F is never made complex
+    if np.iscomplexobj(fmat):
+        fy = fmat @ y
+    else:
+        fy = (fmat @ y.view(np.float64)).view(np.complex128)
+    objective = abs(np.vdot(x, fy)) / g.order**2
     return SvdWitness(x=x, y=y, objective=float(objective), irrep_index=best, fhat=fhat)
 
 

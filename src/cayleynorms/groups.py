@@ -188,7 +188,7 @@ def symmetric_group(m: int) -> GroupTable:
     """S_m with elements enumerated in lexicographic one-line order."""
     if m < 1:
         raise ValueError(f"symmetric parameter must be >= 1, got {m}")
-    _check_capacity(math.factorial(m))
+    _symmetric_order(m)
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
     n = perms.shape[0]
     radix = m ** np.arange(m, dtype=np.int64)
@@ -218,28 +218,58 @@ def _check_capacity(order: int) -> None:
         )
 
 
+def _symmetric_order(m: int) -> int:
+    """m!, checked against the table cap as it grows: for large m, m! is slow
+    to compute and too long to print long before m is."""
+    order = 1
+    for k in range(2, m + 1):
+        order *= k
+        if order > MAX_TABLE_ORDER:
+            raise CapacityError(f"group order {m}! exceeds the table cap {MAX_TABLE_ORDER}")
+    return order
+
+
+# Spec atoms by letter: the constructor, and the order of the group it builds.
+_SPEC_ATOMS = {
+    "Z": (cyclic_group, lambda k: k),
+    "C": (cyclic_group, lambda k: k),
+    "D": (dihedral_group, lambda m: 2 * m),
+    "S": (symmetric_group, _symmetric_order),
+}
+
+
+def _spec_atoms(spec: str) -> list:
+    """The (constructor, order rule, parameter) of each atom of a spec."""
+    s = spec.replace(" ", "")
+    if not s:
+        raise ValueError("empty group spec")
+    atoms = []
+    for atom in s.split("x"):
+        kind, num = atom[:1].upper(), atom[1:]
+        if kind not in _SPEC_ATOMS or not num.isdigit():
+            raise ValueError(f"unrecognized group atom {atom!r} in {spec!r}")
+        atoms.append((*_SPEC_ATOMS[kind], int(num)))
+    return atoms
+
+
+def spec_order(spec: str) -> int:
+    """The order of the group that `parse_group_spec` builds from ``spec``,
+    found without building anything: a ValueError if ``spec`` is not a spec,
+    a CapacityError if the order is past the table cap."""
+    order = math.prod(rule(k) for _, rule, k in _spec_atoms(spec))
+    _check_capacity(order)
+    return order
+
+
 def parse_group_spec(spec: str) -> GroupTable:
     """Build a group from a compact spec string like ``Z12``, ``D4`` or ``Z2xZ2``.
 
     Accepted atoms: ``Z<n>``/``C<n>`` (cyclic), ``D<m>`` (dihedral, order 2m),
-    ``S<m>`` (symmetric).  Atoms joined with ``x`` form direct products.
+    ``S<m>`` (symmetric).  Atoms joined with ``x`` form direct products.  A
+    spec past the table cap fails before any table is built.
     """
-    s = spec.replace(" ", "")
-    if not s:
-        raise ValueError("empty group spec")
-    groups = []
-    for atom in s.split("x"):
-        kind, num = atom[:1].upper(), atom[1:]
-        if not num.isdigit():
-            raise ValueError(f"unrecognized group atom {atom!r} in {spec!r}")
-        if kind in ("Z", "C"):
-            groups.append(cyclic_group(int(num)))
-        elif kind == "D":
-            groups.append(dihedral_group(int(num)))
-        elif kind == "S":
-            groups.append(symmetric_group(int(num)))
-        else:
-            raise ValueError(f"unrecognized group atom {atom!r} in {spec!r}")
+    spec_order(spec)
+    groups = [build(k) for build, _, k in _spec_atoms(spec)]
     out = groups[0]
     for right in groups[1:]:
         out = product_group(out, right)

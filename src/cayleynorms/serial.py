@@ -5,18 +5,30 @@ significant digits so parsing reproduces the exact double.  Identical
 inputs therefore serialize to identical bytes.  Parsers re-validate what
 they read and ignore an optional "provenance" block, which callers may
 attach to record how a file was produced.
+
+A group file embeds its multiplication table (``mul``, ``inv``).  A group
+function names its group instead, as ``{"kind": "group", "label": L,
+"order": n}`` with no table, when the group is built in: when
+`groups.parse_group_spec` rebuilds the same label and table from L (``Z6``,
+``D384``, ``Z2xZ3``, ``S3``).  Any other group, such as a lifted permutation
+group or a table whose label names a different group, is embedded.
+`parse_group` reads both forms, so files that embed a built-in group's table
+still parse.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import reduce
 from typing import Any, Optional
 
 import numpy as np
 
 from .fourier import Irrep, IrrepTable, ensure_valid_irreps
-from .groups import GroupFunction, GroupTable, PermGroup, _finish_table, group_closure
+from .errors import CapacityError
+from .groups import GroupFunction, GroupTable, PermGroup, _finish_table, group_closure, \
+    parse_group_spec, spec_order
 from .norms import NormReport
 
 
@@ -79,16 +91,46 @@ def loads(text: str) -> dict:
 
 
 def _expect_kind(obj: dict, kind: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected kind {kind!r}, found a JSON {type(obj).__name__}")
     if obj.get("kind") != kind:
         raise ValueError(f"expected kind {kind!r}, found {obj.get('kind')!r}")
+
+
+def _field(obj, key: str, name: Optional[str] = None):
+    """obj[key], else a ValueError naming the missing field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {name or key!r}")
+    return obj[key]
+
+
+def _numbers(raw, field: str) -> np.ndarray:
+    """Nested lists of finite numbers read from a file, as float64; a null, a
+    NaN, a string or a ragged list is a ValueError naming the field."""
+    try:
+        a = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be numbers in lists of equal length") from None
+    bad = ~np.isfinite(a)
+    if bad.any():
+        at = tuple(map(int, np.argwhere(bad)[0]))
+        found = reduce(lambda item, i: item[i], at, raw)
+        raise ValueError(f"{field}{''.join(f'[{i}]' for i in at)} = {found!r} "
+                         "is not a finite number")
+    return a
 
 
 def _complex_pairs(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _from_pairs(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+def _from_pairs(pairs, field: str) -> np.ndarray:
+    """Complex numbers stored as [re, im] pairs, read exactly (signed zeros
+    too); anything else is a ValueError naming the field."""
+    xy = _numbers(pairs, field)
+    if xy.ndim < 2 or xy.shape[-1] != 2:
+        raise ValueError(f"{field} must hold [re, im] pairs, found shape {xy.shape}")
+    return xy.view(np.complex128)[..., 0]
 
 
 def _integer(value, field: str, lo: int = 0, hi: Optional[int] = None) -> int:
@@ -126,15 +168,44 @@ def group_to_text(g: GroupTable, provenance: Optional[dict] = None) -> str:
     return dumps(group_to_obj(g, provenance))
 
 
+def _names_builtin(g: GroupTable) -> bool:
+    """Whether `parse_group_spec` rebuilds g, label and table, from g's label."""
+    try:
+        if spec_order(g.label) != g.order:
+            return False
+        built = parse_group_spec(g.label)
+    except (ValueError, CapacityError):
+        return False
+    return built.label == g.label and built.same_as(g)
+
+
+def _builtin_group(label, n: int) -> GroupTable:
+    """The built-in group a table-less group entry names, of order n."""
+    if not isinstance(label, str):
+        raise ValueError(f"group label must be a string, found {label!r}")
+    try:
+        order = spec_order(label)
+    except ValueError as exc:
+        raise ValueError(f"group {label!r} has no table and its label names no built-in "
+                         f"group ({exc})") from None
+    if order != n:
+        raise ValueError(f"group label {label!r} names a group of order {order}, not {n}")
+    return parse_group_spec(label)
+
+
 def parse_group(source: str | dict) -> GroupTable:
+    """Read a group: its embedded table (``mul`` and ``inv``), re-validated, or,
+    with neither, the built-in group its label names, of the stated order."""
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "group")
-    n = _integer(obj["order"], "order", lo=1)
-    mul = np.array(obj["mul"])
+    n = _integer(_field(obj, "order"), "order", lo=1)
+    if "mul" not in obj and "inv" not in obj:
+        return _builtin_group(_field(obj, "label"), n)
+    mul = np.array(_field(obj, "mul"))
     if mul.shape != (n * n,):
         raise ValueError(f"mul must list order**2 = {n * n} entries, found shape {mul.shape}")
     g = _finish_table(mul.reshape(n, n), str(obj.get("label", "")))
-    inv = np.array(obj["inv"])
+    inv = np.array(_field(obj, "inv"))
     if not np.array_equal(inv, g.inv):
         raise ValueError("stored inverse table disagrees with the multiplication table")
     return g
@@ -208,10 +279,14 @@ def parse_matrix(source: str | dict) -> np.ndarray:
 
 
 def function_to_obj(f: GroupFunction, provenance: Optional[dict] = None) -> dict:
+    """The function with its values; a built-in group is named by its label
+    and order, any other group embeds its table."""
     complex_valued = bool(np.iscomplexobj(f.values))
+    g = f.group
     obj = {
         "kind": "group_function",
-        "group": group_to_obj(f.group),
+        "group": ({"kind": "group", "label": g.label, "order": g.order}
+                  if _names_builtin(g) else group_to_obj(g)),
         "complex": complex_valued,
         "values": _complex_pairs(f.values) if complex_valued else f.values.tolist(),
     }
@@ -227,12 +302,10 @@ def function_to_text(f: GroupFunction, provenance: Optional[dict] = None) -> str
 def parse_function(source: str | dict) -> GroupFunction:
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "group_function")
-    group = parse_group(obj["group"])
-    if obj.get("complex"):
-        values = _from_pairs(obj["values"])
-    else:
-        values = np.array(obj["values"], dtype=np.float64)
-    return GroupFunction(group, values)
+    group = parse_group(_field(obj, "group"))
+    values = _field(obj, "values")
+    return GroupFunction(group, _from_pairs(values, "values") if obj.get("complex")
+                         else _numbers(values, "values"))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +320,7 @@ def irreps_to_obj(table: IrrepTable, provenance: Optional[dict] = None) -> dict:
         "irreps": [
             {
                 "dim": r.dim,
-                "matrices": [_complex_pairs(m.ravel()) for m in r.matrices],
+                "matrices": _complex_pairs(r.matrices.reshape(len(r.matrices), -1)),
             }
             for r in table.irreps
         ],
@@ -265,17 +338,20 @@ def parse_irreps(source: str | dict, group: GroupTable) -> IrrepTable:
     """Read an irrep table for the given group; every invariant is re-checked."""
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "irrep_table")
-    if _integer(obj["order"], "order", lo=1) != group.order:
+    if _integer(_field(obj, "order"), "order", lo=1) != group.order:
         raise ValueError(
             f"irrep table is for a group of order {obj['order']}, not {group.order}"
         )
     irreps = []
-    for k, entry in enumerate(obj["irreps"]):
-        d = _integer(entry["dim"], f"irreps[{k}].dim", lo=1)
-        mats = np.stack([
-            _from_pairs(flat).reshape(d, d) for flat in entry["matrices"]
-        ])
-        irreps.append(Irrep(dim=d, matrices=mats))
+    for k, entry in enumerate(_field(obj, "irreps")):
+        field = f"irreps[{k}]"
+        d = _integer(_field(entry, "dim", f"{field}.dim"), f"{field}.dim", lo=1)
+        field += ".matrices"
+        mats = _from_pairs(_field(entry, "matrices", field), field)
+        if mats.ndim != 2 or mats.shape[1] != d * d:
+            raise ValueError(f"{field} must list {d * d} [re, im] pairs per element, "
+                             f"found shape {mats.shape + (2,)}")
+        irreps.append(Irrep(dim=d, matrices=mats.reshape(-1, d, d)))
     return ensure_valid_irreps(IrrepTable(group=group, irreps=tuple(irreps)))
 
 

@@ -255,6 +255,43 @@ def test_fourier_report_takes_one_transform(tmp_path, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("spec, irreps", [("D128", True), ("Z16xZ16", True), ("D384", False)])
+def test_fourier_report_is_the_same_from_a_tableless_and_a_legacy_file(spec, irreps, tmp_path):
+    # a legacy file embeds the group's table; a D384 irrep file is 16 MB, so
+    # --irreps runs on the two groups of order 256
+    import json
+
+    from cayleynorms import GroupFunction, build_irrep_table, parse_group_spec
+
+    g = parse_group_spec(spec)
+    f = GroupFunction(g, np.random.Generator(np.random.Philox(5)).standard_normal(g.order))
+    tableless = serial.function_to_obj(f)
+    legacy = dict(tableless, group=serial.group_to_obj(g))
+    assert "mul" not in tableless["group"] and "mul" in legacy["group"]
+    extra = []
+    if irreps:
+        (tmp_path / "irreps.json").write_text(json.dumps(serial.irreps_to_obj(build_irrep_table(g))))
+        extra = ["--irreps", str(tmp_path / "irreps.json")]
+    reports = []
+    for name, obj in (("tableless", tableless), ("legacy", legacy)):
+        src, out = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+        src.write_text(serial.dumps(obj))
+        assert run(["fourier", str(src), *extra, "--out", str(out), "--quiet"]) == 0
+        report = serial.loads(out.read_text())
+        del report["provenance"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["group_label"] == spec
+
+
+def test_fourier_tableless_d384_file_is_small(tmp_path):
+    from cayleynorms import GroupFunction, parse_group_spec
+
+    g = parse_group_spec("D384")
+    f = GroupFunction(g, np.random.Generator(np.random.Philox(6)).standard_normal(g.order))
+    assert len(serial.function_to_text(f).encode()) <= 20_000
+
+
 def test_analyze_non_integer_row_count_exits_two(tmp_path, capsys):
     src = tmp_path / "m.json"
     src.write_text('{"kind": "matrix", "rows": 2.5, "cols": 2, "entries": [1, 0, 0, 1]}')

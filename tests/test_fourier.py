@@ -406,6 +406,19 @@ def test_svd_witness_matches_spectral_norm():
             assert np.linalg.norm(w.x, axis=1).max() <= 1 + 1e-12
 
 
+@pytest.mark.parametrize("spec", ["D4", "D5", "D128", "Z16xZ16"])
+def test_svd_witness_objective_matches_the_three_operand_einsum(spec):
+    # the objective x^H (F y) / n^2 by BLAS, against the contraction it replaced
+    rng = np.random.Generator(np.random.Philox(76))
+    g = parse_group_spec(spec)
+    table = build_irrep_table(g)
+    for f in (GroupFunction(g, rng.standard_normal(g.order)),
+              _random_complex_function(g, rng)):
+        w = svd_witness(f, table)
+        want = abs(np.einsum("gd,gh,hd->", w.x.conj(), f.values[g.ghinv], w.y)) / g.order**2
+        assert w.objective == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def _report_tables():
     from cayleynorms.verify import load_s3_irreps
 

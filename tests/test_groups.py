@@ -358,10 +358,20 @@ def test_perm_group_table_is_capped_before_it_allocates():
 
 
 def _reference_perm_table(group):
-    # the double loop over compositions that the gather-and-search table replaced
-    elems = [tuple(p) for p in group.elements.tolist()]
-    index = {e: i for i, e in enumerate(elems)}
-    return np.array([[index[tuple(map(q.__getitem__, p))] for q in elems] for p in elems])
+    # every product p q composed in full, as the row q[p], and found by its whole
+    # row of images, not by the images of a base as the table itself is
+    rows = group.elements.astype(np.min_scalar_type(group.degree))
+    products = rows[:, rows]  # [j, i] is element j after element i
+
+    def whole_row(a):
+        return np.ascontiguousarray(a).view(np.dtype((np.void, group.degree * a.itemsize)))[..., 0]
+
+    keys = whole_row(rows)
+    order = np.argsort(keys)
+    at = np.searchsorted(keys[order], whole_row(products))
+    found = order[np.minimum(at, group.order - 1)]
+    assert np.array_equal(rows[found], products)  # each product is an element
+    return found.T
 
 
 def test_perm_group_table_matches_the_double_loop():

@@ -1,20 +1,28 @@
 """Serialization round trips and deterministic emission."""
 
+import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cayleynorms import (
+    CapacityError,
+    GroupAxiomError,
     GroupFunction,
     analyze,
+    build_from_table,
     build_irrep_table,
     cyclic_group,
     dihedral_group,
     group_closure,
+    parse_group_spec,
+    product_group,
     symmetric_group,
 )
-from cayleynorms import serial
+from cayleynorms import cli, serial
 
 
 def test_float_formatting_is_lossless():
@@ -231,3 +239,114 @@ def test_integral_float_counts_still_parse():
     assert m[0, 2] == m[2, 0] == 1.0
     pg = serial.parse_perm_group({"kind": "perm_group", "degree": 2.0, "generators": [[1.0, 0]]})
     assert pg.order == 2
+
+
+# a group function names a built-in group by label and order; other groups,
+# and files written before, embed the table
+@pytest.mark.parametrize("spec", ["Z6", "D4", "Z2xZ3", "S3"])
+def test_function_of_a_builtin_group_names_it_and_round_trips_bit_for_bit(spec):
+    g = parse_group_spec(spec)
+    values = np.linspace(-1.0, 1.0, g.order) / 3
+    for f in (GroupFunction(g, values), GroupFunction(g, values - 1j * values[::-1])):
+        text = serial.function_to_text(f)
+        assert serial.loads(text)["group"] == {"kind": "group", "label": spec, "order": g.order}
+        f2 = serial.parse_function(text)
+        assert f2.group.label == spec and np.array_equal(f2.group.mul, g.mul)
+        assert f2.values.tobytes() == f.values.tobytes()
+        assert serial.function_to_text(f2) == text
+
+
+def test_legacy_function_file_with_embedded_table_still_parses():
+    g = dihedral_group(4)
+    f = GroupFunction(g, np.arange(8.0))
+    obj = serial.function_to_obj(f)
+    obj["group"] = serial.group_to_obj(g)
+    f2 = serial.parse_function(serial.dumps(obj))
+    assert np.array_equal(f2.group.mul, g.mul) and np.array_equal(f2.values, f.values)
+    assert serial.function_to_text(f2) == serial.function_to_text(f)
+    obj["group"]["mul"][9] = 0  # row 1 of D4 now holds the identity twice
+    with pytest.raises(GroupAxiomError):
+        serial.parse_function(obj)
+
+
+@pytest.mark.parametrize("group, error, match", [
+    ({"label": "D4", "order": 6}, ValueError, "'D4' names a group of order 8, not 6"),
+    ({"label": "Q8", "order": 8}, ValueError, "'Q8' has no table and its label names no built-in"),
+    ({"order": 8}, ValueError, "missing field 'label'"),
+    ({"label": "Z5041", "order": 5041}, CapacityError, "5041 exceeds the table cap 5040"),
+], ids=["wrong-order", "unknown-label", "no-label", "over-cap"])
+def test_tableless_group_is_rejected_with_a_clear_error(group, error, match):
+    obj = {"kind": "group_function", "group": dict(group, kind="group"),
+           "complex": False, "values": [0.0] * group["order"]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            serial.parse_function(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # rejected before any table is built
+
+
+def test_groups_that_are_not_built_in_keep_their_table():
+    klein = product_group(cyclic_group(2), cyclic_group(2))
+    lifted = group_closure(3, [[1, 0, 2], [1, 2, 0]]).table  # S3 as a permutation group
+    for g in (build_from_table(klein.mul, label="Z4"), lifted,
+              build_from_table(cyclic_group(5).mul)):
+        obj = serial.function_to_obj(GroupFunction(g, np.ones(g.order)))
+        assert obj["group"] == serial.group_to_obj(g)
+        assert np.array_equal(serial.parse_function(obj).group.mul, g.mul)
+
+
+# a malformed group-function or irrep file is a ValueError naming the field
+def malformed_function_text(case: str) -> str:
+    """A D4 function file with one fault; json.dumps writes a NaN as NaN."""
+    values = np.arange(8.0) if case == "null" else np.arange(8.0) * (1 + 1j)
+    obj = serial.function_to_obj(GroupFunction(dihedral_group(4), values))
+    if case == "not-pairs":
+        obj["values"] = list(range(8))
+    elif case == "no-group":
+        del obj["group"]
+    elif case == "null":
+        obj["values"][3] = None
+    else:
+        obj["values"][3][1] = math.nan
+    return json.dumps(obj)
+
+
+MALFORMED_FUNCTIONS = {
+    "not-pairs": "values must hold \\[re, im\\] pairs, found shape \\(8,\\)",
+    "no-group": "missing field 'group'",
+    "null": "values\\[3\\] = None is not a finite number",
+    "nan": "values\\[3\\]\\[1\\] = nan is not a finite number",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FUNCTIONS))
+def test_malformed_function_file_names_the_field(case, tmp_path, capsys):
+    with pytest.raises(ValueError, match=MALFORMED_FUNCTIONS[case]):
+        serial.parse_function(malformed_function_text(case))
+    src = tmp_path / "f.json"
+    src.write_text(malformed_function_text(case))
+    assert cli.main(["fourier", str(src), "--quiet"]) == 2  # a usage error, no traceback
+    assert re.search(MALFORMED_FUNCTIONS[case], capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("not-pairs", "irreps\\[4\\].matrices must hold \\[re, im\\] pairs, found shape \\(8, 4\\)"),
+    ("no-matrices", "missing field 'irreps\\[4\\].matrices'"),
+    ("null", "irreps\\[4\\].matrices\\[2\\]\\[3\\]\\[0\\] = None is not a finite number"),
+    ("nan", "irreps\\[4\\].matrices\\[2\\]\\[3\\]\\[0\\] = nan is not a finite number"),
+], ids=["not-pairs", "no-matrices", "null", "nan"])
+def test_malformed_irrep_file_names_the_field(case, match):
+    g = dihedral_group(4)
+    obj = serial.irreps_to_obj(build_irrep_table(g))
+    entry = obj["irreps"][4]  # the 2-dimensional irrep
+    if case == "not-pairs":
+        entry["matrices"] = [[1.0, 0.0, 0.0, 1.0]] * 8
+    elif case == "no-matrices":
+        del entry["matrices"]
+    else:
+        entry["matrices"][2][3][0] = None if case == "null" else math.nan
+    with pytest.raises(ValueError, match=match):
+        serial.parse_irreps(json.dumps(obj), g)
