@@ -182,6 +182,10 @@ def _cmd_fourier(args) -> int:
     wit = svd_witness(f, table)  # one transform: ||f||, the witness and the coefficients
     via = float(wit.fhat.sigma1.max())
     dense = group_spectral(f)
+    coefficients = [None] * len(table.irreps)
+    for b, c in zip(table.stacks, wit.fhat.stacks):  # [re, im] pairs, one call per dim
+        for i, pairs in zip(b.index, serial._complex_pairs(c.reshape(len(c), -1))):
+            coefficients[i] = {"dim": b.dim, "matrix": pairs}
     obj = {
         "kind": "fourier_report",
         "group_label": f.group.label,
@@ -191,10 +195,7 @@ def _cmd_fourier(args) -> int:
         "spectral_dense": dense,
         "svd_witness_objective": wit.objective,
         "svd_witness_irrep": wit.irrep_index,
-        "coefficients": [
-            {"dim": int(c.shape[0]), "matrix": serial._complex_pairs(c.ravel())}
-            for c in wit.fhat.coeffs
-        ],
+        "coefficients": coefficients,
         "provenance": {"input": str(args.input), "tool_version": __version__},
     }
     if not args.quiet:

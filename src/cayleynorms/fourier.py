@@ -6,12 +6,17 @@ dihedral groups (rotation-reflection matrices at exact angles 2 pi k / m);
 other groups take a user-supplied table, validated on ingestion (the
 homomorphism property is checked on a generating set of the group).
 
-The transform is ``fhat(rho) = mean_g f(g) rho(g)``; its inverse, the
-Plancherel identity and the convolution theorem follow the averaging
-normalization, and the spectral norm of f equals the largest singular
-value among the coefficient matrices (`FourierCoefficients.sigma1`, one
-batched SVD per dimension).  The witness takes the top singular pair from
-LAPACK's SVD of the attaining coefficient matrix.
+A table holds its irreps of each dimension d as one read-only (K, n, d, d)
+array (`IrrepTable.stacks`); a built-in table is built as these arrays, and
+its `Irrep`s are views into them, while a table built from a list stacks
+them once, on first use.  The transform is ``fhat(rho) = mean_g f(g)
+rho(g)``, one vector-matrix product per dimension, bit-identical to one
+tensordot per irrep; its inverse, the Plancherel identity and the
+convolution theorem follow the averaging normalization, and the spectral
+norm of f equals the largest singular value among the coefficient matrices
+(`FourierCoefficients.sigma1`, one batched SVD per dimension).  The witness
+takes the top singular pair from LAPACK's SVD of the attaining coefficient
+matrix.
 """
 
 from __future__ import annotations
@@ -47,11 +52,62 @@ class Irrep:
 
 
 @dataclass(frozen=True)
+class IrrepStack:
+    """The irreps of one dimension d in a table, stacked: ``matrices[k]`` is
+    the (|G|, d, d) stack of irrep ``index[k]`` (ascending table positions)."""
+
+    dim: int
+    index: np.ndarray  # (K,) int
+    matrices: np.ndarray  # (K, |G|, d, d) complex, read-only
+
+
+def _in_turn(arrays: list[np.ndarray]) -> tuple[IrrepStack, ...]:
+    """(K, |G|, d, d) arrays whose irreps a table lists one array after another;
+    the arrays become read-only."""
+    out, start = [], 0
+    for m in arrays:
+        m.setflags(write=False)
+        out.append(IrrepStack(dim=m.shape[2], index=np.arange(start, start + len(m)), matrices=m))
+        start += len(m)
+    return tuple(out)
+
+
+def _stack_irreps(irreps: tuple[Irrep, ...], positions) -> tuple[IrrepStack, ...]:
+    """One IrrepStack per dimension among the irreps at `positions`, by dimension;
+    np.stack copies each irrep once."""
+    out = []
+    for d in sorted({irreps[i].dim for i in positions}):
+        index = np.array([i for i in positions if irreps[i].dim == d])
+        m = np.stack([irreps[i].matrices for i in index])
+        m.setflags(write=False)
+        out.append(IrrepStack(dim=d, index=index, matrices=m))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
 class IrrepTable:
     """A complete list of pairwise-inequivalent unitary irreps of one group."""
 
     group: GroupTable
     irreps: tuple[Irrep, ...]
+
+    @classmethod
+    def _from_stacks(cls, group: GroupTable, stacks: tuple[IrrepStack, ...]) -> IrrepTable:
+        """The table whose irrep at each position of a stack is a view into it:
+        the stacks become the table's `stacks`, with nothing copied."""
+        irreps = [None] * sum(len(b.index) for b in stacks)
+        for b in stacks:
+            for i, m in zip(b.index, b.matrices):
+                irreps[i] = Irrep(dim=b.dim, matrices=m)
+        table = cls(group=group, irreps=tuple(irreps))
+        table.__dict__["stacks"] = stacks  # fills the cached_property
+        return table
+
+    @cached_property
+    def stacks(self) -> tuple[IrrepStack, ...]:
+        """The irreps grouped by dimension, ascending; a table built from a list
+        of irreps stacks them here, once."""
+        return _stack_irreps(self.irreps, range(len(self.irreps)))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -79,14 +135,17 @@ class FourierCoefficients:
                 )
 
     @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """The coefficients as one (K, d, d) array per entry of `table.stacks`."""
+        return tuple(np.stack([self.coeffs[i] for i in b.index]) for b in self.table.stacks)
+
+    @cached_property
     def sigma1(self) -> np.ndarray:
         """sigma_1 of each coefficient, from one full SVD per stack of same-dimension
         ones: bit-identical to one SVD per matrix, which compute_uv=False is not."""
-        dims = np.array(self.table.dims)
-        sigma = np.empty(len(dims))
-        for d in np.unique(dims):
-            idx = np.flatnonzero(dims == d)
-            sigma[idx] = np.linalg.svd(np.stack([self.coeffs[i] for i in idx]))[1][:, 0]
+        sigma = np.empty(len(self.coeffs))
+        for b, c in zip(self.table.stacks, self.stacks):
+            sigma[b.index] = np.linalg.svd(c)[1][:, 0]
         sigma.setflags(write=False)
         return sigma
 
@@ -103,7 +162,8 @@ def _abelian_characters(g: GroupTable) -> np.ndarray:
     subgroup (the k-th roots of the already-determined value at its k-th
     power), so exactly |G| characters come out, with no search.  Every value
     is an n-th root of unity, so a character is carried as integer exponents
-    q with chi = exp(2 pi i q / n), and each value is rounded only once.
+    q with chi = exp(2 pi i q / n), and each value is rounded only once: it is
+    gathered from one table of the n roots.
     """
     n = g.order
     q = np.zeros((1, n), dtype=np.int64)  # exponents on the subgroup so far
@@ -127,7 +187,7 @@ def _abelian_characters(g: GroupTable) -> np.ndarray:
             coset = g.mul[members, p]
             q[:, coset] = base + k * w
             member[coset] = True
-    return np.exp(2j * np.pi * (q % n) / n)
+    return np.exp(2j * np.pi * np.arange(n) / n)[q % n]
 
 
 def _find_dihedral_pair(g: GroupTable) -> Optional[tuple[int, int]]:
@@ -137,8 +197,8 @@ def _find_dihedral_pair(g: GroupTable) -> Optional[tuple[int, int]]:
         return None
     m = n // 2
     for r in range(1, n):
-        rotations = [0]
-        while (acc := int(g.mul[rotations[-1], r])) != 0:
+        times_r, rotations = g.mul[:, r].tolist(), [0]
+        while (acc := times_r[rotations[-1]]) != 0:
             rotations.append(acc)
         if len(rotations) != m:
             continue
@@ -152,25 +212,26 @@ def _find_dihedral_pair(g: GroupTable) -> Optional[tuple[int, int]]:
     return None
 
 
-def _dihedral_irreps(g: GroupTable, r: int, s: int) -> list[Irrep]:
+def _dihedral_stacks(g: GroupTable, r: int, s: int) -> list[np.ndarray]:
+    """The dihedral irreps as a (K, n, 1, 1) stack of sign characters and a
+    (K, n, 2, 2) stack of rotation-reflection matrices."""
     n = g.order
     m = n // 2
     # normal form: every element is r^i or r^i s
+    times_r, rotations = g.mul[:, r].tolist(), [0]
+    for _ in range(m - 1):
+        rotations.append(times_r[rotations[-1]])
+    reflections = g.mul[rotations, s]
     form = np.full((n, 2), -1, dtype=np.int64)
-    acc = 0
-    for i in range(m):
-        form[acc] = (i, 0)
-        form[g.mul[acc, s]] = (i, 1)
-        acc = int(g.mul[acc, r])
+    form[rotations, 0], form[rotations, 1] = np.arange(m), 0
+    form[reflections, 0], form[reflections, 1] = np.arange(m), 1
     if np.any(form < 0):
         raise ValueError("element decomposition r^i s^a failed; group is not dihedral")
     i_of, a_of = form[:, 0], form[:, 1]
 
     # sign characters: (-1)^(p i + q a), with p = 1 only for even m
-    irreps = [
-        Irrep(dim=1, matrices=((-1.0) ** (p * i_of + q * a_of)).reshape(n, 1, 1))
-        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1))[: 4 if m % 2 == 0 else 2]
-    ]
+    pq = np.array([(0, 0), (0, 1), (1, 0), (1, 1)][: 4 if m % 2 == 0 else 2])
+    signs = ((-1.0) ** (pq[:, :1] * i_of + pq[:, 1:] * a_of)).astype(np.complex128)
     # rho_j(r^i s^a) = rot(2 pi (j i mod m) / m) diag(1, (-1)^a), j = 1..(m-1)//2
     j = np.arange(1, (m - 1) // 2 + 1)[:, None]
     theta = 2.0 * np.pi * ((j * i_of) % m) / m
@@ -178,8 +239,7 @@ def _dihedral_irreps(g: GroupTable, r: int, s: int) -> list[Irrep]:
     mats = np.empty(theta.shape + (2, 2), dtype=np.complex128)
     mats[..., 0, 0], mats[..., 0, 1] = cos, -sin * sign
     mats[..., 1, 0], mats[..., 1, 1] = sin, cos * sign
-    irreps.extend(Irrep(dim=2, matrices=mat) for mat in mats)
-    return irreps
+    return [signs.reshape(len(pq), n, 1, 1), mats]
 
 
 def build_irrep_table(g: GroupTable) -> IrrepTable:
@@ -189,14 +249,11 @@ def build_irrep_table(g: GroupTable) -> IrrepTable:
     message says so.  The returned table passes validate_irrep_table.
     """
     if g.is_abelian:
-        chars = _abelian_characters(g)
-        irreps = tuple(
-            Irrep(dim=1, matrices=chi.reshape(g.order, 1, 1)) for chi in chars
-        )
-        return IrrepTable(group=g, irreps=irreps)
+        n = g.order
+        return IrrepTable._from_stacks(g, _in_turn([_abelian_characters(g).reshape(n, n, 1, 1)]))
     pair = _find_dihedral_pair(g)
     if pair is not None:
-        return IrrepTable(group=g, irreps=tuple(_dihedral_irreps(g, *pair)))
+        return IrrepTable._from_stacks(g, _in_turn(_dihedral_stacks(g, *pair)))
     raise ValueError(
         f"no built-in irreps for group {g.label or '?'} (order {g.order}); "
         "supply a table via parse_irreps"
@@ -205,6 +262,39 @@ def build_irrep_table(g: GroupTable) -> IrrepTable:
 
 # ---------------------------------------------------------------------------
 # Validation
+
+
+# Equivalent irreps have equal characters, and irreps within tol of
+# representations have characters within about 2 d tol of equal; inequivalent
+# irreducible characters are orthogonal.  So of two irreps that pass their own
+# checks, only a pair whose characters agree on every generator can have an
+# inner product above tol, and the full product is taken for those pairs
+# alone (and for every pair with an irrep that failed a check).  The filter is
+# far looser than that discrepancy and far tighter than the gap
+# 2 sin(pi / n) > 1e-3 between distinct n-th roots of unity (n <= 5040), so
+# distinct characters of degree 1 never pass it; ones of degree >= 2 can agree
+# on the generators and be inequivalent.
+_SAME_ON_GENERATORS = 1e-6
+
+
+def _agreeing_pairs(values: np.ndarray, slack: float,
+                    failed: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs i < j, in row-major order, whose rows of `values` (irrep,
+    generator) agree within slack in every column, or with i or j failed;
+    rows are compared a chunk at a time on the first column, and only the
+    matches on the rest."""
+    k = len(values)
+    if values.shape[1] == 0:
+        return [(i, j) for i in range(k) for j in range(i + 1, k)]
+    first, step, pairs = values[:, 0], max(1, 2**20 // k), []
+    for a in range(0, k, step):
+        rows = np.arange(a, min(a + step, k))
+        close = (np.abs(first[rows, None] - first) <= slack) | failed | failed[rows, None]
+        i, j = np.nonzero(close & (np.arange(k) > rows[:, None]))
+        i += a
+        keep = (np.abs(values[i] - values[j]) <= slack).all(axis=1) | failed[i] | failed[j]
+        pairs.extend(zip(i[keep].tolist(), j[keep].tolist()))
+    return pairs
 
 
 # Once the group axioms hold, every element is a word ((s_1 s_2) ...) s_k of
@@ -225,25 +315,27 @@ def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
     property on the generators of `_generating_set` within tol / (2 d L) (so
     every product is within tol), and irreducibility via the character norm;
     then completeness (sum of squared dims) and pairwise character
-    orthogonality.
+    orthogonality, taken in full only for pairs whose characters agree on
+    the generators or that hold an irrep failing a check above.
     """
     g = table.group
     n = g.order
     _, gens, depth = _generating_set(g.mul)
     found = {i: [f"irrep {i}: {r.matrices.shape[0]} matrices for a group of order {n}"]
              for i, r in enumerate(table.irreps) if r.matrices.shape[0] != n}
-    for d in sorted(set(table.dims)):
-        idx = [i for i, r in enumerate(table.irreps) if r.dim == d and i not in found]
-        if not idx:
-            continue
-        m = np.stack([table.irreps[i].matrices for i in idx])  # [irrep, x, d, d]
+    stacks = table.stacks if not found else _stack_irreps(
+        table.irreps, [i for i in range(len(table.irreps)) if i not in found])
+    chars = [None] * len(table.irreps)
+    for b in stacks:
+        d, idx, m = b.dim, b.index, b.matrices  # m: [irrep, x, d, d]
         adj, eye = m.conj().swapaxes(2, 3), np.eye(d)
         ident = ~np.isclose(m[:, 0], eye, atol=tol).all(axis=(1, 2))
         # rho(x) rho(x)^H by outer products: matmul is slow on stacks of tiny matrices
         mmh = sum(m[..., :, k, None] * adj[..., k, None, :] for k in range(d))
         unit = np.abs(mmh - eye).max(axis=(2, 3))
         inv = np.abs(np.take(m, g.inv, axis=1) - adj).max(axis=(2, 3))
-        norm = np.mean(np.abs(np.trace(m, axis1=2, axis2=3)) ** 2, axis=1)
+        trace = m[:, :, 0, 0] if d == 1 else np.trace(m, axis1=2, axis2=3)
+        norm = np.mean(np.abs(trace) ** 2, axis=1)
         rows = m.reshape(len(idx), -1, d)  # rho(x) stacked over x, one GEMM per irrep
         err = np.empty((len(gens), len(idx)))
         at = np.empty((len(gens), len(idx)), dtype=np.int64)
@@ -254,6 +346,7 @@ def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
             err[t], at[t] = e[np.arange(len(idx)), worst], worst // (d * d)
         bound = tol / (2 * d * max(depth, 1))
         for j, i in enumerate(idx):
+            chars[i] = trace[j]
             out = found[i] = []
             if ident[j]:
                 out.append(f"irrep {i}: rho(identity) != I")
@@ -272,14 +365,16 @@ def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
     total = sum(r.dim**2 for r in table.irreps)
     if total != n:
         problems.append(f"incomplete table: sum of dim^2 is {total}, expected {n}")
-    if all(r.matrices.shape[0] == n for r in table.irreps):
-        chars = np.array([r.characters for r in table.irreps]).reshape(-1, n)
-        gram = np.abs(chars @ chars.conj().T) / n
-        for i, j in np.argwhere(np.triu(gram > tol, 1)):
-            problems.append(
-                f"irreps {i} and {j} are equivalent (character inner product "
-                f"{gram[i, j]:.2e})"
-            )
+    if table.irreps and all(r.matrices.shape[0] == n for r in table.irreps):
+        slack = max(_SAME_ON_GENERATORS, 4 * table.max_dim * tol)
+        failed = np.array([bool(found[i]) for i in range(len(chars))])
+        for i, j in _agreeing_pairs(np.array([c[gens] for c in chars]), slack, failed):
+            overlap = abs(np.vdot(chars[j], chars[i])) / n
+            if overlap > tol:
+                problems.append(
+                    f"irreps {i} and {j} are equivalent (character inner product "
+                    f"{overlap:.2e})"
+                )
     return problems
 
 
@@ -295,14 +390,22 @@ def ensure_valid_irreps(table: IrrepTable) -> IrrepTable:
 
 
 def fourier_transform(f: GroupFunction, table: IrrepTable) -> FourierCoefficients:
-    """fhat(rho) = mean_g f(g) rho(g), one coefficient matrix per irrep."""
+    """fhat(rho) = mean_g f(g) rho(g), one coefficient matrix per irrep, from
+    one vector-matrix product per irrep dimension d."""
     if not f.group.same_as(table.group):
         raise ValueError("function and irrep table live on different groups")
-    coeffs = tuple(
-        np.tensordot(f.values, rho.matrices, axes=(0, 0)) / f.group.order
-        for rho in table.irreps
-    )
-    return FourierCoefficients(table=table, coeffs=coeffs)
+    n = f.group.order
+    coeffs = [None] * len(table.irreps)
+    stacks = []
+    for b in table.stacks:
+        k, d = len(b.index), b.dim
+        c = (np.matmul(f.values, b.matrices.reshape(k, n, d * d)) / n).reshape(k, d, d)
+        stacks.append(c)
+        for i, ci in zip(b.index, c):
+            coeffs[i] = ci
+    fhat = FourierCoefficients(table=table, coeffs=tuple(coeffs))
+    fhat.__dict__["stacks"] = tuple(stacks)  # fills the cached_property
+    return fhat
 
 
 def fourier_inverse(coeffs: FourierCoefficients) -> GroupFunction:
@@ -411,9 +514,9 @@ def abelian_character_norm(f: GroupFunction, table: Optional[IrrepTable] = None)
     table = table or build_irrep_table(g)
     if not table.group.same_as(g):
         raise ValueError("function and irrep table live on different groups")
-    if any(r.dim != 1 for r in table.irreps):
+    if table.max_dim != 1:
         raise ValueError("abelian irrep table must consist of characters")
-    chars = np.stack([r.matrices[:, 0, 0] for r in table.irreps])
+    chars = table.stacks[0].matrices[:, :, 0, 0]
     corr = np.abs(chars.conj() @ f.values) / g.order
     idx = int(np.argmax(corr))
     return CharacterNorm(value=float(corr[idx]), index=idx, character=chars[idx])

@@ -1,10 +1,11 @@
 """Structured-text (JSON) serialization for every artifact the library emits.
 
 Emission is deterministic: fixed field order, floats printed with 17
-significant digits so parsing reproduces the exact double.  Identical
-inputs therefore serialize to identical bytes.  Parsers re-validate what
-they read and ignore an optional "provenance" block, which callers may
-attach to record how a file was produced.
+significant digits so parsing reproduces the exact double (-0.0 as
+``-0.0``, since JSON reads ``-0`` as the integer 0).  Identical inputs
+therefore serialize to identical bytes.  Parsers re-validate what they read
+and ignore an optional "provenance" block, which callers may attach to
+record how a file was produced.
 
 A group file embeds its multiplication table (``mul``, ``inv``).  A group
 function names its group instead, as ``{"kind": "group", "label": L,
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import islice
 from typing import Any, Optional
 
 import numpy as np
@@ -36,14 +38,68 @@ from .norms import NormReport
 # Deterministic JSON emission
 
 
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError(f"cannot serialize non-finite value {v}")
-    return "%.17g" % v
+def _fmt_floats(values: list) -> list[str]:
+    """Each float with 17 significant digits; -0.0 keeps a decimal point, since
+    JSON reads ``-0`` as the integer 0 and the sign would be lost."""
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"cannot serialize non-finite value {bad}")
+    text = list(map("%.17g".__mod__, values))
+    if "-0" in text:
+        text = ["-0.0" if t == "-0" else t for t in text]
+    return text
+
+
+@lru_cache(maxsize=1024)
+def _key(k: str) -> str:
+    return json.dumps(k)
+
+
+def _emit_float_lists(items: list, indent: int) -> Optional[str]:
+    """Lists of floats, such as [re, im] pairs, or lists of such lists to any
+    depth, as `_emit_list` writes them item by item; None unless every leaf is
+    a float at one depth.  The floats are formatted in one call, and each
+    level is joined from the one below."""
+    levels = [items]  # levels[k]: every list at depth k + 1, in order
+    while True:
+        inner = [v for x in levels[-1] for v in x]
+        kinds = set(map(type, inner))
+        if kinds <= {float}:
+            break
+        if kinds != {list} or not all(levels[-1]):
+            return None  # a leaf that is not a float, or an empty list above the leaves
+        levels.append(inner)
+    text = iter(_fmt_floats(inner))
+    rows = ["[" + ", ".join(islice(text, len(x))) + "]" for x in levels[-1]]
+    for depth in range(len(levels) - 1, 0, -1):
+        pad = "  " * (indent + depth)
+        sep, below = f",\n{pad}  ", iter(rows)
+        rows = [f"[\n{pad}  " + sep.join(islice(below, len(x))) + f"\n{pad}]"
+                for x in levels[depth - 1]]
+    pad = "  " * indent
+    return f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
+
+
+def _emit_list(items: list, indent: int) -> str:
+    if not items:
+        return "[]"
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return "[" + ", ".join(map(str, items)) + "]"
+    if kinds == {float}:
+        return "[" + ", ".join(_fmt_floats(items)) + "]"
+    if kinds == {list} and (text := _emit_float_lists(items, indent)) is not None:
+        return text
+    if all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in items):
+        return "[" + ", ".join(_emit(x, indent) for x in items) + "]"
+    pad = "  " * indent
+    inner = ",\n".join(f"{pad}  {_emit(x, indent + 1)}" for x in items)
+    return "[\n" + inner + "\n" + pad + "]"
 
 
 def _emit(obj: Any, indent: int) -> str:
-    pad = "  " * indent
+    if type(obj) is list:
+        return _emit_list(obj, indent)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -51,31 +107,21 @@ def _emit(obj: Any, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        return _fmt_floats([float(obj)])[0]
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        pad = "  " * indent
         inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}' for k, v in obj.items()
+            f'{pad}  {_key(str(k))}: {_emit(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()  # Python scalars, nested lists
+        return _emit(obj.tolist(), indent)  # Python scalars, nested lists
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        kinds = set(map(type, items))
-        if kinds == {int}:
-            return "[" + ", ".join(map(str, items)) + "]"
-        if kinds == {float}:
-            return "[" + ", ".join(map(_fmt_float, items)) + "]"
-        if all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in items):
-            return "[" + ", ".join(_emit(x, indent) for x in items) + "]"
-        inner = ",\n".join(f"{pad}  {_emit(x, indent + 1)}" for x in items)
-        return "[\n" + inner + "\n" + pad + "]"
+        return _emit_list(list(obj), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -225,9 +271,9 @@ def perm_group_to_obj(pg: PermGroup, provenance: Optional[dict] = None) -> dict:
 def parse_perm_group(source: str | dict) -> PermGroup:
     obj = loads(source) if isinstance(source, str) else source
     _expect_kind(obj, "perm_group")
-    degree = _integer(obj["degree"], "degree")
+    degree = _integer(_field(obj, "degree"), "degree")
     gens = [[_integer(x, f"generators[{k}][{j}]", hi=degree) for j, x in enumerate(images)]
-            for k, images in enumerate(obj["generators"])]
+            for k, images in enumerate(_field(obj, "generators"))]
     return group_closure(degree, gens)
 
 
@@ -257,17 +303,17 @@ def parse_matrix(source: str | dict) -> np.ndarray:
     obj = loads(source) if isinstance(source, str) else source
     kind = obj.get("kind")
     if kind == "matrix":
-        m, n = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
-        entries = np.array(obj["entries"], dtype=np.float64)
+        m, n = _integer(_field(obj, "rows"), "rows"), _integer(_field(obj, "cols"), "cols")
+        entries = np.array(_field(obj, "entries"), dtype=np.float64)
         if entries.size != m * n:
             raise ValueError(f"expected {m * n} entries, found {entries.size}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix entries must be finite")
         return entries.reshape(m, n)
     if kind == "edge_list":
-        n = _integer(obj["n"], "n")
+        n = _integer(_field(obj, "n"), "n")
         a = np.zeros((n, n))
-        for k, edge in enumerate(obj["edges"]):
+        for k, edge in enumerate(_field(obj, "edges")):
             s, t = (_integer(v, f"edges[{k}][{j}]", hi=n) for j, v in enumerate(edge))
             a[s, t] = a[t, s] = 1.0
         return a
@@ -352,7 +398,11 @@ def parse_irreps(source: str | dict, group: GroupTable) -> IrrepTable:
             raise ValueError(f"{field} must list {d * d} [re, im] pairs per element, "
                              f"found shape {mats.shape + (2,)}")
         irreps.append(Irrep(dim=d, matrices=mats.reshape(-1, d, d)))
-    return ensure_valid_irreps(IrrepTable(group=group, irreps=tuple(irreps)))
+    table = IrrepTable(group=group, irreps=tuple(irreps))
+    if all(len(r.matrices) == group.order for r in irreps):
+        # stacked once by dimension, and the irreps read as views into the stacks
+        table = IrrepTable._from_stacks(group, table.stacks)
+    return ensure_valid_irreps(table)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,10 @@ def test_analyze_malformed_file_exits_two(tmp_path, capsys):
     src.write_text("{not json")
     assert run(["analyze", str(src), "--quiet"]) == 2
     assert run(["analyze", str(tmp_path / "missing.json"), "--quiet"]) == 2
+    src.write_text('{"kind": "matrix", "rows": 2}')
+    capsys.readouterr()
+    assert run(["analyze", str(src), "--quiet"]) == 2
+    assert "missing field 'cols'" in capsys.readouterr().err
 
 
 def test_lift_round_trip(tmp_path):

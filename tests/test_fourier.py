@@ -244,6 +244,84 @@ def test_validate_rejects_a_smooth_phase_error_that_passes_on_generators():
     assert problems[0].startswith("irrep 1: rho(ab) != rho(a)rho(b)")
 
 
+def test_builtin_and_parsed_irreps_are_views_into_the_table_stacks():
+    from cayleynorms import serial
+    from cayleynorms.verify import load_s3_irreps
+
+    tables = [build_irrep_table(parse_group_spec(spec))
+              for spec in ("Z12", "D4", "D5", "D128", "Z16xZ16")]
+    d5 = tables[2].group
+    tables += [serial.parse_irreps(serial.irreps_to_text(tables[2]), d5), load_s3_irreps()]
+    for table in tables:
+        assert [b.dim for b in table.stacks] == sorted(set(table.dims))
+        positions = np.concatenate([b.index for b in table.stacks])
+        assert positions.tolist() == list(range(len(table.irreps)))
+        for b in table.stacks:
+            assert not b.matrices.flags.writeable
+            for k, i in enumerate(b.index):
+                assert np.shares_memory(table.irreps[i].matrices, b.matrices)
+                assert np.array_equal(table.irreps[i].matrices, b.matrices[k])
+
+
+def test_a_table_built_from_a_list_stacks_by_dimension():
+    # dims out of order: each stack lists its irreps by table position
+    g = dihedral_group(5)
+    irreps = build_irrep_table(g).irreps
+    table = IrrepTable(group=g, irreps=(irreps[2], irreps[0], irreps[3], irreps[1]))
+    assert [(b.dim, b.index.tolist()) for b in table.stacks] == [(1, [1, 3]), (2, [0, 2])]
+    assert np.array_equal(table.stacks[1].matrices[1], irreps[3].matrices)
+    assert table.stacks is table.stacks  # stacked once
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z12", "Z257", "Z2xZ4", "Z16xZ16", "Z1000"])
+def test_root_table_characters_equal_the_exp_form_bit_for_bit(spec):
+    # chi = exp(2 pi i q / n), gathered from the n roots, is what exp gives for q
+    g = parse_group_spec(spec)
+    n = g.order
+    chars = build_irrep_table(g).stacks[0].matrices[:, :, 0, 0]
+    q = np.rint(np.angle(chars) * n / (2 * np.pi)).astype(np.int64) % n
+    assert np.array_equal(chars, np.exp(2j * np.pi * q / n))
+
+
+def _equivalent_pairs_by_gram(table, tol=1e-10):
+    """The pairs the full character Gram matrix calls equivalent, as diagnostics."""
+    n = table.group.order
+    chars = np.array([r.characters for r in table.irreps])
+    gram = np.abs(chars @ chars.conj().T) / n
+    return [f"irreps {i} and {j} are equivalent (character inner product {gram[i, j]:.2e})"
+            for i, j in np.argwhere(np.triu(gram > tol, 1))]
+
+
+@pytest.mark.parametrize("filter_width", [None, 10.0])
+def test_validate_names_equivalent_pairs_as_the_full_gram_does(filter_width, monkeypatch):
+    # repeated characters, a repeated 2-dim irrep and a unitary conjugate of
+    # another, and an irrep with phase noise far above tol, which fails its
+    # own checks and so is compared in full with every other; a filter of
+    # width 10 lets every pair through to the full product, as for characters
+    # of degree >= 2 that agree on the generators
+    from cayleynorms import fourier
+
+    if filter_width is not None:
+        monkeypatch.setattr(fourier, "_SAME_ON_GENERATORS", filter_width)
+    g = dihedral_group(8)
+    irreps = build_irrep_table(g).irreps
+    u = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    conj = Irrep(dim=2, matrices=u @ irreps[5].matrices @ u.conj().T)
+    noise = np.random.Generator(np.random.Philox(8)).normal(0.0, 1e-3, irreps[5].matrices.shape)
+    noisy = Irrep(dim=2, matrices=irreps[5].matrices * np.exp(1j * noise))
+    for extra, count in (((), 0), ((irreps[1],), 1), ((irreps[4], conj), 2),
+                         ((irreps[0], irreps[6], irreps[0]), 4), ((noisy,), None)):
+        table = IrrepTable(group=g, irreps=irreps + extra)
+        want = _equivalent_pairs_by_gram(table)
+        got = [p for p in validate_irrep_table(table) if "equivalent" in p]
+        assert got == want
+        assert len(got) == count if count is not None else len(got) > 1
+    z1 = build_irrep_table(cyclic_group(1)).irreps
+    thrice = IrrepTable(group=cyclic_group(1), irreps=z1 * 3)
+    assert [p for p in validate_irrep_table(thrice) if "equivalent" in p] == \
+        _equivalent_pairs_by_gram(thrice)
+
+
 # ---------------------------------------------------------------------------
 # transform, inversion, Plancherel, convolution
 
@@ -417,6 +495,29 @@ def test_svd_witness_objective_matches_the_three_operand_einsum(spec):
         w = svd_witness(f, table)
         want = abs(np.einsum("gd,gh,hd->", w.x.conj(), f.values[g.ghinv], w.y)) / g.order**2
         assert w.objective == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _transform_by_tensordot(f, table):
+    """The reference transform: one tensordot per irrep."""
+    return [np.tensordot(f.values, rho.matrices, axes=(0, 0)) / f.group.order
+            for rho in table.irreps]
+
+
+def test_batched_transform_is_the_per_irrep_tensordot_bit_for_bit():
+    from cayleynorms.verify import load_s3_irreps
+
+    rng = np.random.Generator(np.random.Philox(14))
+    tables = [build_irrep_table(parse_group_spec(spec)) for spec in
+              ("Z12", "Z2xZ2", "D4", "D5", "Z16xZ16", "D128", "D384", "Z1000")]
+    for table in tables + [load_s3_irreps()]:
+        for f in (GroupFunction(table.group, rng.standard_normal(table.group.order)),
+                  _random_complex_function(table.group, rng)):
+            fhat = fourier_transform(f, table)
+            want = _transform_by_tensordot(f, table)
+            assert all(a.shape == b.shape and np.array_equal(a, b)
+                       for a, b in zip(fhat.coeffs, want, strict=True))
+            for b, c in zip(table.stacks, fhat.stacks, strict=True):
+                assert np.array_equal(c, np.stack([want[i] for i in b.index]))
 
 
 def _report_tables():

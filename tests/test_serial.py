@@ -31,20 +31,54 @@ def test_float_formatting_is_lossless():
         assert serial.loads(text)["v"] == v
 
 
+def test_signed_zero_round_trips():
+    # JSON reads -0 as the integer 0; -0.0 keeps the sign through every parser
+    assert serial.dumps({"v": -0.0, "w": 0.0}) == '{\n  "v": -0.0,\n  "w": 0\n}\n'
+    assert math.copysign(1.0, serial.loads(serial.dumps({"v": -0.0}))["v"]) == -1.0
+    a = np.array([[-0.0, 1.0], [0.0, -0.0]])
+    text = serial.matrix_to_text(a)
+    back = serial.parse_matrix(text)
+    assert np.array_equal(np.signbit(back), np.signbit(a))
+    assert serial.matrix_to_text(back) == text
+    g = cyclic_group(2)
+    for values in (np.array([-0.0, 1.0]), np.array([complex(-0.0, 1.0), complex(1.0, -0.0)])):
+        text = serial.function_to_text(GroupFunction(g, values))
+        assert "-0.0" in text
+        back = serial.parse_function(text).values
+        assert np.array_equal(np.signbit(back.view(np.float64)),
+                              np.signbit(values.view(np.float64)))
+        assert serial.function_to_text(GroupFunction(g, back)) == text
+    # D5's rotation matrices hold -0.0 entries
+    d5 = dihedral_group(5)
+    table = build_irrep_table(d5)
+    text = serial.irreps_to_text(table)
+    assert "-0.0" in text
+    back = serial.parse_irreps(text, d5)
+    for r, r2 in zip(table.irreps, back.irreps, strict=True):
+        assert np.array_equal(np.signbit(r2.matrices.view(np.float64)),
+                              np.signbit(r.matrices.view(np.float64)))
+    assert serial.irreps_to_text(back) == text
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         serial.dumps({"kind": "probe", "v": math.inf})
 
 
 def test_list_emission_text_is_pinned():
-    # lists of only int or only float are joined in one pass; bool, mixed and
-    # nested lists take the per-item path; arrays are emitted as their tolist()
+    # lists of only int or only float, and lists nesting float lists to one
+    # depth, are joined in one pass; bool, mixed and other nested lists take
+    # the per-item path; arrays are emitted as their tolist(); -0.0 keeps its
+    # point
     obj = {
         "ints": [3, -1, 0, 10**20],
         "floats": [0.1, -0.0, 1e300, 2.5],
         "bools": [True, False],
         "mixed": [1, 2.5, True, None, "s", np.int64(4), np.float64(0.5)],
         "nested": [[1, 2], [0.5, -0.0], []],
+        "rows": [[0.5, -0.0], [], [2.0]],
+        "deep": [[[1.5, -0.0], [0.25, 3.0]], [[], [-1.0]]],
+        "ragged": [[[1.5]], [], [2.0]],
         "array": np.array([[1.0, -0.0], [3.0, 0.25]]),
         "iarray": np.arange(3),
         "empty": [],
@@ -53,16 +87,38 @@ def test_list_emission_text_is_pinned():
     assert serial.dumps(obj) == (
         '{\n'
         '  "ints": [3, -1, 0, 100000000000000000000],\n'
-        '  "floats": [0.10000000000000001, -0, 1.0000000000000001e+300, 2.5],\n'
+        '  "floats": [0.10000000000000001, -0.0, 1.0000000000000001e+300, 2.5],\n'
         '  "bools": [true, false],\n'
         '  "mixed": [1, 2.5, true, null, "s", 4, 0.5],\n'
         '  "nested": [\n'
         '    [1, 2],\n'
-        '    [0.5, -0],\n'
+        '    [0.5, -0.0],\n'
         '    []\n'
         '  ],\n'
+        '  "rows": [\n'
+        '    [0.5, -0.0],\n'
+        '    [],\n'
+        '    [2]\n'
+        '  ],\n'
+        '  "deep": [\n'
+        '    [\n'
+        '      [1.5, -0.0],\n'
+        '      [0.25, 3]\n'
+        '    ],\n'
+        '    [\n'
+        '      [],\n'
+        '      [-1]\n'
+        '    ]\n'
+        '  ],\n'
+        '  "ragged": [\n'
+        '    [\n'
+        '      [1.5]\n'
+        '    ],\n'
+        '    [],\n'
+        '    [2]\n'
+        '  ],\n'
         '  "array": [\n'
-        '    [1, -0],\n'
+        '    [1, -0.0],\n'
         '    [3, 0.25]\n'
         '  ],\n'
         '  "iarray": [0, 1, 2],\n'
@@ -216,6 +272,21 @@ def test_matrix_parse_rejects_bad_counts(rows, cols, field):
 def test_edge_list_parse_rejects_non_integers(n, edge):
     with pytest.raises(ValueError, match="must be an integer"):
         serial.parse_matrix({"kind": "edge_list", "n": n, "edges": [edge]})
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"kind": "matrix", "rows": 2}, "cols"),
+    ({"kind": "matrix", "cols": 2, "entries": []}, "rows"),
+    ({"kind": "matrix", "rows": 1, "cols": 1}, "entries"),
+    ({"kind": "edge_list", "edges": []}, "n"),
+    ({"kind": "edge_list", "n": 2}, "edges"),
+    ({"kind": "perm_group", "generators": []}, "degree"),
+    ({"kind": "perm_group", "degree": 2}, "generators"),
+])
+def test_matrix_and_perm_group_parse_name_a_missing_field(obj, field):
+    parse = serial.parse_perm_group if obj["kind"] == "perm_group" else serial.parse_matrix
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        parse(obj)
 
 
 def test_perm_group_parse_rejects_non_integer_image():
