@@ -182,10 +182,8 @@ def _cmd_fourier(args) -> int:
     wit = svd_witness(f, table)  # one transform: ||f||, the witness and the coefficients
     via = float(wit.fhat.sigma1.max())
     dense = group_spectral(f)
-    coefficients = [None] * len(table.irreps)
-    for b, c in zip(table.stacks, wit.fhat.stacks):  # [re, im] pairs, one call per dim
-        for i, pairs in zip(b.index, serial._complex_pairs(c.reshape(len(c), -1))):
-            coefficients[i] = {"dim": b.dim, "matrix": pairs}
+    coefficients = [{"dim": d, "matrix": m}
+                    for d, m in zip(table.dims, serial.stacked_pairs(table, wit.fhat.stacks))]
     obj = {
         "kind": "fourier_report",
         "group_label": f.group.label,

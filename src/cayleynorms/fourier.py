@@ -6,14 +6,14 @@ dihedral groups (rotation-reflection matrices at exact angles 2 pi k / m);
 other groups take a user-supplied table, validated on ingestion (the
 homomorphism property is checked on a generating set of the group).
 
-A table holds its irreps of each dimension d as one read-only (K, n, d, d)
-array (`IrrepTable.stacks`); a built-in table is built as these arrays, and
-its `Irrep`s are views into them, while a table built from a list stacks
-them once, on first use.  The transform is ``fhat(rho) = mean_g f(g)
-rho(g)``, one vector-matrix product per dimension, bit-identical to one
-tensordot per irrep; its inverse, the Plancherel identity and the
-convolution theorem follow the averaging normalization, and the spectral
-norm of f equals the largest singular value among the coefficient matrices
+A table stores its irreps of each dimension d as one read-only (K, n, d, d)
+array (`IrrepTable.stacks`), and the transform its coefficients as one
+(K, d, d) array per stack; the per-irrep lists `irreps` and `coeffs` are
+views into them.  The transform is ``fhat(rho) = mean_g f(g) rho(g)``, one
+vector-matrix product per dimension, bit-identical to one tensordot per
+irrep; its inverse, the Plancherel identity and the convolution theorem
+follow the averaging normalization, and the spectral norm of f equals the
+largest singular value among the coefficient matrices
 (`FourierCoefficients.sigma1`, one batched SVD per dimension).  The witness
 takes the top singular pair from LAPACK's SVD of the attaining coefficient
 matrix.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,92 +58,94 @@ class IrrepStack:
 
     dim: int
     index: np.ndarray  # (K,) int
-    matrices: np.ndarray  # (K, |G|, d, d) complex, read-only
+    matrices: np.ndarray  # (K, |G|, d, d) complex, made read-only
 
-
-def _in_turn(arrays: list[np.ndarray]) -> tuple[IrrepStack, ...]:
-    """(K, |G|, d, d) arrays whose irreps a table lists one array after another;
-    the arrays become read-only."""
-    out, start = [], 0
-    for m in arrays:
-        m.setflags(write=False)
-        out.append(IrrepStack(dim=m.shape[2], index=np.arange(start, start + len(m)), matrices=m))
-        start += len(m)
-    return tuple(out)
-
-
-def _stack_irreps(irreps: tuple[Irrep, ...], positions) -> tuple[IrrepStack, ...]:
-    """One IrrepStack per dimension among the irreps at `positions`, by dimension;
-    np.stack copies each irrep once."""
-    out = []
-    for d in sorted({irreps[i].dim for i in positions}):
-        index = np.array([i for i in positions if irreps[i].dim == d])
-        m = np.stack([irreps[i].matrices for i in index])
-        m.setflags(write=False)
-        out.append(IrrepStack(dim=d, index=index, matrices=m))
-    return tuple(out)
+    def __post_init__(self):
+        self.matrices.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class IrrepTable:
-    """A complete list of pairwise-inequivalent unitary irreps of one group."""
+    """A complete list of pairwise-inequivalent unitary irreps of one group,
+    stored as one stack per irrep dimension, ascending."""
 
     group: GroupTable
-    irreps: tuple[Irrep, ...]
+    stacks: tuple[IrrepStack, ...]
+
+    def __post_init__(self):
+        n = self.group.order
+        for b in self.stacks:
+            if b.matrices.shape[1] != n:
+                raise ValueError(f"irrep {b.index[0]}: {b.matrices.shape[1]} matrices "
+                                 f"for a group of order {n}")
+        positions = np.sort(np.concatenate([b.index for b in self.stacks] or [[]]))
+        if not np.array_equal(positions, np.arange(len(positions))):
+            raise ValueError("the stacks must hold each table position 0..K-1 once")
 
     @classmethod
-    def _from_stacks(cls, group: GroupTable, stacks: tuple[IrrepStack, ...]) -> IrrepTable:
-        """The table whose irrep at each position of a stack is a view into it:
-        the stacks become the table's `stacks`, with nothing copied."""
-        irreps = [None] * sum(len(b.index) for b in stacks)
-        for b in stacks:
-            for i, m in zip(b.index, b.matrices):
-                irreps[i] = Irrep(dim=b.dim, matrices=m)
-        table = cls(group=group, irreps=tuple(irreps))
-        table.__dict__["stacks"] = stacks  # fills the cached_property
-        return table
+    def from_irreps(cls, group: GroupTable, irreps: Sequence[Irrep]) -> IrrepTable:
+        """The table listing `irreps` in order; each is copied once into its
+        dimension's stack.  An irrep without one matrix per group element is a
+        ValueError."""
+        n = group.order
+        for i, r in enumerate(irreps):
+            if len(r.matrices) != n:
+                raise ValueError(f"irrep {i}: {len(r.matrices)} matrices for a group of order {n}")
+        stacks = []
+        for d in sorted({r.dim for r in irreps}):
+            index = np.array([i for i, r in enumerate(irreps) if r.dim == d])
+            stacks.append(IrrepStack(d, index, np.stack([irreps[i].matrices for i in index])))
+        return cls(group, tuple(stacks))
+
+    def in_table_order(self, per_stack) -> list:
+        """Items given stack by stack, one per irrep in stack order (the rows of
+        an array aligned with `stacks`), listed by table position."""
+        out = [None] * sum(len(b.index) for b in self.stacks)
+        for b, items in zip(self.stacks, per_stack, strict=True):
+            for i, item in zip(b.index.tolist(), items, strict=True):
+                out[i] = item
+        return out
 
     @cached_property
-    def stacks(self) -> tuple[IrrepStack, ...]:
-        """The irreps grouped by dimension, ascending; a table built from a list
-        of irreps stacks them here, once."""
-        return _stack_irreps(self.irreps, range(len(self.irreps)))
+    def irreps(self) -> tuple[Irrep, ...]:
+        """Each irrep in table order, its matrices a view into its stack."""
+        return tuple(self.in_table_order(
+            [Irrep(dim=b.dim, matrices=m) for m in b.matrices] for b in self.stacks))
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
-        return tuple(r.dim for r in self.irreps)
+        return tuple(self.in_table_order([b.dim] * len(b.index) for b in self.stacks))
 
     @property
     def max_dim(self) -> int:
-        return max(self.dims)
+        return max(b.dim for b in self.stacks)
 
 
 @dataclass(frozen=True)
 class FourierCoefficients:
-    """Per-irrep coefficient matrices fhat(rho), shaped like the table."""
+    """The coefficient matrices fhat(rho) as one (K, d, d) array per entry of
+    `table.stacks`."""
 
     table: IrrepTable
-    coeffs: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.table.irreps):
-            raise ValueError("coefficient count does not match the irrep table")
-        for c, r in zip(self.coeffs, self.table.irreps):
-            if c.shape != (r.dim, r.dim):
-                raise ValueError(
-                    f"coefficient shape {c.shape} does not match irrep dim {r.dim}"
-                )
+        got = [np.shape(c) for c in self.stacks]
+        want = [(len(b.index), b.dim, b.dim) for b in self.table.stacks]
+        if got != want:
+            raise ValueError(f"coefficient stacks of shapes {got} do not match the "
+                             f"irrep table's {want}")
 
     @cached_property
-    def stacks(self) -> tuple[np.ndarray, ...]:
-        """The coefficients as one (K, d, d) array per entry of `table.stacks`."""
-        return tuple(np.stack([self.coeffs[i] for i in b.index]) for b in self.table.stacks)
+    def coeffs(self) -> tuple[np.ndarray, ...]:
+        """Each coefficient matrix in table order, a view into its stack."""
+        return tuple(self.table.in_table_order(self.stacks))
 
     @cached_property
     def sigma1(self) -> np.ndarray:
         """sigma_1 of each coefficient, from one full SVD per stack of same-dimension
         ones: bit-identical to one SVD per matrix, which compute_uv=False is not."""
-        sigma = np.empty(len(self.coeffs))
+        sigma = np.empty(len(self.table.dims))
         for b, c in zip(self.table.stacks, self.stacks):
             sigma[b.index] = np.linalg.svd(c)[1][:, 0]
         sigma.setflags(write=False)
@@ -212,9 +214,9 @@ def _find_dihedral_pair(g: GroupTable) -> Optional[tuple[int, int]]:
     return None
 
 
-def _dihedral_stacks(g: GroupTable, r: int, s: int) -> list[np.ndarray]:
-    """The dihedral irreps as a (K, n, 1, 1) stack of sign characters and a
-    (K, n, 2, 2) stack of rotation-reflection matrices."""
+def _dihedral_stacks(g: GroupTable, r: int, s: int) -> tuple[IrrepStack, IrrepStack]:
+    """The dihedral irreps: a stack of sign characters, then one of
+    rotation-reflection matrices."""
     n = g.order
     m = n // 2
     # normal form: every element is r^i or r^i s
@@ -233,13 +235,16 @@ def _dihedral_stacks(g: GroupTable, r: int, s: int) -> list[np.ndarray]:
     pq = np.array([(0, 0), (0, 1), (1, 0), (1, 1)][: 4 if m % 2 == 0 else 2])
     signs = ((-1.0) ** (pq[:, :1] * i_of + pq[:, 1:] * a_of)).astype(np.complex128)
     # rho_j(r^i s^a) = rot(2 pi (j i mod m) / m) diag(1, (-1)^a), j = 1..(m-1)//2
+    # gathered from the m angles 2 pi k / m, each computed as the direct form would
     j = np.arange(1, (m - 1) // 2 + 1)[:, None]
-    theta = 2.0 * np.pi * ((j * i_of) % m) / m
-    cos, sin, sign = np.cos(theta), np.sin(theta), 1 - 2 * a_of
-    mats = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    angle = 2.0 * np.pi * np.arange(m) / m
+    k = (j * i_of) % m
+    cos, sin, sign = np.cos(angle)[k], np.sin(angle)[k], 1 - 2 * a_of
+    mats = np.empty(k.shape + (2, 2), dtype=np.complex128)
     mats[..., 0, 0], mats[..., 0, 1] = cos, -sin * sign
     mats[..., 1, 0], mats[..., 1, 1] = sin, cos * sign
-    return [signs.reshape(len(pq), n, 1, 1), mats]
+    return (IrrepStack(1, np.arange(len(pq)), signs.reshape(len(pq), n, 1, 1)),
+            IrrepStack(2, np.arange(len(pq), len(pq) + len(j)), mats))
 
 
 def build_irrep_table(g: GroupTable) -> IrrepTable:
@@ -248,12 +253,13 @@ def build_irrep_table(g: GroupTable) -> IrrepTable:
     Other groups must supply their table through parse_irreps; the error
     message says so.  The returned table passes validate_irrep_table.
     """
+    n = g.order
     if g.is_abelian:
-        n = g.order
-        return IrrepTable._from_stacks(g, _in_turn([_abelian_characters(g).reshape(n, n, 1, 1)]))
+        chars = _abelian_characters(g).reshape(n, n, 1, 1)
+        return IrrepTable(g, (IrrepStack(1, np.arange(n), chars),))
     pair = _find_dihedral_pair(g)
     if pair is not None:
-        return IrrepTable._from_stacks(g, _in_turn(_dihedral_stacks(g, *pair)))
+        return IrrepTable(g, _dihedral_stacks(g, *pair))
     raise ValueError(
         f"no built-in irreps for group {g.label or '?'} (order {g.order}); "
         "supply a table via parse_irreps"
@@ -321,12 +327,8 @@ def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
     g = table.group
     n = g.order
     _, gens, depth = _generating_set(g.mul)
-    found = {i: [f"irrep {i}: {r.matrices.shape[0]} matrices for a group of order {n}"]
-             for i, r in enumerate(table.irreps) if r.matrices.shape[0] != n}
-    stacks = table.stacks if not found else _stack_irreps(
-        table.irreps, [i for i in range(len(table.irreps)) if i not in found])
-    chars = [None] * len(table.irreps)
-    for b in stacks:
+    found, chars = {}, [None] * len(table.dims)
+    for b in table.stacks:
         d, idx, m = b.dim, b.index, b.matrices  # m: [irrep, x, d, d]
         adj, eye = m.conj().swapaxes(2, 3), np.eye(d)
         ident = ~np.isclose(m[:, 0], eye, atol=tol).all(axis=(1, 2))
@@ -362,10 +364,10 @@ def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
             if abs(norm[j] - 1.0) > tol:
                 out.append(f"irrep {i}: not irreducible, mean |Tr rho|^2 = {norm[j]:.6f} != 1")
     problems = [text for i in sorted(found) for text in found[i]]
-    total = sum(r.dim**2 for r in table.irreps)
+    total = sum(d**2 for d in table.dims)
     if total != n:
         problems.append(f"incomplete table: sum of dim^2 is {total}, expected {n}")
-    if table.irreps and all(r.matrices.shape[0] == n for r in table.irreps):
+    if chars:
         slack = max(_SAME_ON_GENERATORS, 4 * table.max_dim * tol)
         failed = np.array([bool(found[i]) for i in range(len(chars))])
         for i, j in _agreeing_pairs(np.array([c[gens] for c in chars]), slack, failed):
@@ -395,26 +397,18 @@ def fourier_transform(f: GroupFunction, table: IrrepTable) -> FourierCoefficient
     if not f.group.same_as(table.group):
         raise ValueError("function and irrep table live on different groups")
     n = f.group.order
-    coeffs = [None] * len(table.irreps)
-    stacks = []
-    for b in table.stacks:
-        k, d = len(b.index), b.dim
-        c = (np.matmul(f.values, b.matrices.reshape(k, n, d * d)) / n).reshape(k, d, d)
-        stacks.append(c)
-        for i, ci in zip(b.index, c):
-            coeffs[i] = ci
-    fhat = FourierCoefficients(table=table, coeffs=tuple(coeffs))
-    fhat.__dict__["stacks"] = tuple(stacks)  # fills the cached_property
-    return fhat
+    return FourierCoefficients(table, tuple(
+        (np.matmul(f.values, b.matrices.reshape(len(b.index), n, b.dim**2)) / n)
+        .reshape(-1, b.dim, b.dim) for b in table.stacks))
 
 
 def fourier_inverse(coeffs: FourierCoefficients) -> GroupFunction:
     """Reconstruct f(g) = sum_rho d_rho <fhat(rho), rho(g)>_HS."""
     table = coeffs.table
     values = np.zeros(table.group.order, dtype=np.complex128)
-    for rho, c in zip(table.irreps, coeffs.coeffs):
-        # <c, rho(g)>_HS = sum_ij c_ij conj(rho(g)_ij)
-        values += rho.dim * np.einsum("ij,gij->g", c, rho.matrices.conj())
+    for b, c in zip(table.stacks, coeffs.stacks):
+        # <c_k, rho_k(g)>_HS = sum_ij c_kij conj(rho_k(g)_ij), summed over the stack
+        values += b.dim * np.einsum("kij,kgij->g", c, b.matrices.conj())
     return GroupFunction(table.group, values)
 
 
@@ -475,11 +469,12 @@ def svd_witness(f: GroupFunction, table: IrrepTable) -> SvdWitness:
     sigma = fhat.sigma1
     band = 1.0 - _TIE_BAND_PER_ELEMENT * f.group.order * float(np.finfo(np.float64).eps)
     best = int(np.flatnonzero(sigma >= band * sigma.max())[0])
-    u, _, vh = np.linalg.svd(fhat.coeffs[best])
+    b, c = next((b, c) for b, c in zip(table.stacks, fhat.stacks) if best in b.index)
+    k = b.index.tolist().index(best)
+    u, _, vh = np.linalg.svd(c[k])
     u1, v1 = u[:, 0], vh[0].conj()  # fhat(sigma) v1 = sigma_1 u1
-    rho = table.irreps[best]
     g = table.group
-    mats_inv = rho.matrices[g.inv]
+    mats_inv = b.matrices[k][g.inv]
     x = mats_inv @ u1
     y = mats_inv @ v1
     fmat = f.values[g.ghinv]

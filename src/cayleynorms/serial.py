@@ -170,6 +170,13 @@ def _complex_pairs(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
+def stacked_pairs(table: IrrepTable, arrays) -> list:
+    """The [re, im] pairs of arrays aligned with `table.stacks` (first axis:
+    the stack's irreps; last two: a d x d matrix, flattened row by row), one
+    entry per table position."""
+    return table.in_table_order(_complex_pairs(a.reshape(a.shape[:-2] + (-1,))) for a in arrays)
+
+
 def _from_pairs(pairs, field: str) -> np.ndarray:
     """Complex numbers stored as [re, im] pairs, read exactly (signed zeros
     too); anything else is a ValueError naming the field."""
@@ -364,11 +371,8 @@ def irreps_to_obj(table: IrrepTable, provenance: Optional[dict] = None) -> dict:
         "group_label": table.group.label,
         "order": table.group.order,
         "irreps": [
-            {
-                "dim": r.dim,
-                "matrices": _complex_pairs(r.matrices.reshape(len(r.matrices), -1)),
-            }
-            for r in table.irreps
+            {"dim": d, "matrices": m}
+            for d, m in zip(table.dims, stacked_pairs(table, [b.matrices for b in table.stacks]))
         ],
     }
     if provenance:
@@ -398,11 +402,7 @@ def parse_irreps(source: str | dict, group: GroupTable) -> IrrepTable:
             raise ValueError(f"{field} must list {d * d} [re, im] pairs per element, "
                              f"found shape {mats.shape + (2,)}")
         irreps.append(Irrep(dim=d, matrices=mats.reshape(-1, d, d)))
-    table = IrrepTable(group=group, irreps=tuple(irreps))
-    if all(len(r.matrices) == group.order for r in irreps):
-        # stacked once by dimension, and the irreps read as views into the stacks
-        table = IrrepTable._from_stacks(group, table.stacks)
-    return ensure_valid_irreps(table)
+    return ensure_valid_irreps(IrrepTable.from_irreps(group, irreps))
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,38 @@ def test_fourier_subcommand_with_user_irreps(tmp_path):
                                                          rel=1e-8)
 
 
+@pytest.mark.parametrize("spec", ["Z12", "D5", "D128"])
+def test_fourier_report_is_the_same_from_a_parsed_and_a_builtin_table(spec, tmp_path):
+    from cayleynorms import GroupFunction, build_irrep_table, parse_group_spec
+
+    g = parse_group_spec(spec)
+    rng = np.random.Generator(np.random.Philox(8))
+    isrc = tmp_path / "irreps.json"
+    isrc.write_text(serial.irreps_to_text(build_irrep_table(g)))
+    for values in (rng.standard_normal(g.order),
+                   rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)):
+        fsrc = tmp_path / "f.json"
+        fsrc.write_text(serial.function_to_text(GroupFunction(g, values)))
+        builtin, parsed = tmp_path / "builtin.json", tmp_path / "parsed.json"
+        assert run(["fourier", str(fsrc), "--out", str(builtin), "--quiet"]) == 0
+        assert run(["fourier", str(fsrc), "--irreps", str(isrc), "--out", str(parsed),
+                    "--quiet"]) == 0
+        assert parsed.read_bytes() == builtin.read_bytes()
+
+
+def test_fourier_irrep_file_with_a_short_matrix_stack_exits_two(tmp_path, capsys):
+    from cayleynorms import GroupFunction, build_irrep_table, dihedral_group
+
+    g = dihedral_group(4)
+    obj = serial.irreps_to_obj(build_irrep_table(g))
+    obj["irreps"][1]["matrices"] = obj["irreps"][1]["matrices"][:5]
+    (tmp_path / "irreps.json").write_text(serial.dumps(obj))
+    (tmp_path / "f.json").write_text(serial.function_to_text(GroupFunction.constant(g, 1.0)))
+    assert run(["fourier", str(tmp_path / "f.json"), "--irreps", str(tmp_path / "irreps.json"),
+                "--quiet"]) == 2
+    assert "irrep 1: 5 matrices for a group of order 8" in capsys.readouterr().err
+
+
 def test_fourier_report_takes_one_transform(tmp_path, monkeypatch):
     import cayleynorms.cli
     import cayleynorms.fourier

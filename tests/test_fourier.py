@@ -100,7 +100,7 @@ def test_validate_checks_the_tables_own_group():
     # Z4's characters on a table whose group is the Klein group Z2xZ2
     z4 = cyclic_group(4)
     klein = product_group(cyclic_group(2), cyclic_group(2))
-    mislabelled = IrrepTable(group=klein, irreps=build_irrep_table(z4).irreps)
+    mislabelled = IrrepTable.from_irreps(klein, build_irrep_table(z4).irreps)
     problems = validate_irrep_table(mislabelled)
     assert problems
     assert any("rho(ab) != rho(a)rho(b)" in p for p in problems)
@@ -111,7 +111,7 @@ def test_validate_checks_the_tables_own_group():
 def test_validate_catches_incomplete_table():
     g = dihedral_group(4)
     table = build_irrep_table(g)
-    partial = IrrepTable(group=g, irreps=table.irreps[:-1])
+    partial = IrrepTable.from_irreps(g, table.irreps[:-1])
     problems = validate_irrep_table(partial)
     assert any("incomplete" in p for p in problems)
 
@@ -121,9 +121,9 @@ def test_validate_catches_non_unitary():
     table = build_irrep_table(g)
     mats = table.irreps[1].matrices.copy()
     mats[1] *= 2.0
-    bad = IrrepTable(group=g, irreps=(table.irreps[0],
-                                      Irrep(dim=1, matrices=mats),
-                                      table.irreps[2]))
+    bad = IrrepTable.from_irreps(g, (table.irreps[0],
+                                     Irrep(dim=1, matrices=mats),
+                                     table.irreps[2]))
     problems = validate_irrep_table(bad)
     assert any("unitary" in p or "rho(ab)" in p for p in problems)
 
@@ -137,7 +137,7 @@ def test_validate_catches_reducible_fake_irrep():
     stack[:, 0, 0] = ones[0].matrices[:, 0, 0]
     stack[:, 1, 1] = ones[1].matrices[:, 0, 0]
     fake = Irrep(dim=2, matrices=stack)
-    problems = validate_irrep_table(IrrepTable(group=g, irreps=(fake,)))
+    problems = validate_irrep_table(IrrepTable.from_irreps(g, (fake,)))
     assert any("not irreducible" in p for p in problems)
     # its character norm is 2, the reducibility fingerprint
     char_norm = float(np.mean(np.abs(fake.characters) ** 2))
@@ -147,20 +147,29 @@ def test_validate_catches_reducible_fake_irrep():
 def test_validate_names_a_repeated_irrep():
     g = dihedral_group(4)
     table = build_irrep_table(g)
-    doubled = IrrepTable(group=g, irreps=table.irreps + (table.irreps[1],))
+    doubled = IrrepTable.from_irreps(g, table.irreps + (table.irreps[1],))
     problems = validate_irrep_table(doubled)
     assert [p for p in problems if "equivalent" in p] == [
         "irreps 1 and 5 are equivalent (character inner product 1.00e+00)"
     ]
 
 
-def test_validate_reports_a_short_matrix_stack():
+def test_a_short_matrix_stack_is_refused_at_construction():
     g = dihedral_group(4)
     table = build_irrep_table(g)
     short = Irrep(dim=1, matrices=table.irreps[1].matrices[:5])
     irreps = (table.irreps[0], short) + table.irreps[2:]
-    problems = validate_irrep_table(IrrepTable(group=g, irreps=irreps))
-    assert "irrep 1: 5 matrices for a group of order 8" in problems
+    with pytest.raises(ValueError, match=r"^irrep 1: 5 matrices for a group of order 8$"):
+        IrrepTable.from_irreps(g, irreps)
+    # stacks given directly: a short one, or positions that are not 0..K-1 once each
+    from cayleynorms.fourier import IrrepStack
+
+    ones, two = table.stacks
+    with pytest.raises(ValueError, match=r"^irrep 0: 5 matrices for a group of order 8$"):
+        IrrepTable(g, (IrrepStack(1, ones.index, ones.matrices[:, :5].copy()), two))
+    for index in ([0, 0, 1, 2], [0, 1, 2, 5]):
+        with pytest.raises(ValueError, match="each table position"):
+            IrrepTable(g, (IrrepStack(1, np.array(index), ones.matrices.copy()), two))
 
 
 def test_dihedral_characters_are_exact_cosines():
@@ -216,7 +225,7 @@ def test_validate_catches_a_homomorphism_only_corruption(spec):
         mats[x] = u @ mats[x] @ u.conj().T
     irreps = list(table.irreps)
     irreps[idx] = Irrep(dim=2, matrices=mats)
-    problems = validate_irrep_table(IrrepTable(group=g, irreps=tuple(irreps)))
+    problems = validate_irrep_table(IrrepTable.from_irreps(g, tuple(irreps)))
     assert len(problems) == 1
     assert problems[0].startswith(f"irrep {idx}: rho(ab) != rho(a)rho(b) at (a,b)=")
     a, b = map(int, re.search(r"\(a,b\)=\((\d+),(\d+)\)", problems[0]).groups())
@@ -239,7 +248,7 @@ def test_validate_rejects_a_smooth_phase_error_that_passes_on_generators():
     assert err[:, gens].max() <= tol < err.max()
     irreps = list(table.irreps)
     irreps[1] = Irrep(dim=1, matrices=chi.reshape(n, 1, 1))
-    problems = validate_irrep_table(IrrepTable(group=g, irreps=tuple(irreps)), tol=tol)
+    problems = validate_irrep_table(IrrepTable.from_irreps(g, tuple(irreps)), tol=tol)
     assert len(problems) == 1
     assert problems[0].startswith("irrep 1: rho(ab) != rho(a)rho(b)")
 
@@ -267,10 +276,18 @@ def test_a_table_built_from_a_list_stacks_by_dimension():
     # dims out of order: each stack lists its irreps by table position
     g = dihedral_group(5)
     irreps = build_irrep_table(g).irreps
-    table = IrrepTable(group=g, irreps=(irreps[2], irreps[0], irreps[3], irreps[1]))
+    listed = (irreps[2], irreps[0], irreps[3], irreps[1])
+    table = IrrepTable.from_irreps(g, listed)
     assert [(b.dim, b.index.tolist()) for b in table.stacks] == [(1, [1, 3]), (2, [0, 2])]
     assert np.array_equal(table.stacks[1].matrices[1], irreps[3].matrices)
     assert table.stacks is table.stacks  # stacked once
+    # the per-irrep views come back in the listed order
+    assert table.dims == (2, 1, 2, 1)
+    assert all(np.array_equal(a.matrices, b.matrices)
+               for a, b in zip(table.irreps, listed, strict=True))
+    f = GroupFunction(g, np.arange(g.order) - 4.5)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        fourier_transform(f, table).coeffs, _transform_by_tensordot(f, table), strict=True))
 
 
 @pytest.mark.parametrize("spec", ["Z1", "Z12", "Z257", "Z2xZ4", "Z16xZ16", "Z1000"])
@@ -281,6 +298,28 @@ def test_root_table_characters_equal_the_exp_form_bit_for_bit(spec):
     chars = build_irrep_table(g).stacks[0].matrices[:, :, 0, 0]
     q = np.rint(np.angle(chars) * n / (2 * np.pi)).astype(np.int64) % n
     assert np.array_equal(chars, np.exp(2j * np.pi * q / n))
+
+
+@pytest.mark.parametrize("m", list(range(3, 41)) + [128, 384, 385, 399, 768])
+def test_dihedral_rotations_equal_the_direct_cos_and_sin_bit_for_bit(m):
+    # cos and sin gathered from the m angles 2 pi k / m are what np.cos and
+    # np.sin give for the angle of each (rotation, irrep) pair
+    mats = build_irrep_table(dihedral_group(m)).stacks[1].matrices
+    cos, sin = mats[..., 0, 0].real, mats[..., 1, 0].real
+    q = np.rint(np.arctan2(sin, cos) * m / (2 * np.pi)).astype(np.int64) % m
+    theta = 2.0 * np.pi * q / m
+    assert np.array_equal(cos, np.cos(theta)) and np.array_equal(sin, np.sin(theta))
+
+
+def test_coefficient_stacks_must_match_the_table():
+    from cayleynorms.fourier import FourierCoefficients
+
+    table = build_irrep_table(dihedral_group(4))
+    good = [np.zeros((len(b.index), b.dim, b.dim), dtype=complex) for b in table.stacks]
+    FourierCoefficients(table, tuple(good))
+    for bad in (good[:1], good[::-1], [good[0][:-1], good[1]], [good[0], good[1][..., :1]]):
+        with pytest.raises(ValueError, match="do not match the irrep table"):
+            FourierCoefficients(table, tuple(bad))
 
 
 def _equivalent_pairs_by_gram(table, tol=1e-10):
@@ -311,13 +350,13 @@ def test_validate_names_equivalent_pairs_as_the_full_gram_does(filter_width, mon
     noisy = Irrep(dim=2, matrices=irreps[5].matrices * np.exp(1j * noise))
     for extra, count in (((), 0), ((irreps[1],), 1), ((irreps[4], conj), 2),
                          ((irreps[0], irreps[6], irreps[0]), 4), ((noisy,), None)):
-        table = IrrepTable(group=g, irreps=irreps + extra)
+        table = IrrepTable.from_irreps(g, irreps + extra)
         want = _equivalent_pairs_by_gram(table)
         got = [p for p in validate_irrep_table(table) if "equivalent" in p]
         assert got == want
         assert len(got) == count if count is not None else len(got) > 1
     z1 = build_irrep_table(cyclic_group(1)).irreps
-    thrice = IrrepTable(group=cyclic_group(1), irreps=z1 * 3)
+    thrice = IrrepTable.from_irreps(cyclic_group(1), z1 * 3)
     assert [p for p in validate_irrep_table(thrice) if "equivalent" in p] == \
         _equivalent_pairs_by_gram(thrice)
 
@@ -372,13 +411,13 @@ def test_inverse_roundtrip_random():
 def test_inverse_of_single_matrix_unit():
     g = dihedral_group(4)
     table = build_irrep_table(g)
-    two_dim = next(i for i, r in enumerate(table.irreps) if r.dim == 2)
-    coeffs = [np.zeros((r.dim, r.dim), dtype=complex) for r in table.irreps]
-    coeffs[two_dim][0, 0] = 1.0
+    stacks = tuple(np.zeros((len(b.index), b.dim, b.dim), dtype=complex) for b in table.stacks)
+    two_dim = next(s for s, b in enumerate(table.stacks) if b.dim == 2)
+    stacks[two_dim][0, 0, 0] = 1.0
     from cayleynorms.fourier import FourierCoefficients
 
-    f = fourier_inverse(FourierCoefficients(table=table, coeffs=tuple(coeffs)))
-    rho = table.irreps[two_dim]
+    f = fourier_inverse(FourierCoefficients(table=table, stacks=stacks))
+    rho = table.irreps[table.stacks[two_dim].index[0]]
     assert np.allclose(f.values, 2.0 * rho.matrices[:, 0, 0].conj(), atol=1e-12)
 
 

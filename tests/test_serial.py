@@ -197,6 +197,13 @@ def test_irreps_round_trip_with_validation():
         serial.parse_irreps(text, cyclic_group(3))
 
 
+@pytest.mark.parametrize("spec", ["Z12", "D5", "D128"])
+def test_irrep_text_is_unchanged_by_a_parse(spec):
+    g = parse_group_spec(spec)
+    text = serial.irreps_to_text(build_irrep_table(g))
+    assert serial.irreps_to_text(serial.parse_irreps(text, g)) == text
+
+
 def test_irreps_parse_rejects_invalid_table():
     g = dihedral_group(4)
     table = build_irrep_table(g)
