@@ -303,6 +303,37 @@ def _agreeing_pairs(values: np.ndarray, slack: float,
     return pairs
 
 
+# Irreps per block of the homomorphism check: a block's rho(x) s products
+# hold about _HOMOMORPHISM_BLOCK_ENTRIES complex entries, and at least one irrep.
+_HOMOMORPHISM_BLOCK_ENTRIES = 1 << 16
+
+
+def _homomorphism_errors(m: np.ndarray, mul: np.ndarray,
+                         gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack m [irrep, x, d, d], generator t and irrep j: the largest
+    entry err[t, j] of |rho(x) rho(s) - rho(x s)| over all x (s = gens[t]),
+    and the first x attaining it, at[t, j].  Products of characters (d = 1)
+    are taken elementwise, larger ones by one GEMM per irrep; the irreps go
+    a block at a time, so each block's arrays stay small."""
+    k, n, d = m.shape[:3]
+    err = np.empty((len(gens), k))
+    at = np.empty((len(gens), k), dtype=np.int64)
+    step = max(1, _HOMOMORPHISM_BLOCK_ENTRIES // (n * d * d))
+    for lo in range(0, k, step):
+        block = m[lo:lo + step]
+        rows = block.reshape(len(block), -1, d)  # rho(x) stacked over x
+        flat = block.reshape(len(block), n, d * d)  # [irrep, x, entry]
+        for t, s in enumerate(gens):
+            prod = flat * flat[:, s, None] if d == 1 else \
+                (rows @ block[:, s]).reshape(flat.shape)
+            prod -= np.take(flat, mul[:, s], axis=1)
+            e = np.abs(prod).reshape(len(block), -1)  # [irrep, (x, entry)]
+            worst = e.argmax(axis=1)
+            err[t, lo:lo + step] = e[np.arange(len(block)), worst]
+            at[t, lo:lo + step] = worst // (d * d)
+    return err, at
+
+
 # Once the group axioms hold, every element is a word ((s_1 s_2) ...) s_k of
 # k <= L generators (L the depth of `_generating_set`).  Let delta be the
 # largest entry of rho(x s) - rho(x) rho(s) over all x and generators s.  For
@@ -338,14 +369,7 @@ def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
         inv = np.abs(np.take(m, g.inv, axis=1) - adj).max(axis=(2, 3))
         trace = m[:, :, 0, 0] if d == 1 else np.trace(m, axis1=2, axis2=3)
         norm = np.mean(np.abs(trace) ** 2, axis=1)
-        rows = m.reshape(len(idx), -1, d)  # rho(x) stacked over x, one GEMM per irrep
-        err = np.empty((len(gens), len(idx)))
-        at = np.empty((len(gens), len(idx)), dtype=np.int64)
-        for t, s in enumerate(gens):
-            e = np.abs((rows @ m[:, s]).reshape(m.shape) - np.take(m, g.mul[:, s], axis=1))
-            e = e.reshape(len(idx), -1)  # [irrep, (x, entry)]
-            worst = e.argmax(axis=1)
-            err[t], at[t] = e[np.arange(len(idx)), worst], worst // (d * d)
+        err, at = _homomorphism_errors(m, g.mul, gens)
         bound = tol / (2 * d * max(depth, 1))
         for j, i in enumerate(idx):
             chars[i] = trace[j]

@@ -27,6 +27,7 @@ recomputed from their witnesses with math.fsum.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -408,10 +409,16 @@ class BMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank is not None and self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        for name, least in (("rank", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if name == "rank" and value is None:
+                continue
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -454,54 +461,76 @@ def _renormalize(w: np.ndarray, out: np.ndarray, sq: np.ndarray, norms: np.ndarr
     np.sqrt(norms, out=norms)
     nonzero = norms > 0.0
     np.maximum(norms, 1e-300, out=norms)
-    np.divide(w, norms, out=out, where=nonzero)
+    # a masked divide is the slower loop; it is needed only with a zero row
+    np.divide(w, norms, out=out, where=True if nonzero.all() else nonzero)
 
 
-def _bm_ascent(a: np.ndarray, k: int, max_sweeps: int, tol: float, rngs):
-    """Run one ascent per generator in ``rngs``, all as one stack.
+# Restart slots per stacked ascent: a chunk of same-shape matrices holds at
+# most about _BM_STACK_ENTRIES floats of matrices and iterates, r (m n +
+# (m + n) k) per matrix, and always at least one matrix.
+_BM_STACK_ENTRIES = 1 << 16
 
-    Restart i draws its x, then its y, from ``rngs[i]``.  A sweep updates
-    the whole stack with one ``a @ y`` and one ``a.T @ x`` (one GEMM per
-    restart) and one renormalisation per side.  A restart leaves the stack
-    at the sweep where its own stopping rule fires; restarts still in it
-    after ``max_sweeps`` sweeps end as they stand.  Each restart's iterates
-    are those of an ascent run on its own.  Returns per-restart lists of the
-    objective, x, y (views into one stacked buffer) and the per-sweep
-    objective trace.
+
+def _bm_starts(m: int, n: int, k: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The restarts' start pairs: restart r draws its x, then its y, from
+    the generator ``Philox(seed)`` jumped r times.  Returns x (r, m, k) and
+    y (r, n, k), not normalised."""
+    x, y = np.empty((restarts, m, k)), np.empty((restarts, n, k))
+    for r in range(restarts):
+        rng = np.random.Generator(np.random.Philox(seed).jumped(r))
+        x[r] = rng.standard_normal((m, k))
+        y[r] = rng.standard_normal((n, k))
+    return x, y
+
+
+def _bm_ascent(a: np.ndarray, x_all: np.ndarray, y_all: np.ndarray, max_sweeps: int, tol: float):
+    """Run one ascent per restart slot, all as one stack.
+
+    Slot i starts from ``x_all[i]``, ``y_all[i]`` (r, m, k) and (r, n, k),
+    normalised here, and ascends on ``a``, which is either one (m, n) matrix
+    shared by every slot or an (r, m, n) stack, one matrix per slot.  A
+    sweep updates the whole stack with one ``a @ y`` and one ``a.T @ x``
+    (one GEMM per slot) and one renormalisation per side.  A slot leaves
+    the stack at the sweep where its own stopping rule fires, swapping its
+    matrix, x, y, ``a @ y`` and previous objective with the last live slot's;
+    slots still in it after ``max_sweeps`` sweeps end as they stand.  Each
+    slot's iterates are bit-identical to those of an ascent run alone on its
+    own matrix: every GEMM is the one a lone run makes, on the same shapes
+    and strides, and every other step is elementwise or reduces along one
+    slot's own rows.  ``x_all``, ``y_all`` and a stacked ``a`` are
+    overwritten.  Returns per-slot lists of the objective, x, y (views into
+    ``x_all`` and ``y_all``) and the per-sweep objective trace.
     """
-    m, n = a.shape
-    r = len(rngs)
-    x_all = np.empty((r, m, k))
-    y_all = np.empty((r, n, k))
-    for i, rng in enumerate(rngs):
-        x_all[i] = rng.standard_normal((m, k))
-        y_all[i] = rng.standard_normal((n, k))
+    r, m, k = x_all.shape
+    n = y_all.shape[1]
+    shared = a.ndim == 2
     # `carry` holds a @ y between sweeps and a.T @ x within one; `scratch`
-    # holds the squares and the objective product.  Live restarts occupy the
+    # holds the squares and the objective product.  Live slots occupy the
     # first slots of every buffer.
     carry, scratch = np.empty(r * max(m, n) * k), np.empty(r * max(m, n) * k)
     norms_m, norms_n = np.empty((r, m, 1)), np.empty((r, n, 1))
 
     def stack(c):
         cm, cn = c * m * k, c * n * k
-        return (x_all[:c], y_all[:c], carry[:cm].reshape(c, m, k), carry[:cn].reshape(c, n, k),
+        return (a if shared else a[:c], x_all[:c], y_all[:c],
+                carry[:cm].reshape(c, m, k), carry[:cn].reshape(c, n, k),
                 scratch[:cm].reshape(c, m, k), scratch[:cn].reshape(c, n, k),
                 norms_m[:c], norms_n[:c])
 
-    x, y, ay, aty, sq_m, sq_n, nm, nn = stack(r)
+    mat, x, y, ay, aty, sq_m, sq_n, nm, nn = stack(r)
     _renormalize(x, x, sq_m, nm)
     _renormalize(y, y, sq_n, nn)
-    np.matmul(a, y, out=ay)  # each sweep's objective product is the next sweep's x update
+    np.matmul(mat, y, out=ay)  # each sweep's objective product is the next sweep's x update
     objective = [0.0] * r
     traces: list[list[float]] = [[] for _ in range(r)]
-    slots = list(range(r))  # the restart in each slot
+    slots = list(range(r))  # the restart slot held in each stack position
     live = r
     prev = np.full(r, -np.inf)
     for _ in range(max_sweeps):
         _renormalize(ay, x, sq_m, nm)
-        np.matmul(a.T, x, out=aty)
+        np.matmul(mat.swapaxes(-1, -2), x, out=aty)
         _renormalize(aty, y, sq_n, nn)
-        np.matmul(a, y, out=ay)
+        np.matmul(mat, y, out=ay)
         np.multiply(ay, x, out=sq_m)
         obj = np.add.reduce(sq_m.reshape(live, -1), axis=1)
         for i, v in zip(slots, obj.tolist()):
@@ -510,24 +539,88 @@ def _bm_ascent(a: np.ndarray, k: int, max_sweeps: int, tol: float, rngs):
         done = obj - prev <= tol * np.maximum(np.abs(obj), 1e-300)
         prev = obj
         if done.any():
-            # swap each finished restart with the last live one; its x and y
-            # stay in their slot past the live ones
+            # swap each finished slot with the last live one; its matrix, x
+            # and y stay in their position past the live ones
             for j in np.flatnonzero(done)[::-1].tolist():
                 live -= 1
                 if j != live:
                     pair, swapped = [j, live], [live, j]
-                    for b in (x, y, ay, prev):
+                    for b in (x, y, ay, prev) if shared else (mat, x, y, ay, prev):
                         b[pair] = b[swapped]
                     slots[j], slots[live] = slots[live], slots[j]
             if not live:
                 break
             prev = prev[:live]
-            x, y, ay, aty, sq_m, sq_n, nm, nn = stack(live)
+            mat, x, y, ay, aty, sq_m, sq_n, nm, nn = stack(live)
     left: list = [None] * r
     right: list = [None] * r
     for s, i in enumerate(slots):
         left[i], right[i] = x_all[s], y_all[s]
     return objective, left, right, traces
+
+
+def _grothendieck_bm_stack(
+        mats, cfg: Optional[BMConfig] = None) -> list[tuple[float, VectorAssignment]]:
+    """`grothendieck_bm` of each of several same-shape matrices, ascended together.
+
+    Returns one ``(value, VectorAssignment)`` per matrix, each bit-identical
+    to ``grothendieck_bm`` of that matrix alone.  The restarts' start pairs
+    are drawn once and copied into every matrix's slots; the nonzero
+    matrices, each scaled by its own power of two, ascend in chunks of at
+    most about `_BM_STACK_ENTRIES` floats, each chunk one `_bm_ascent`.  A
+    chunk of one matrix ascends on that matrix, shared by its slots.
+    """
+    cfg = cfg or BMConfig()
+    mats = [_real_matrix(a, "grothendieck_bm") for a in mats]
+    if not mats:
+        return []
+    m, n = mats[0].shape
+    if any(a.shape != (m, n) for a in mats):
+        raise ValueError("grothendieck_bm stack needs matrices of one shape")
+    k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
+    r = cfg.restarts
+    out: list = [None] * len(mats)
+    nonzero = []
+    for i, a in enumerate(mats):
+        if np.any(a):
+            nonzero.append(i)
+        else:
+            x, y = np.zeros((m, k)), np.zeros((n, k))
+            x[:, 0] = 1.0
+            y[:, 0] = 1.0
+            out[i] = 0.0, VectorAssignment(left=x, right=y, objective=0.0)
+    if not nonzero:
+        return out
+    # The objective is 1-homogeneous: ascend on a / 2^e with max|a| / 2^e in
+    # [1/2, 1), a scaling that is exact in floating point and keeps squared
+    # row norms clear of overflow and underflow at any input scale.
+    exps = {i: math.frexp(float(np.abs(mats[i]).max()))[1] for i in nonzero}
+    scaled = {i: np.ldexp(mats[i], -exps[i]) for i in nonzero}
+    x0, y0 = _bm_starts(m, n, k, r, cfg.seed)
+    per_chunk = max(1, _BM_STACK_ENTRIES // (r * (m * n + (m + n) * k)))
+    # BLAS may round a product by a C-ordered matrix and by a Fortran-ordered
+    # one differently, so a stack holds the matrices of one memory order only,
+    # the order each has in a lone run.
+    for fortran in (False, True):
+        same = [i for i in nonzero if scaled[i].flags.c_contiguous != fortran]
+        for lo in range(0, len(same), per_chunk):
+            chunk = same[lo:lo + per_chunk]
+            c = len(chunk)
+            if c == 1:
+                a = scaled[chunk[0]]
+            elif fortran:
+                a = np.repeat(np.stack([scaled[i].T for i in chunk]), r, axis=0).swapaxes(1, 2)
+            else:
+                a = np.repeat(np.stack([scaled[i] for i in chunk]), r, axis=0)
+            objective, left, right, _ = _bm_ascent(
+                a, np.tile(x0, (c, 1, 1)), np.tile(y0, (c, 1, 1)), _BM_MAX_SWEEPS, _BM_TOL)
+            for j, i in enumerate(chunk):
+                # the first restart with the largest objective wins
+                best = max(range(j * r, (j + 1) * r), key=objective.__getitem__)
+                best_obj = math.ldexp(objective[best], exps[i])
+                out[i] = (abs(best_obj), VectorAssignment(
+                    left=left[best].copy(), right=right[best].copy(), objective=best_obj))
+    return out
 
 
 def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[float, VectorAssignment]:
@@ -537,33 +630,16 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     valid lower bound on ||A||_G; as an estimate of the optimum it is
     heuristic.  Restart r uses the seeded generator jumped r times, making
     the result deterministic and independent of evaluation order.  The
-    restarts ascend as one stack, one matrix product per side per sweep;
-    each leaves the stack at the sweep where its own stopping rule fires,
-    so its iterates are identical to those of restarts run one after
-    another.  The first restart with the largest objective wins.  Complex
-    or non-finite input is a ValueError.
+    ascent runs on a / 2^e with max|a| / 2^e in [1/2, 1), and the zero
+    matrix gives 0 without one.  The restarts are the slots of one
+    `_bm_ascent` stack sharing the matrix, one matrix product per slot and
+    side per sweep; each slot leaves the stack at the sweep where its own
+    stopping rule fires, so its iterates are identical to those of restarts
+    run one after another, and the same as when the matrix ascends in
+    `_grothendieck_bm_stack` together with others.  The first restart with
+    the largest objective wins.  Complex or non-finite input is a ValueError.
     """
-    a = _real_matrix(a, "grothendieck_bm")
-    cfg = cfg or BMConfig()
-    m, n = a.shape
-    k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
-    if not np.any(a):
-        x = np.zeros((m, k))
-        y = np.zeros((n, k))
-        x[:, 0] = 1.0
-        y[:, 0] = 1.0
-        return 0.0, VectorAssignment(left=x, right=y, objective=0.0)
-    # The objective is 1-homogeneous: ascend on a / 2^e with max|a| / 2^e in
-    # [1/2, 1), a scaling that is exact in floating point and keeps squared
-    # row norms clear of overflow and underflow at any input scale.
-    e = math.frexp(float(np.abs(a).max()))[1]
-    scaled = np.ldexp(a, -e)
-    rngs = [np.random.Generator(np.random.Philox(cfg.seed).jumped(r)) for r in range(cfg.restarts)]
-    objective, left, right, _ = _bm_ascent(scaled, k, _BM_MAX_SWEEPS, _BM_TOL, rngs)
-    best = max(range(cfg.restarts), key=objective.__getitem__)
-    best_obj = math.ldexp(objective[best], e)
-    return abs(best_obj), VectorAssignment(left=left[best].copy(), right=right[best].copy(),
-                                            objective=best_obj)
+    return _grothendieck_bm_stack([a], cfg)[0]
 
 
 def _bracket(m: int, n: int, spectral: float, bm: float,

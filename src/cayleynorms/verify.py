@@ -25,9 +25,9 @@ from .fourier import build_irrep_table, fourier_transform, schur_average, \
     spectral_via_irreps, svd_witness, abelian_character_norm, fourier_inverse
 from .groups import GroupFunction, convolve, cyclic_group, dihedral_group, \
     parse_group_spec, symmetric_group
-from .norms import K_G, BMConfig, cut_norm_exact, grothendieck_bm, grothendieck_bounds, \
-    infty_one_exact, mixing_lemma_check, second_eigenvalue, spectral_norm, \
-    theorem3_check, translate_witness, _check as _inequality
+from .norms import K_G, BMConfig, cut_norm_exact, grothendieck_bounds, infty_one_exact, \
+    mixing_lemma_check, second_eigenvalue, spectral_norm, theorem3_check, translate_witness, \
+    _check as _inequality, _grothendieck_bm_stack
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,25 @@ class SuiteCheck:
 
 def _check(name: str, passed: bool, detail: str) -> SuiteCheck:
     return SuiteCheck(name=name, passed=bool(passed), detail=detail)
+
+
+def _ascent_values(mats: list[np.ndarray], cfg: BMConfig) -> list[float]:
+    """`grothendieck_bm` values of the matrices, in order, from one stacked
+    ascent per matrix shape; each equals the value of a lone call."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, a in enumerate(mats):
+        by_shape.setdefault(a.shape, []).append(i)
+    values = [0.0] * len(mats)
+    for idx in by_shape.values():
+        for i, (val, _) in zip(idx, _grothendieck_bm_stack([mats[i] for i in idx], cfg)):
+            values[i] = val
+    return values
+
+
+def _dense_spectral(mats: list[np.ndarray]) -> list[float]:
+    """`spectral_norm` of each same-shape matrix, from one batched SVD (LAPACK
+    runs the same gesdd on each matrix, so the values are bit-identical)."""
+    return np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist()
 
 
 def _dihedral4_graphs() -> list[tuple[str, RegularGraph]]:
@@ -84,11 +103,12 @@ def suite_sandwich() -> list[SuiteCheck]:
 def suite_grothendieck() -> list[SuiteCheck]:
     """Ascent reaches n||A|| on centered transitive graphs, pinning ||A||_G."""
     cfg = BMConfig(rank=16, restarts=8, seed=0)
+    graphs = [(name, g.n, center_regular(g.matrix, g.degree))
+              for name, g, _ in transitive_suite_graphs()]
+    values = _ascent_values([ac for _, _, ac in graphs], cfg)
     out = []
-    for name, g, _ in transitive_suite_graphs():
-        ac = center_regular(g.matrix, g.degree)
-        ns = g.n * spectral_norm(ac)
-        val, _ = grothendieck_bm(ac, cfg)
+    for (name, n, ac), val in zip(graphs, values):
+        ns = n * spectral_norm(ac)
         ok = val >= (1.0 - 1e-6) * ns
         out.append(_check(
             f"grothendieck:{name}", ok,
@@ -130,6 +150,7 @@ def suite_fourier() -> list[SuiteCheck]:
         n = g.order
         rng = np.random.Generator(np.random.Philox(0))
         plancherel = roundtrip = convo = spec_err = schur = 0.0
+        via, dense = [], []
         for _ in range(50):
             f = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             co = fourier_transform(f, table)
@@ -146,9 +167,10 @@ def suite_fourier() -> list[SuiteCheck]:
                 float(np.abs(cc - c1 @ c2).max())
                 for cc, c1, c2 in zip(conv_co.coeffs, co.coeffs, co2.coeffs)
             ))
-            via = spectral_via_irreps(f, table)
-            dense = spectral_norm(cayley_matrix(f)) / n
-            spec_err = max(spec_err, abs(via - dense) / max(dense, 1e-300))
+            via.append(spectral_via_irreps(f, table))
+            dense.append(cayley_matrix(f))
+        for v, s in zip(via, _dense_spectral(dense)):
+            spec_err = max(spec_err, abs(v - s / n) / max(s / n, 1e-300))
         for rho in table.irreps:
             for sig in table.irreps:
                 m = rng.standard_normal((rho.dim, sig.dim)) \
@@ -215,12 +237,12 @@ def suite_abelian() -> list[SuiteCheck]:
         g = cyclic_group(n)
         table = build_irrep_table(g)
         rng = np.random.Generator(np.random.Philox(0))
+        fs = [GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+              for _ in range(50)]
         err = 0.0
-        for _ in range(50):
-            f = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for f, s in zip(fs, _dense_spectral([cayley_matrix(f) for f in fs])):
             cn_val = abelian_character_norm(f, table).value
-            dense = spectral_norm(cayley_matrix(f)) / n
-            err = max(err, abs(cn_val - dense) / max(dense, 1e-300))
+            err = max(err, abs(cn_val - s / n) / max(s / n, 1e-300))
         out.append(_check(f"abelian:Z{n}", err <= 1e-10, f"max rel err {err:.2e}"))
     return out
 
@@ -273,13 +295,12 @@ def suite_theorem3() -> list[SuiteCheck]:
 def suite_random_sign() -> list[SuiteCheck]:
     """Random sign matrices: ascent reaches the sign optimum, stays under K_G."""
     cfg = BMConfig(rank=16, restarts=8, seed=0)
+    mats = [np.random.Generator(np.random.Philox(1000 + i)).integers(0, 2, size=(8, 8))
+            .astype(np.float64) * 2.0 - 1.0 for i in range(100)]
     lb_fail = ub_fail = 0
     worst_lb = worst_ub = 0.0
-    for i in range(100):
-        rng = np.random.Generator(np.random.Philox(1000 + i))
-        a = rng.integers(0, 2, size=(8, 8)).astype(np.float64) * 2.0 - 1.0
+    for a, bm in zip(mats, _ascent_values(mats, cfg)):
         io1 = infty_one_exact(a)
-        bm, _ = grothendieck_bm(a, cfg)
         if not io1 <= bm + 1e-9:
             lb_fail += 1
         if not bm <= K_G * io1 + 1e-9:

@@ -341,6 +341,18 @@ def test_verify_known_and_unknown_suites(capsys):
     assert run(["verify", "bogus-suite", "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--restarts", "0", "restarts must be >= 1, got 0"),
+    ("--rank", "0", "rank must be >= 1, got 0"),
+])
+def test_analyze_names_the_bad_ascent_setting(tmp_path, capsys, flag, value, message):
+    src = tmp_path / "m.json"
+    src.write_text(serial.matrix_to_text(np.eye(2)))
+    assert run(["analyze", str(src), flag, value, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_writes_report(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "mixing", "--out", str(out), "--quiet"]) == 0

@@ -253,6 +253,28 @@ def test_validate_rejects_a_smooth_phase_error_that_passes_on_generators():
     assert problems[0].startswith("irrep 1: rho(ab) != rho(a)rho(b)")
 
 
+def test_validate_diagnostics_do_not_depend_on_the_block_size(monkeypatch):
+    # the homomorphism check takes the irreps a block at a time; one irrep per
+    # block, or a few, must report what one block of them all does
+    from cayleynorms import fourier
+
+    tables = []
+    for spec in ("Z12", "D5", "Z2xZ3xZ4"):
+        g = parse_group_spec(spec)
+        irreps = list(build_irrep_table(g).irreps)
+        for i in (1, len(irreps) - 1):
+            mats = irreps[i].matrices.copy()
+            mats[3] *= np.exp(0.1j)
+            irreps[i] = Irrep(dim=irreps[i].dim, matrices=mats)
+        tables.append(IrrepTable.from_irreps(g, tuple(irreps)))
+    monkeypatch.setattr(fourier, "_HOMOMORPHISM_BLOCK_ENTRIES", 1 << 30)
+    want = [validate_irrep_table(t) for t in tables]
+    assert all(any("rho(ab)" in p for p in problems) for problems in want)
+    for entries in (1, 30):
+        monkeypatch.setattr(fourier, "_HOMOMORPHISM_BLOCK_ENTRIES", entries)
+        assert [validate_irrep_table(t) for t in tables] == want
+
+
 def test_builtin_and_parsed_irreps_are_views_into_the_table_stacks():
     from cayleynorms import serial
     from cayleynorms.verify import load_s3_irreps

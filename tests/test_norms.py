@@ -11,6 +11,8 @@ import pytest
 from cayleynorms import (
     BMConfig,
     CapacityError,
+    abelian_character_norm,
+    build_irrep_table,
     GroupFunction,
     VectorAssignment,
     analyze,
@@ -27,16 +29,18 @@ from cayleynorms import (
     group_spectral,
     infty_one_exact,
     paley_graph,
+    parse_group_spec,
     petersen_graph,
     random_regular,
     second_eigenvalue,
     spectral_norm,
+    spectral_via_irreps,
     symmetric_group,
     symmetric_spectrum,
     translate_witness,
     verify_sandwich,
 )
-from cayleynorms import norms, serial
+from cayleynorms import norms, serial, verify
 from cayleynorms.norms import _bm_ascent, default_bm_rank
 
 TWO = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -641,7 +645,8 @@ def test_bm_zero_matrix_short_circuits():
 def test_bm_objective_monotone_within_restart():
     rng = np.random.Generator(np.random.Philox(55))
     a = rng.standard_normal((8, 8))
-    _, _, _, (trace,) = _bm_ascent(a, 4, 200, 1e-12, [rng])
+    x, y = rng.standard_normal((1, 8, 4)), rng.standard_normal((1, 8, 4))
+    _, _, _, (trace,) = _bm_ascent(a, x, y, 200, 1e-12)
     assert all(b >= a_ - 1e-12 for a_, b in zip(trace, trace[1:]))
 
 
@@ -703,9 +708,8 @@ def _reference_bm(a, cfg):
 
 def _assert_same_as_reference(a, cfg, name):
     scaled, _, k = _scaled_rank(a, cfg)
-    rngs = [np.random.Generator(np.random.Philox(cfg.seed).jumped(r))
-            for r in range(cfg.restarts)]
-    stacked = zip(*norms._bm_ascent(scaled, k, norms._BM_MAX_SWEEPS, norms._BM_TOL, rngs))
+    starts = norms._bm_starts(*a.shape, k, cfg.restarts, cfg.seed)
+    stacked = zip(*norms._bm_ascent(scaled, *starts, norms._BM_MAX_SWEEPS, norms._BM_TOL))
     for r, (got, want) in enumerate(zip(stacked, _reference_restarts(a, cfg), strict=True)):
         assert got[0] == want[0] and got[3] == want[3], (name, r)
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), (name, r)
@@ -770,6 +774,120 @@ def test_bm_stack_with_restarts_cut_off_by_max_sweeps(monkeypatch):
     _assert_same_as_reference(a, BMConfig(), "cut_off")
 
 
+# The stack entry against the same oracle: every matrix of a stack gets the
+# result of the old loop on that matrix alone.
+
+
+def _assert_stack_matches_reference(mats, cfg, name):
+    got = norms._grothendieck_bm_stack(mats, cfg)
+    assert len(got) == len(mats), name
+    for i, (a, (val, assignment)) in enumerate(zip(mats, got)):
+        if np.any(a):
+            value, objective, left, right = _reference_bm(a, cfg)
+        else:
+            k = _scaled_rank(np.ones(a.shape), cfg)[2]
+            value = objective = 0.0
+            left, right = np.zeros((a.shape[0], k)), np.zeros((a.shape[1], k))
+            left[:, 0] = right[:, 0] = 1.0
+        assert (val, assignment.objective) == (value, objective), (name, i)
+        assert np.array_equal(assignment.left, left), (name, i)
+        assert np.array_equal(assignment.right, right), (name, i)
+
+
+def _assert_slots_match_reference(mats, cfg, name):
+    """Every slot of one `_bm_ascent` over an (r, m, n) stack of the matrices,
+    restarts of a matrix in consecutive slots, equals that restart of the
+    old loop on the matrix alone: objective, x, y and the whole trace."""
+    scaled = [_scaled_rank(a, cfg)[0] for a in mats]
+    k = _scaled_rank(mats[0], cfg)[2]
+    x, y = norms._bm_starts(*mats[0].shape, k, cfg.restarts, cfg.seed)
+    c = len(mats)
+    stacked = zip(*norms._bm_ascent(np.repeat(np.stack(scaled), cfg.restarts, axis=0),
+                                    np.tile(x, (c, 1, 1)), np.tile(y, (c, 1, 1)),
+                                    norms._BM_MAX_SWEEPS, norms._BM_TOL))
+    want = [w for a in mats for w in _reference_restarts(a, cfg)]
+    for slot, (got, ref) in enumerate(zip(stacked, want, strict=True)):
+        assert got[0] == ref[0] and got[3] == ref[3], (name, slot)
+        assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2]), (name, slot)
+
+
+def _bm_stacks():
+    """The `_bm_corpus` matrices grouped by shape, one stack per shape with
+    more than one distinct matrix, and two more sign matrices for the 8 x 8
+    stack: the 9 x 11 stack holds the Gaussian matrix at scales 1, 1e-300
+    and 1e200, three different power-of-two exponents."""
+    by_shape = {}
+    for _, a, _ in _bm_corpus():
+        group = by_shape.setdefault(a.shape, [])
+        if not any(np.array_equal(a, b) for b in group):
+            group.append(a)
+    rng = np.random.Generator(np.random.Philox(59))
+    by_shape[(8, 8)] += [rng.choice([-1.0, 1.0], size=(8, 8)) for _ in range(2)]
+    return {shape: group for shape, group in by_shape.items() if len(group) > 1}
+
+
+def test_bm_stack_entry_matches_each_matrix_alone():
+    stacks = _bm_stacks()
+    assert {(9, 11), (8, 8)} <= set(stacks)
+    for shape, mats in stacks.items():
+        _assert_stack_matches_reference(mats, BMConfig(), shape)
+        _assert_slots_match_reference(mats, BMConfig(), shape)
+
+
+@pytest.mark.parametrize("cfg", [BMConfig(restarts=1), BMConfig(restarts=16),
+                                 BMConfig(rank=1), BMConfig(rank=20)],
+                         ids=["restarts1", "restarts16", "rank1", "rank_full"])
+def test_bm_stack_entry_at_extreme_restarts_and_ranks(cfg):
+    for shape, mats in _bm_stacks().items():
+        _assert_stack_matches_reference(mats, cfg, shape)
+    _assert_slots_match_reference(_bm_stacks()[(9, 11)], cfg, "9x11")
+
+
+def test_bm_stack_entry_with_a_zero_matrix_inside():
+    mats = _bm_stacks()[(8, 8)]
+    mats = [mats[0], np.zeros((8, 8)), *mats[1:], np.zeros((8, 8))]
+    _assert_stack_matches_reference(mats, BMConfig(), "zeros")
+    assert norms._grothendieck_bm_stack([np.zeros((3, 2))] * 2, BMConfig(rank=2))[1][0] == 0.0
+
+
+def test_bm_stack_entry_longer_than_one_chunk(monkeypatch):
+    # two matrices per chunk: five matrices make chunks of 2, 2 and 1, the
+    # last ascending on its one matrix shared by its slots
+    rng = np.random.Generator(np.random.Philox(60))
+    mats = [rng.standard_normal((5, 6)) for _ in range(5)]
+    cfg = BMConfig()
+    k = default_bm_rank(5, 6)
+    monkeypatch.setattr(norms, "_BM_STACK_ENTRIES", 2 * cfg.restarts * (30 + 11 * k) + 1)
+    calls = []
+    ascent = norms._bm_ascent
+    monkeypatch.setattr(norms, "_bm_ascent",
+                        lambda a, *rest: calls.append(a.shape) or ascent(a, *rest))
+    _assert_stack_matches_reference(mats, cfg, "chunks")
+    assert calls == [(16, 5, 6), (16, 5, 6), (5, 6)]
+
+
+def test_bm_stack_entry_keeps_each_matrix_memory_order():
+    # BLAS may round products by C- and Fortran-ordered matrices differently;
+    # each matrix ascends in the order it has, as it would alone
+    # (with OpenBLAS they do at rank 1 and on 20 x 20 matrices)
+    rng = np.random.Generator(np.random.Philox(61))
+    for shape, cfg in (((7, 9), BMConfig(rank=1)), ((20, 20), BMConfig(restarts=2))):
+        mats = [rng.standard_normal(shape) for _ in range(4)]
+        mats[1], mats[3] = np.asfortranarray(mats[1]), np.asfortranarray(mats[3])
+        _assert_stack_matches_reference(mats, cfg, shape)
+        for a, (val, w) in zip(mats, norms._grothendieck_bm_stack(mats, cfg)):
+            alone = grothendieck_bm(a, cfg)
+            assert val == alone[0] and np.array_equal(w.left, alone[1].left)
+
+
+def test_bm_stack_entry_needs_one_shape():
+    assert norms._grothendieck_bm_stack([], BMConfig()) == []
+    with pytest.raises(ValueError, match="one shape"):
+        norms._grothendieck_bm_stack([np.ones((2, 3)), np.ones((3, 2))])
+    with pytest.raises(ValueError, match="finite"):
+        norms._grothendieck_bm_stack([np.ones((2, 2)), np.full((2, 2), np.nan)])
+
+
 def test_bm_is_always_a_valid_lower_bound():
     rng = np.random.Generator(np.random.Philox(56))
     for _ in range(5):
@@ -808,6 +926,17 @@ def test_bm_config_validation():
         BMConfig(rank=0)
     with pytest.raises(ValueError):
         BMConfig(restarts=0)
+    for field, bad, message in (("seed", 1.5, "seed must be an integer, got 1.5"),
+                                ("rank", 2.5, "rank must be an integer, got 2.5"),
+                                ("restarts", 2.0, "restarts must be an integer, got 2.0"),
+                                ("seed", "3", "seed must be an integer, got '3'"),
+                                ("seed", -1, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError) as exc:
+            BMConfig(**{field: bad})
+        assert str(exc.value) == message
+    cfg = BMConfig(rank=np.int64(2), restarts=np.int32(3), seed=np.uint8(4))
+    plain = BMConfig(rank=2, restarts=3, seed=4)
+    assert grothendieck_bm(TWO, cfg)[0] == grothendieck_bm(TWO, plain)[0]
     assert default_bm_rank(13, 13) == min(26, math.ceil(math.sqrt(52)) + 2)
 
 
@@ -1040,3 +1169,103 @@ def test_analyze_without_rows_reports_zeros():
         assert report.all_passed
         assert report.work["infty_one_signs"] == 0
         serial.report_to_text(report)
+
+
+# ---------------------------------------------------------------------------
+# The verify suites that stack their ascents and SVDs, against the
+# per-matrix loops they replaced
+
+
+def _suite_grothendieck_loop():
+    cfg = BMConfig(rank=16, restarts=8, seed=0)
+    out = []
+    for name, g, _ in verify.transitive_suite_graphs():
+        ac = center_regular(g.matrix, g.degree)
+        ns = g.n * spectral_norm(ac)
+        val, _ = grothendieck_bm(ac, cfg)
+        ok = val >= (1.0 - 1e-6) * ns
+        out.append(verify._check(
+            f"grothendieck:{name}", ok,
+            f"bm={val:.9g} n||A||={ns:.9g} relgap={(ns - val) / ns if ns else 0:.2e}",
+        ))
+    return out
+
+
+def _suite_random_sign_loop():
+    cfg = BMConfig(rank=16, restarts=8, seed=0)
+    lb_fail = ub_fail = 0
+    worst_lb = worst_ub = 0.0
+    for i in range(100):
+        rng = np.random.Generator(np.random.Philox(1000 + i))
+        a = rng.integers(0, 2, size=(8, 8)).astype(np.float64) * 2.0 - 1.0
+        io1 = infty_one_exact(a)
+        bm, _ = grothendieck_bm(a, cfg)
+        if not io1 <= bm + 1e-9:
+            lb_fail += 1
+        if not bm <= norms.K_G * io1 + 1e-9:
+            ub_fail += 1
+        worst_lb = max(worst_lb, io1 - bm)
+        worst_ub = max(worst_ub, bm / (norms.K_G * io1))
+    return [
+        verify._check("random_sign:bm_reaches_sign_optimum", lb_fail == 0,
+                      f"failures={lb_fail}/100, worst io1-bm={worst_lb:.2e}"),
+        verify._check("random_sign:bm_below_kg_bound", ub_fail == 0,
+                      f"failures={ub_fail}/100, worst bm/(K_G io1)={worst_ub:.4f}"),
+    ]
+
+
+def _suite_abelian_loop():
+    out = []
+    for n in range(1, 25):
+        g = cyclic_group(n)
+        table = build_irrep_table(g)
+        rng = np.random.Generator(np.random.Philox(0))
+        err = 0.0
+        for _ in range(50):
+            f = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            cn_val = abelian_character_norm(f, table).value
+            dense = spectral_norm(cayley_matrix(f)) / n
+            err = max(err, abs(cn_val - dense) / max(dense, 1e-300))
+        out.append(verify._check(f"abelian:Z{n}", err <= 1e-10, f"max rel err {err:.2e}"))
+    return out
+
+
+def _fourier_spectral_loop(spec):
+    """The fourier suite's spectral_via_irreps check, one dense SVD per
+    function; the four other draws per round are the convolution's f2."""
+    g = parse_group_spec(spec)
+    table = build_irrep_table(g)
+    n = g.order
+    rng = np.random.Generator(np.random.Philox(0))
+    spec_err = 0.0
+    for _ in range(50):
+        f = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        rng.standard_normal(n)
+        rng.standard_normal(n)
+        via = spectral_via_irreps(f, table)
+        dense = spectral_norm(cayley_matrix(f)) / n
+        spec_err = max(spec_err, abs(via - dense) / max(dense, 1e-300))
+    return verify._check(f"fourier:{spec}:spectral_via_irreps", spec_err <= 1e-8,
+                         f"max rel err {spec_err:.2e}")
+
+
+def test_stacked_suites_equal_their_per_matrix_loops():
+    assert verify.suite_grothendieck() == _suite_grothendieck_loop()
+    assert verify.suite_random_sign() == _suite_random_sign_loop()
+    assert verify.suite_abelian() == _suite_abelian_loop()
+    checks = {c.name: c for c in verify.suite_fourier()}
+    for spec in verify._FOURIER_GROUPS:
+        want = _fourier_spectral_loop(spec)
+        assert checks[want.name] == want
+
+
+def test_suite_stacks_are_bit_identical_to_lone_calls():
+    rng = np.random.Generator(np.random.Philox(62))
+    for shape, count in (((3, 3), 5), ((8, 8), 4), ((5, 7), 3)):
+        mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for _ in range(count)]
+        assert verify._dense_spectral(mats) == [spectral_norm(a) for a in mats]
+    cfg = BMConfig(rank=16, restarts=8, seed=0)
+    mats = [center_regular(g.matrix, g.degree)
+            for _, g, _ in verify.transitive_suite_graphs()][:12]
+    assert verify._ascent_values(mats, cfg) == [grothendieck_bm(a, cfg)[0] for a in mats]
