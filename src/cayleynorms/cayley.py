@@ -70,13 +70,16 @@ def center_regular(a: np.ndarray, d: float) -> np.ndarray:
 
 
 def _real_matrix(a, name: str) -> np.ndarray:
-    """`a` as a float64 matrix; complex or non-finite entries are a ValueError."""
+    """`a` as a C-ordered float64 matrix; complex or non-finite entries are a
+    ValueError.  BLAS may round a product by a Fortran-ordered matrix and by
+    its C-ordered copy differently, so one layout makes every solver's
+    result independent of the memory order it is given."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"{name} needs a matrix")
     if np.iscomplexobj(a):
         raise ValueError(f"{name} needs a real matrix, got dtype {a.dtype}")
-    a = a.astype(np.float64, copy=False)
+    a = np.ascontiguousarray(a, dtype=np.float64)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} needs finite entries")
     return a

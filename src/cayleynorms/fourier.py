@@ -303,34 +303,45 @@ def _agreeing_pairs(values: np.ndarray, slack: float,
     return pairs
 
 
-# Irreps per block of the homomorphism check: a block's rho(x) s products
+# Irreps per block of the per-element checks: a block's rho(x) s products
 # hold about _HOMOMORPHISM_BLOCK_ENTRIES complex entries, and at least one irrep.
 _HOMOMORPHISM_BLOCK_ENTRIES = 1 << 16
 
 
-def _homomorphism_errors(m: np.ndarray, mul: np.ndarray,
-                         gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack m [irrep, x, d, d], generator t and irrep j: the largest
-    entry err[t, j] of |rho(x) rho(s) - rho(x s)| over all x (s = gens[t]),
-    and the first x attaining it, at[t, j].  Products of characters (d = 1)
-    are taken elementwise, larger ones by one GEMM per irrep; the irreps go
-    a block at a time, so each block's arrays stay small."""
+def _element_errors(m: np.ndarray, g: GroupTable,
+                    gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack m [irrep, x, d, d] and irrep j: the largest entry err[c, j]
+    of check c over all x, and the first x attaining it, at[c, j].  Check 0 is
+    unitarity, |rho(x) rho(x)^H - I|; check 1 is |rho(x^-1) - rho(x)^H|;
+    check 2 + t is |rho(x) rho(s) - rho(x s)| for s = gens[t].  For
+    characters (d = 1) these are |chi|^2 - 1, chi[inv] - conj(chi) and
+    elementwise products; larger products are one GEMM per irrep.  The
+    irreps go a block at a time, so each block's arrays stay small."""
     k, n, d = m.shape[:3]
-    err = np.empty((len(gens), k))
-    at = np.empty((len(gens), k), dtype=np.int64)
+    err = np.empty((2 + len(gens), k))
+    at = np.empty((2 + len(gens), k), dtype=np.int64)
     step = max(1, _HOMOMORPHISM_BLOCK_ENTRIES // (n * d * d))
+    eye = np.eye(d)
     for lo in range(0, k, step):
         block = m[lo:lo + step]
         rows = block.reshape(len(block), -1, d)  # rho(x) stacked over x
         flat = block.reshape(len(block), n, d * d)  # [irrep, x, entry]
+        adj = block.conj().swapaxes(2, 3)
+
+        def record(c, diff):
+            e = np.abs(diff).reshape(len(block), -1)  # [irrep, (x, entry)]
+            worst = e.argmax(axis=1)
+            err[c, lo:lo + step] = e[np.arange(len(block)), worst]
+            at[c, lo:lo + step] = worst // (d * d)
+
+        # rho(x) rho(x)^H by outer products: matmul is slow on stacks of tiny matrices
+        record(0, sum(block[..., :, c, None] * adj[..., c, None, :] for c in range(d)) - eye)
+        record(1, np.take(block, g.inv, axis=1) - adj)
         for t, s in enumerate(gens):
             prod = flat * flat[:, s, None] if d == 1 else \
                 (rows @ block[:, s]).reshape(flat.shape)
-            prod -= np.take(flat, mul[:, s], axis=1)
-            e = np.abs(prod).reshape(len(block), -1)  # [irrep, (x, entry)]
-            worst = e.argmax(axis=1)
-            err[t, lo:lo + step] = e[np.arange(len(block)), worst]
-            at[t, lo:lo + step] = worst // (d * d)
+            prod -= np.take(flat, g.mul[:, s], axis=1)
+            record(2 + t, prod)
     return err, at
 
 
@@ -361,29 +372,23 @@ def validate_irrep_table(table: IrrepTable, *, tol: float = 1e-10) -> list[str]:
     found, chars = {}, [None] * len(table.dims)
     for b in table.stacks:
         d, idx, m = b.dim, b.index, b.matrices  # m: [irrep, x, d, d]
-        adj, eye = m.conj().swapaxes(2, 3), np.eye(d)
-        ident = ~np.isclose(m[:, 0], eye, atol=tol).all(axis=(1, 2))
-        # rho(x) rho(x)^H by outer products: matmul is slow on stacks of tiny matrices
-        mmh = sum(m[..., :, k, None] * adj[..., k, None, :] for k in range(d))
-        unit = np.abs(mmh - eye).max(axis=(2, 3))
-        inv = np.abs(np.take(m, g.inv, axis=1) - adj).max(axis=(2, 3))
+        ident = ~np.isclose(m[:, 0], np.eye(d), atol=tol).all(axis=(1, 2))
         trace = m[:, :, 0, 0] if d == 1 else np.trace(m, axis1=2, axis2=3)
         norm = np.mean(np.abs(trace) ** 2, axis=1)
-        err, at = _homomorphism_errors(m, g.mul, gens)
+        err, at = _element_errors(m, g, gens)
         bound = tol / (2 * d * max(depth, 1))
         for j, i in enumerate(idx):
             chars[i] = trace[j]
             out = found[i] = []
             if ident[j]:
                 out.append(f"irrep {i}: rho(identity) != I")
-            if unit[j].max() > tol:
-                out.append(f"irrep {i}: non-unitary at g={unit[j].argmax()} "
-                           f"(err {unit[j].max():.2e})")
-            if inv[j].max() > tol:
-                out.append(f"irrep {i}: rho(g^-1) != rho(g)* at g={inv[j].argmax()}")
-            if err[:, j].max(initial=0.0) > bound:
-                t = err[:, j].argmax()
-                out.append(f"irrep {i}: rho(ab) != rho(a)rho(b) at (a,b)=({at[t, j]},{gens[t]}) "
+            if err[0, j] > tol:
+                out.append(f"irrep {i}: non-unitary at g={at[0, j]} (err {err[0, j]:.2e})")
+            if err[1, j] > tol:
+                out.append(f"irrep {i}: rho(g^-1) != rho(g)* at g={at[1, j]}")
+            if err[2:, j].max(initial=0.0) > bound:
+                t = 2 + err[2:, j].argmax()
+                out.append(f"irrep {i}: rho(ab) != rho(a)rho(b) at (a,b)=({at[t, j]},{gens[t - 2]}) "
                            f"(err {err[t, j]:.2e}, generator bound {bound:.2e})")
             if abs(norm[j] - 1.0) > tol:
                 out.append(f"irrep {i}: not irreducible, mean |Tr rho|^2 = {norm[j]:.6f} != 1")

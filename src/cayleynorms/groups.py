@@ -161,14 +161,21 @@ def _finish_table(raw, label: str) -> GroupTable:
     return GroupTable(order=mul.shape[0], mul=mul, inv=inv, label=label)
 
 
+def _sums_mod(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m x m int32 tables (i + j) mod m and (i - j) mod m, as read-only
+    windows into w = arange(2m) mod m: row i of the first is w[i:i+m], row i
+    of the second w[m+i], w[m+i-1], ..., w[i+1]."""
+    w = np.arange(2 * m, dtype=np.int32) % m
+    windows = np.lib.stride_tricks.sliding_window_view
+    return windows(w, m)[:m], windows(w[::-1], m)[m - 1::-1]
+
+
 def cyclic_group(n: int) -> GroupTable:
     """Z_n with addition mod n."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     _check_capacity(n)
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
-    return _finish_table(mul, f"Z{n}")
+    return _finish_table(_sums_mod(n)[0], f"Z{n}")
 
 
 def dihedral_group(m: int) -> GroupTable:
@@ -176,11 +183,9 @@ def dihedral_group(m: int) -> GroupTable:
     if m < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {m}")
     _check_capacity(2 * m)
-    idx = np.arange(2 * m)
-    i, f = idx % m, idx // m
     # (r^i s^fa)(r^j s^fb) = r^(i + (-1)^fa j) s^(fa+fb)
-    k = (i[:, None] + (1 - 2 * f[:, None]) * i[None, :]) % m
-    mul = k + m * ((f[:, None] + f[None, :]) % 2)
+    plus, minus = _sums_mod(m)
+    mul = np.block([[plus, plus + m], [minus + m, minus]])
     return _finish_table(mul, f"D{m}")
 
 

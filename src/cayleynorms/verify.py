@@ -25,9 +25,9 @@ from .fourier import build_irrep_table, fourier_transform, schur_average, \
     spectral_via_irreps, svd_witness, abelian_character_norm, fourier_inverse
 from .groups import GroupFunction, convolve, cyclic_group, dihedral_group, \
     parse_group_spec, symmetric_group
-from .norms import K_G, BMConfig, cut_norm_exact, grothendieck_bounds, infty_one_exact, \
-    mixing_lemma_check, second_eigenvalue, spectral_norm, theorem3_check, translate_witness, \
-    _check as _inequality, _grothendieck_bm_stack
+from .norms import K_G, BMConfig, cut_norm_exact, grothendieck_bounds, group_spectral, \
+    infty_one_exact, mixing_lemma_check, second_eigenvalue, spectral_norm, theorem3_check, \
+    translate_witness, _check as _inequality, _grothendieck_bm_stack
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,6 @@ def _ascent_values(mats: list[np.ndarray], cfg: BMConfig) -> list[float]:
         for i, (val, _) in zip(idx, _grothendieck_bm_stack([mats[i] for i in idx], cfg)):
             values[i] = val
     return values
-
-
-def _dense_spectral(mats: list[np.ndarray]) -> list[float]:
-    """`spectral_norm` of each same-shape matrix, from one batched SVD (LAPACK
-    runs the same gesdd on each matrix, so the values are bit-identical)."""
-    return np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist()
 
 
 def _dihedral4_graphs() -> list[tuple[str, RegularGraph]]:
@@ -150,7 +144,6 @@ def suite_fourier() -> list[SuiteCheck]:
         n = g.order
         rng = np.random.Generator(np.random.Philox(0))
         plancherel = roundtrip = convo = spec_err = schur = 0.0
-        via, dense = [], []
         for _ in range(50):
             f = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             co = fourier_transform(f, table)
@@ -167,10 +160,8 @@ def suite_fourier() -> list[SuiteCheck]:
                 float(np.abs(cc - c1 @ c2).max())
                 for cc, c1, c2 in zip(conv_co.coeffs, co.coeffs, co2.coeffs)
             ))
-            via.append(spectral_via_irreps(f, table))
-            dense.append(cayley_matrix(f))
-        for v, s in zip(via, _dense_spectral(dense)):
-            spec_err = max(spec_err, abs(v - s / n) / max(s / n, 1e-300))
+            via, dense = spectral_via_irreps(f, table), group_spectral(f)
+            spec_err = max(spec_err, abs(via - dense) / max(dense, 1e-300))
         for rho in table.irreps:
             for sig in table.irreps:
                 m = rng.standard_normal((rho.dim, sig.dim)) \
@@ -237,12 +228,12 @@ def suite_abelian() -> list[SuiteCheck]:
         g = cyclic_group(n)
         table = build_irrep_table(g)
         rng = np.random.Generator(np.random.Philox(0))
-        fs = [GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-              for _ in range(50)]
         err = 0.0
-        for f, s in zip(fs, _dense_spectral([cayley_matrix(f) for f in fs])):
+        for _ in range(50):
+            f = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             cn_val = abelian_character_norm(f, table).value
-            err = max(err, abs(cn_val - s / n) / max(s / n, 1e-300))
+            dense = group_spectral(f)
+            err = max(err, abs(cn_val - dense) / max(dense, 1e-300))
         out.append(_check(f"abelian:Z{n}", err <= 1e-10, f"max rel err {err:.2e}"))
     return out
 

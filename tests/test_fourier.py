@@ -254,8 +254,9 @@ def test_validate_rejects_a_smooth_phase_error_that_passes_on_generators():
 
 
 def test_validate_diagnostics_do_not_depend_on_the_block_size(monkeypatch):
-    # the homomorphism check takes the irreps a block at a time; one irrep per
-    # block, or a few, must report what one block of them all does
+    # the unitarity, inverse and homomorphism checks take the irreps a block
+    # at a time; one irrep per block, or a few, must report what one block of
+    # them all does
     from cayleynorms import fourier
 
     tables = []
@@ -266,10 +267,14 @@ def test_validate_diagnostics_do_not_depend_on_the_block_size(monkeypatch):
             mats = irreps[i].matrices.copy()
             mats[3] *= np.exp(0.1j)
             irreps[i] = Irrep(dim=irreps[i].dim, matrices=mats)
+        mats = irreps[-1].matrices.copy()
+        mats[5] *= 1.001
+        irreps[-1] = Irrep(dim=irreps[-1].dim, matrices=mats)
         tables.append(IrrepTable.from_irreps(g, tuple(irreps)))
     monkeypatch.setattr(fourier, "_HOMOMORPHISM_BLOCK_ENTRIES", 1 << 30)
     want = [validate_irrep_table(t) for t in tables]
-    assert all(any("rho(ab)" in p for p in problems) for problems in want)
+    for text in ("rho(ab)", "non-unitary", "rho(g^-1)"):
+        assert all(any(text in p for p in problems) for problems in want), text
     for entries in (1, 30):
         monkeypatch.setattr(fourier, "_HOMOMORPHISM_BLOCK_ENTRIES", entries)
         assert [validate_irrep_table(t) for t in tables] == want

@@ -71,6 +71,34 @@ def test_dihedral_table_matches_presentation_rule(m):
     assert np.array_equal(dihedral_group(m).mul, _dihedral_reference(m))
 
 
+def _broadcast_tables(m):
+    """Z_m and D_m by the closed-form broadcasts of their rules, in the
+    tables' int32 (every intermediate is below 4m, and int64 % is slower)."""
+    idx = np.arange(m, dtype=np.int32)
+    cyc = (idx[:, None] + idx[None, :]) % m
+    idx = np.arange(2 * m, dtype=np.int32)
+    i, f = idx % m, idx // m
+    k = (i[:, None] + (1 - 2 * f[:, None]) * i[None, :]) % m
+    return cyc, k + m * ((f[:, None] + f[None, :]) % 2)
+
+
+def test_cyclic_and_dihedral_tables_equal_the_broadcast_formulas(monkeypatch):
+    # every finished table keeps the raw one, so it is enough to compare the
+    # raw table each constructor hands to `_finish_table`, for every m up to
+    # 400 and two larger ones
+    for m in (1, 2, 7, 768):
+        cyc, dih = _broadcast_tables(m)
+        assert np.array_equal(cyclic_group(m).mul, cyc), m
+        assert np.array_equal(dihedral_group(m).mul, dih), m
+    raw = []
+    monkeypatch.setattr(groups, "_finish_table", lambda mul, label: raw.append(mul))
+    for m in list(range(1, 401)) + [768, 1260]:
+        cyclic_group(m)
+        dihedral_group(m)
+        cyc, dih = _broadcast_tables(m)
+        assert np.array_equal(raw[-2], cyc) and np.array_equal(raw[-1], dih), m
+
+
 def test_klein_four_group_self_inverse():
     g = product_group(cyclic_group(2), cyclic_group(2))
     assert g.order == 4

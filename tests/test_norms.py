@@ -866,18 +866,30 @@ def test_bm_stack_entry_longer_than_one_chunk(monkeypatch):
     assert calls == [(16, 5, 6), (16, 5, 6), (5, 6)]
 
 
-def test_bm_stack_entry_keeps_each_matrix_memory_order():
-    # BLAS may round products by C- and Fortran-ordered matrices differently;
-    # each matrix ascends in the order it has, as it would alone
-    # (with OpenBLAS they do at rank 1 and on 20 x 20 matrices)
+def test_bm_stack_entry_ascends_every_matrix_c_ordered():
+    # BLAS may round products by C- and Fortran-ordered matrices differently
+    # (with OpenBLAS they do at rank 1 and on 20 x 20 matrices); a
+    # Fortran-ordered matrix ascends as its C-ordered copy, alone or stacked
     rng = np.random.Generator(np.random.Philox(61))
     for shape, cfg in (((7, 9), BMConfig(rank=1)), ((20, 20), BMConfig(restarts=2))):
         mats = [rng.standard_normal(shape) for _ in range(4)]
-        mats[1], mats[3] = np.asfortranarray(mats[1]), np.asfortranarray(mats[3])
+        mixed = [np.asfortranarray(a) if i % 2 else a for i, a in enumerate(mats)]
         _assert_stack_matches_reference(mats, cfg, shape)
-        for a, (val, w) in zip(mats, norms._grothendieck_bm_stack(mats, cfg)):
-            alone = grothendieck_bm(a, cfg)
-            assert val == alone[0] and np.array_equal(w.left, alone[1].left)
+        for a, (val, w) in zip(mats, norms._grothendieck_bm_stack(mixed, cfg)):
+            for alone in (grothendieck_bm(a, cfg), grothendieck_bm(np.asfortranarray(a), cfg)):
+                assert val == alone[0] and np.array_equal(w.left, alone[1].left)
+                assert np.array_equal(w.right, alone[1].right)
+
+
+def test_analyze_report_does_not_depend_on_memory_order():
+    rng = np.random.Generator(np.random.Philox(63))
+    for shape in ((20, 20), (7, 9), (12, 5)):
+        a = rng.standard_normal(shape)
+        want = serial.report_to_text(analyze(a))
+        assert serial.report_to_text(analyze(np.asfortranarray(a))) == want, shape
+        strided = np.zeros((2 * shape[0], 3 * shape[1]))[::2, ::3]
+        strided[...] = a
+        assert serial.report_to_text(analyze(strided)) == want, shape
 
 
 def test_bm_stack_entry_needs_one_shape():
@@ -995,6 +1007,50 @@ def test_group_spectral_examples():
     z12 = cyclic_group(12)
     f = GroupFunction.indicator(z12, [1, 11])
     assert group_spectral(f) == pytest.approx(2 / 12, rel=1e-10)
+
+
+def _group_spectral_corpus():
+    """Real, complex, indicator and constant functions on five groups."""
+    for spec in ("D5", "D128", "D384", "Z16xZ16", "S5"):
+        g = parse_group_spec(spec)
+        n = g.order
+        rng = np.random.Generator(np.random.Philox(n))
+        yield spec, "real", GroupFunction(g, rng.standard_normal(n))
+        yield spec, "complex", GroupFunction(
+            g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        yield spec, "indicator", GroupFunction.indicator(
+            g, np.flatnonzero(rng.random(n) < 0.3).tolist())
+        yield spec, "constant", GroupFunction.constant(g, -2.5)
+
+
+def test_group_spectral_matches_the_svd():
+    for spec, kind, f in _group_spectral_corpus():
+        want = spectral_norm(cayley_matrix(f)) / f.group.order
+        assert group_spectral(f) == pytest.approx(want, rel=1e-13, abs=0.0), (spec, kind)
+
+
+def test_group_spectral_is_exactly_scale_invariant():
+    for spec in ("D5", "Z16xZ16", "S5"):
+        g = parse_group_spec(spec)
+        rng = np.random.Generator(np.random.Philox(g.order))
+        for values in (rng.standard_normal(g.order),
+                       rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)):
+            base = group_spectral(GroupFunction(g, values))
+            for k in (-600, 600):
+                # 2^k values stay normal, so the product is exact
+                scaled = group_spectral(GroupFunction(g, values * 2.0**k))
+                assert scaled == math.ldexp(base, k), (spec, k)
+
+
+def test_group_spectral_zero_and_non_finite():
+    g = parse_group_spec("D5")
+    assert group_spectral(GroupFunction(g, np.zeros(g.order))) == 0.0
+    assert group_spectral(GroupFunction(g, np.zeros(g.order, dtype=complex))) == 0.0
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        values = np.ones(g.order, dtype=type(bad))
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            group_spectral(GroupFunction(g, values))
 
 
 def test_translate_witness_constant():
@@ -1224,15 +1280,15 @@ def _suite_abelian_loop():
         for _ in range(50):
             f = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             cn_val = abelian_character_norm(f, table).value
-            dense = spectral_norm(cayley_matrix(f)) / n
+            dense = group_spectral(f)
             err = max(err, abs(cn_val - dense) / max(dense, 1e-300))
         out.append(verify._check(f"abelian:Z{n}", err <= 1e-10, f"max rel err {err:.2e}"))
     return out
 
 
 def _fourier_spectral_loop(spec):
-    """The fourier suite's spectral_via_irreps check, one dense SVD per
-    function; the four other draws per round are the convolution's f2."""
+    """The fourier suite's spectral_via_irreps check, one `group_spectral`
+    per function; the four other draws per round are the convolution's f2."""
     g = parse_group_spec(spec)
     table = build_irrep_table(g)
     n = g.order
@@ -1243,7 +1299,7 @@ def _fourier_spectral_loop(spec):
         rng.standard_normal(n)
         rng.standard_normal(n)
         via = spectral_via_irreps(f, table)
-        dense = spectral_norm(cayley_matrix(f)) / n
+        dense = group_spectral(f)
         spec_err = max(spec_err, abs(via - dense) / max(dense, 1e-300))
     return verify._check(f"fourier:{spec}:spectral_via_irreps", spec_err <= 1e-8,
                          f"max rel err {spec_err:.2e}")
@@ -1260,11 +1316,6 @@ def test_stacked_suites_equal_their_per_matrix_loops():
 
 
 def test_suite_stacks_are_bit_identical_to_lone_calls():
-    rng = np.random.Generator(np.random.Philox(62))
-    for shape, count in (((3, 3), 5), ((8, 8), 4), ((5, 7), 3)):
-        mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                for _ in range(count)]
-        assert verify._dense_spectral(mats) == [spectral_norm(a) for a in mats]
     cfg = BMConfig(rank=16, restarts=8, seed=0)
     mats = [center_regular(g.matrix, g.degree)
             for _, g, _ in verify.transitive_suite_graphs()][:12]
