@@ -60,13 +60,13 @@ def cayley_from_set(group: GroupTable, subset: Iterable[int]) -> np.ndarray:
 
 
 def center_regular(a: np.ndarray, d: float) -> np.ndarray:
-    """Return ``A - (d/n) J`` for a square matrix A; complex or non-finite
-    input is a ValueError."""
+    """Return ``A - (d/n) J`` for a square matrix A (the empty matrix for
+    n = 0); complex or non-finite input is a ValueError."""
     a = _real_matrix(a, "center_regular")
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("center_regular needs a square matrix")
-    return a - (d / n)
+    return a - (d / n) if n else a
 
 
 def _real_matrix(a, name: str) -> np.ndarray:

@@ -10,6 +10,7 @@ command line (including --seed), byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import __version__, serial, verify
 from .cayley import cayley_from_set, find_transitive_automorphisms, lift_to_group
-from .errors import CapacityError, GroupAxiomError
 from .families import complete_graph, cycle_graph, example1_graph, paley_graph, \
     petersen_graph, random_regular
 from .fourier import build_irrep_table, svd_witness
@@ -175,7 +175,7 @@ def _cmd_fourier(args) -> int:
         table = None
         if args.irreps:
             table = serial.parse_irreps(Path(args.irreps).read_text(), f.group)
-    except (OSError, ValueError, GroupAxiomError) as exc:
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read inputs: {exc}") from exc
     if table is None:
         table = build_irrep_table(f.group)
@@ -229,6 +229,7 @@ def _cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     flags = {
         "seed": dict(type=int, default=0, help="seed for anything random"),
@@ -284,14 +285,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, GroupAxiomError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # CapacityError, GroupAxiomError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -459,7 +459,7 @@ def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
 
 def function_norm(f: GroupFunction, p: float) -> float:
     """Averaging-measure p-norm: (mean |f|^p)^(1/p); p = inf gives max |f|."""
-    if p != math.inf and p < 1:
+    if not p >= 1:  # NaN included
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     mags = np.abs(f.values)
     if p == math.inf:

@@ -8,6 +8,9 @@ closed form.  Grothendieck norm: bracketed, by `_bracket` alone, between a
 low-rank block-coordinate ascent (a feasible lower bound) and the cheaper of
 two upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error, K_G
 times the infinity-to-one norm).  Two-number inequality verdicts are `_check`'s (1e-9 of the larger side).
+Each solver has one private entry, `_exact_norms` for the enumeration and
+`_grothendieck_bm_stack` (one stack per matrix shape) for the ascent; a value
+computed there or in `spectral_norm` that overflows float64 is a ValueError.
 
 The enumeration reads each row subset's column sums as L[lo] + H[hi] from
 two subset-sum tables over the low and high halves of the rows: one vector
@@ -61,8 +64,8 @@ _CHUNK_BITS = 16
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value, from LAPACK's SVD (singular values only).
 
-    Real or complex input; an empty matrix gives 0.0 and non-finite entries
-    are a ValueError.
+    Real or complex input; an empty matrix gives 0.0, and non-finite entries
+    and a largest singular value that overflows float64 are a ValueError.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -71,7 +74,11 @@ def spectral_norm(a: np.ndarray) -> float:
         raise ValueError("spectral_norm needs finite entries")
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+    if not math.isfinite(sigma):
+        raise ValueError("spectral_norm overflows: the largest singular value "
+                         "exceeds the float64 range")
+    return sigma
 
 
 # LAPACK's SVD is backward stable: the computed singular values are the exact
@@ -190,7 +197,8 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
     Masks are visited in ascending order.  The chosen mask is the first one,
     unless ``choose(masks) -> (key, mask)`` picks among the tied masks of
     each block; then the mask with the smallest key wins, and a key of ()
-    (the empty set, the smallest there is) ends the contest.
+    (the empty set, the smallest there is) ends the contest.  A non-finite
+    block maximum (a float64 sum overflowed) is an OverflowError.
     """
     m = rows.shape[0]
     h = (m + 1) // 2
@@ -213,6 +221,8 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
         np.abs(block, out=block)
         vals = block.sum(axis=1)
         top = vals.max()
+        if not math.isfinite(top):
+            raise OverflowError("a subset sum overflowed float64")
         if best is not None and (top < best or (
                 top == best and (choose is None or best_key == ()))):
             continue
@@ -305,28 +315,52 @@ def _column_witness(c: np.ndarray) -> tuple[int, ...]:
     return min(build(c > 0), build(c < 0))
 
 
-def _check_enumeration_cap(m: int, what: str) -> None:
+def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
+                 io1: bool = True) -> tuple[Optional[CutNormResult], Optional[float], bool]:
+    """The cut norm (if `cut`, else None) and the infinity-to-one norm (if
+    `io1`, else None) of a real matrix, and whether one enumeration gave both.
+
+    Each value is recomputed with math.fsum from its witness: the row set
+    and its best column set, or x = 1 - 2 1_S and y the sign pattern of
+    x^T w for the enumeration form w.  With zero margins the column sums t
+    of w are 0, so on every row set without row 0 the infinity-to-one
+    objective |t - 2 c_S|_1 is exactly twice the cut objective |c_S|_1 on
+    the same tables: the first mask attaining the cut maximum is the mask
+    `_infty_one_signs` finds, and the same recompute gives the same bits.
+    An empty matrix gives 0.0 and empty sets.  More than EXACT_ENUM_LIMIT
+    rows is a CapacityError, and an enumeration maximum or a witness sum
+    that overflows float64 a ValueError, both naming `what`.
+    """
+    m = a.shape[0]
     if m > EXACT_ENUM_LIMIT:
         raise CapacityError(
             f"{what} enumeration is capped at {EXACT_ENUM_LIMIT} rows (got {m}); "
             "use grothendieck_bounds for larger matrices"
         )
-
-
-def _cut_from_mask(a: np.ndarray, w: np.ndarray, mask: int) -> CutNormResult:
-    """The cut witness with row mask `mask` of `a`, whose enumeration form is w."""
-    rows = _subset_key(mask, a.shape[0])
-    cols = _column_witness(w[list(rows)].sum(axis=0))
-    value = abs(math.fsum(a[np.ix_(rows, cols)].ravel())) if rows and cols else 0.0
-    return CutNormResult(value=value, row_set=rows, col_set=cols)
-
-
-def _infty_one_from_mask(a: np.ndarray, w: np.ndarray, mask: int) -> float:
-    """|x^T a y| for x = 1 - 2 1_S with S = `mask` and y the sign pattern of
-    x^T w, where w is the enumeration form of `a`."""
-    x = 1 - 2 * ((mask >> np.arange(a.shape[0])) & 1)
-    y = np.where(x @ w < 0, -1, 1)
-    return abs(math.fsum((a * np.outer(x, y)).ravel()))
+    cut_result = CutNormResult(value=0.0, row_set=(), col_set=()) if cut else None
+    io1_value = 0.0 if io1 else None
+    if a.size == 0:
+        return cut_result, io1_value, False
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, zero_margins = _enumeration_form(a)
+            one_pass = cut and io1 and zero_margins
+            if cut:
+                _, mask, first = _cut_rows(w, zero_margins)
+                rows = _subset_key(mask, m)
+                cols = _column_witness(w[list(rows)].sum(axis=0))
+                value = abs(math.fsum(a[np.ix_(rows, cols)].ravel())) if rows and cols else 0.0
+                cut_result = CutNormResult(value=value, row_set=rows, col_set=cols)
+            if io1:
+                if not one_pass:
+                    _, first = _infty_one_signs(w)
+                x = 1 - 2 * ((first >> np.arange(m)) & 1)
+                y = np.where(x @ w < 0, -1, 1)
+                io1_value = abs(math.fsum((a * np.outer(x, y)).ravel()))
+    except OverflowError:
+        raise ValueError(f"{what} enumeration overflows: a sum of entries exceeds "
+                         "the float64 range") from None
+    return cut_result, io1_value, one_pass
 
 
 def cut_norm_exact(a: np.ndarray) -> CutNormResult:
@@ -339,15 +373,10 @@ def cut_norm_exact(a: np.ndarray) -> CutNormResult:
     the row sets are visited.  The value is recomputed from the witness with
     math.fsum, so it does not depend on summation order.  An empty matrix
     has value 0.0 and empty witness sets; more than EXACT_ENUM_LIMIT rows is
-    a CapacityError, complex or non-finite input a ValueError.
+    a CapacityError, complex or non-finite input a ValueError, and so is a
+    sum of entries that overflows float64.
     """
-    a = _real_matrix(a, "cut_norm_exact")
-    _check_enumeration_cap(a.shape[0], "cut norm")
-    if a.size == 0:
-        return CutNormResult(value=0.0, row_set=(), col_set=())
-    w, zero_margins = _enumeration_form(a)
-    _, mask, _ = _cut_rows(w, zero_margins)
-    return _cut_from_mask(a, w, mask)
+    return _exact_norms(_real_matrix(a, "cut_norm_exact"), "cut norm", io1=False)[0]
 
 
 def infty_one_exact(a: np.ndarray) -> float:
@@ -358,37 +387,10 @@ def infty_one_exact(a: np.ndarray) -> float:
     of A^T x, so the inner value is the l1 norm of A^T x.  The value is
     recomputed from the sign witnesses with math.fsum.  An empty matrix has
     value 0.0; more than EXACT_ENUM_LIMIT rows is a CapacityError, complex or
-    non-finite input a ValueError.
+    non-finite input a ValueError, and so is a sum of entries that overflows
+    float64.
     """
-    a = _real_matrix(a, "infty_one_exact")
-    _check_enumeration_cap(a.shape[0], "infinity-to-one")
-    if a.size == 0:
-        return 0.0
-    w, _ = _enumeration_form(a)
-    _, mask = _infty_one_signs(w)
-    return _infty_one_from_mask(a, w, mask)
-
-
-def _cut_and_infty_one(a: np.ndarray) -> tuple[CutNormResult, float, bool]:
-    """`cut_norm_exact(a)` and `infty_one_exact(a)` of a real matrix, and
-    whether one enumeration gave both (the margins are zero).
-
-    With zero margins the column sums t of the enumeration form are 0, so
-    on every row set without row 0 the infinity-to-one objective
-    |t - 2 c_S|_1 is exactly twice the cut objective |c_S|_1 on the same
-    tables: the first mask attaining the cut maximum is the mask
-    `_infty_one_signs` finds, and the same recompute gives the same bits.
-    Otherwise both enumerations run.  More than EXACT_ENUM_LIMIT rows is the
-    cut norm's CapacityError.
-    """
-    _check_enumeration_cap(a.shape[0], "cut norm")
-    if a.size == 0:
-        return CutNormResult(value=0.0, row_set=(), col_set=()), 0.0, False
-    w, zero_margins = _enumeration_form(a)
-    _, mask, first = _cut_rows(w, zero_margins)
-    if not zero_margins:
-        _, first = _infty_one_signs(w)
-    return _cut_from_mask(a, w, mask), _infty_one_from_mask(a, w, first), zero_margins
+    return _exact_norms(_real_matrix(a, "infty_one_exact"), "infinity-to-one", cut=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +465,6 @@ def _renormalize(w: np.ndarray, out: np.ndarray, sq: np.ndarray, norms: np.ndarr
     np.maximum(norms, 1e-300, out=norms)
     # a masked divide is the slower loop; it is needed only with a zero row
     np.divide(w, norms, out=out, where=True if nonzero.all() else nonzero)
-
-
-# Restart slots per stacked ascent: a chunk of same-shape matrices holds at
-# most about _BM_STACK_ENTRIES floats of matrices and iterates, r (m n +
-# (m + n) k) per matrix, and always at least one matrix.
-_BM_STACK_ENTRIES = 1 << 16
 
 
 def _bm_starts(m: int, n: int, k: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -561,58 +557,57 @@ def _bm_ascent(a: np.ndarray, x_all: np.ndarray, y_all: np.ndarray, max_sweeps: 
 
 def _grothendieck_bm_stack(
         mats, cfg: Optional[BMConfig] = None) -> list[tuple[float, VectorAssignment]]:
-    """`grothendieck_bm` of each of several same-shape matrices, ascended together.
+    """`grothendieck_bm` of each of several matrices, of any shapes.
 
     Returns one ``(value, VectorAssignment)`` per matrix, each bit-identical
-    to ``grothendieck_bm`` of that matrix alone.  The restarts' start pairs
-    are drawn once and copied into every matrix's slots; the nonzero
-    matrices, each scaled by its own power of two, ascend in chunks of at
-    most about `_BM_STACK_ENTRIES` floats, each chunk one `_bm_ascent`.  A
-    chunk of one matrix ascends on that matrix, shared by its slots.  Every
-    matrix ascends C-ordered, as `_real_matrix` gives it, whatever its
-    memory order on input.
+    to ``grothendieck_bm`` of that matrix alone.  The nonzero matrices of
+    one shape ascend together as one `_bm_ascent`, one stack per shape in
+    order of the shape's first appearance, each matrix scaled by its own
+    power of two; the restarts' start pairs are drawn once per shape and
+    copied into every matrix's slots.  A shape with one nonzero matrix
+    ascends on that matrix, shared by its slots.  Every matrix ascends
+    C-ordered, as `_real_matrix` gives it, whatever its memory order on
+    input.  An objective that overflows float64 once scaled back is a
+    ValueError.
     """
     cfg = cfg or BMConfig()
     mats = [_real_matrix(a, "grothendieck_bm") for a in mats]
-    if not mats:
-        return []
-    m, n = mats[0].shape
-    if any(a.shape != (m, n) for a in mats):
-        raise ValueError("grothendieck_bm stack needs matrices of one shape")
-    k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, a in enumerate(mats):
+        by_shape.setdefault(a.shape, []).append(i)
     r = cfg.restarts
     out: list = [None] * len(mats)
-    nonzero = []
-    for i, a in enumerate(mats):
-        if np.any(a):
-            nonzero.append(i)
-        else:
-            x, y = np.zeros((m, k)), np.zeros((n, k))
-            x[:, 0] = 1.0
-            y[:, 0] = 1.0
-            out[i] = 0.0, VectorAssignment(left=x, right=y, objective=0.0)
-    if not nonzero:
-        return out
-    # The objective is 1-homogeneous: ascend on a / 2^e with max|a| / 2^e in
-    # [1/2, 1), a scaling that is exact in floating point and keeps squared
-    # row norms clear of overflow and underflow at any input scale.
-    exps = {i: math.frexp(float(np.abs(mats[i]).max()))[1] for i in nonzero}
-    scaled = {i: np.ldexp(mats[i], -exps[i]) for i in nonzero}
-    x0, y0 = _bm_starts(m, n, k, r, cfg.seed)
-    per_chunk = max(1, _BM_STACK_ENTRIES // (r * (m * n + (m + n) * k)))
-    for lo in range(0, len(nonzero), per_chunk):
-        chunk = nonzero[lo:lo + per_chunk]
-        c = len(chunk)
-        if c == 1:
-            a = scaled[chunk[0]]
-        else:
-            a = np.repeat(np.stack([scaled[i] for i in chunk]), r, axis=0)
+    for (m, n), idx in by_shape.items():
+        k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
+        nonzero = []
+        for i in idx:
+            if np.any(mats[i]):
+                nonzero.append(i)
+            else:
+                x, y = np.zeros((m, k)), np.zeros((n, k))
+                x[:, 0] = 1.0
+                y[:, 0] = 1.0
+                out[i] = 0.0, VectorAssignment(left=x, right=y, objective=0.0)
+        if not nonzero:
+            continue
+        # The objective is 1-homogeneous: ascend on a / 2^e with max|a| / 2^e
+        # in [1/2, 1), a scaling that is exact in floating point and keeps
+        # squared row norms clear of overflow and underflow at any input scale.
+        exps = [math.frexp(float(np.abs(mats[i]).max()))[1] for i in nonzero]
+        scaled = [np.ldexp(mats[i], -e) for i, e in zip(nonzero, exps)]
+        c = len(nonzero)
+        a = scaled[0] if c == 1 else np.repeat(np.stack(scaled), r, axis=0)
+        x0, y0 = _bm_starts(m, n, k, r, cfg.seed)
         objective, left, right, _ = _bm_ascent(
             a, np.tile(x0, (c, 1, 1)), np.tile(y0, (c, 1, 1)), _BM_MAX_SWEEPS, _BM_TOL)
-        for j, i in enumerate(chunk):
+        for j, (i, e) in enumerate(zip(nonzero, exps)):
             # the first restart with the largest objective wins
             best = max(range(j * r, (j + 1) * r), key=objective.__getitem__)
-            best_obj = math.ldexp(objective[best], exps[i])
+            try:
+                best_obj = math.ldexp(objective[best], e)
+            except OverflowError:
+                raise ValueError("grothendieck_bm overflows: the ascent's objective "
+                                 "exceeds the float64 range") from None
             out[i] = (abs(best_obj), VectorAssignment(
                 left=left[best].copy(), right=right[best].copy(), objective=best_obj))
     return out
@@ -632,7 +627,8 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     stopping rule fires, so its iterates are identical to those of restarts
     run one after another, and the same as when the matrix ascends in
     `_grothendieck_bm_stack` together with others.  The first restart with
-    the largest objective wins.  Complex or non-finite input is a ValueError.
+    the largest objective wins.  Complex or non-finite input is a ValueError,
+    and so is a value that overflows float64.
     """
     return _grothendieck_bm_stack([a], cfg)[0]
 
@@ -691,7 +687,8 @@ def group_spectral(f: GroupFunction) -> float:
     # B[:, 0] = b, so c = B^H b, and (B^H B)[g, h] = c(g h^-1)
     c = (b[ghinv].T @ b.conj()).conj()
     lam = float(np.linalg.eigvalsh(c[ghinv])[-1])
-    return math.ldexp(math.sqrt(max(lam, 0.0)), e) / f.group.order
+    # divide before scaling back: ||A(f)|| / n <= max|f| is representable, ||A(f)|| may not be
+    return math.ldexp(math.sqrt(max(lam, 0.0)) / f.group.order, e)
 
 
 def translate_witness(f: GroupFunction, x: GroupFunction, y: GroupFunction) -> VectorAssignment:
@@ -827,7 +824,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     io1 = None
     try:
         t0 = time.perf_counter()
-        cut, io1, one_pass = _cut_and_infty_one(a)
+        cut, io1, one_pass = _exact_norms(a, "cut norm")
         timings["enumeration"] = time.perf_counter() - t0
         # the subsets and sign vectors actually visited
         work["cut_subsets"] = (1 << m) >> one_pass
@@ -836,9 +833,9 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
         notes.append(str(exc))
 
     t0 = time.perf_counter()
-    k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
     bm_value, assignment = grothendieck_bm(a, cfg)
     timings["bm"] = time.perf_counter() - t0
+    k = assignment.left.shape[1]
     work["bm_rank"] = k
     work["bm_restarts"] = cfg.restarts
 

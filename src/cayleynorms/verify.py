@@ -41,19 +41,6 @@ def _check(name: str, passed: bool, detail: str) -> SuiteCheck:
     return SuiteCheck(name=name, passed=bool(passed), detail=detail)
 
 
-def _ascent_values(mats: list[np.ndarray], cfg: BMConfig) -> list[float]:
-    """`grothendieck_bm` values of the matrices, in order, from one stacked
-    ascent per matrix shape; each equals the value of a lone call."""
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, a in enumerate(mats):
-        by_shape.setdefault(a.shape, []).append(i)
-    values = [0.0] * len(mats)
-    for idx in by_shape.values():
-        for i, (val, _) in zip(idx, _grothendieck_bm_stack([mats[i] for i in idx], cfg)):
-            values[i] = val
-    return values
-
-
 def _dihedral4_graphs() -> list[tuple[str, RegularGraph]]:
     d4 = dihedral_group(4)
     # r, r^3, s  and  the four reflections: both symmetric generating sets
@@ -99,9 +86,9 @@ def suite_grothendieck() -> list[SuiteCheck]:
     cfg = BMConfig(rank=16, restarts=8, seed=0)
     graphs = [(name, g.n, center_regular(g.matrix, g.degree))
               for name, g, _ in transitive_suite_graphs()]
-    values = _ascent_values([ac for _, _, ac in graphs], cfg)
+    ascents = _grothendieck_bm_stack([ac for _, _, ac in graphs], cfg)
     out = []
-    for (name, n, ac), val in zip(graphs, values):
+    for (name, n, ac), (val, _) in zip(graphs, ascents):
         ns = n * spectral_norm(ac)
         ok = val >= (1.0 - 1e-6) * ns
         out.append(_check(
@@ -290,7 +277,7 @@ def suite_random_sign() -> list[SuiteCheck]:
             .astype(np.float64) * 2.0 - 1.0 for i in range(100)]
     lb_fail = ub_fail = 0
     worst_lb = worst_ub = 0.0
-    for a, bm in zip(mats, _ascent_values(mats, cfg)):
+    for a, (bm, _) in zip(mats, _grothendieck_bm_stack(mats, cfg)):
         io1 = infty_one_exact(a)
         if not io1 <= bm + 1e-9:
             lb_fail += 1

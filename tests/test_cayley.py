@@ -119,6 +119,10 @@ def test_center_regular():
     assert np.allclose(centered.sum(axis=1), 0.0)
 
 
+def test_center_regular_of_the_empty_matrix():
+    assert center_regular(np.zeros((0, 0)), 0).shape == (0, 0)
+
+
 def test_center_regular_rejects_complex_and_non_finite():
     # a complex matrix was silently cast to its real part
     for bad, match in ((np.eye(3) + 1j * np.eye(3), "real"),

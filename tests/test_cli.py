@@ -7,6 +7,7 @@ import pytest
 
 from cayleynorms import serial
 from cayleynorms.cli import main
+from cayleynorms.norms import default_bm_rank
 
 
 def run(argv):
@@ -351,6 +352,24 @@ def test_analyze_names_the_bad_ascent_setting(tmp_path, capsys, flag, value, mes
     src.write_text(serial.matrix_to_text(np.eye(2)))
     assert run(["analyze", str(src), flag, value, "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_analyze_overflow_exits_one_without_traceback(tmp_path, capsys):
+    src = tmp_path / "h.json"
+    src.write_text(serial.matrix_to_text(np.array([[1.7e308, -1.7e308], [1.7e308, 1.7e308]])))
+    assert run(["analyze", str(src), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
+
+
+def test_consecutive_calls_share_the_parser_but_not_its_arguments(tmp_path):
+    src = tmp_path / "m.json"
+    src.write_text(serial.matrix_to_text(np.eye(3)))
+    ranked, default = tmp_path / "ranked.json", tmp_path / "default.json"
+    assert run(["analyze", str(src), "--rank", "3", "--out", str(ranked), "--quiet"]) == 0
+    assert run(["analyze", str(src), "--out", str(default), "--quiet"]) == 0
+    assert serial.loads(ranked.read_text())["bm_rank"] == 3
+    assert serial.loads(default.read_text())["bm_rank"] == default_bm_rank(3, 3) != 3
 
 
 def test_verify_writes_report(tmp_path):

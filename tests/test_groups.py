@@ -474,6 +474,12 @@ def test_function_norm_examples():
         function_norm(f, 0.5)
 
 
+def test_function_norm_rejects_nan_p():
+    f = GroupFunction(cyclic_group(2), np.array([3.0, -4.0]))
+    with pytest.raises(ValueError, match="p must be >= 1 or inf, got nan"):
+        function_norm(f, math.nan)
+
+
 def test_function_norm_monotone_in_p():
     rng = np.random.Generator(np.random.Philox(2))
     g = dihedral_group(5)

@@ -167,6 +167,27 @@ def test_spectral_is_homogeneous_at_extreme_scales():
             assert spectral_norm(c * a) == pytest.approx(c * base, rel=1e-14)
 
 
+# Every norm of this matrix overflows float64: sigma_1 = 1.7e308 sqrt(2),
+# and the cut and infinity-to-one norms are 3.4e308.
+OVERFLOWING = np.array([[1.7e308, -1.7e308], [1.7e308, 1.7e308]])
+
+
+@pytest.mark.parametrize("fn", [spectral_norm, cut_norm_exact, infty_one_exact,
+                                grothendieck_bm, grothendieck_bounds, analyze])
+def test_overflowing_sums_are_a_value_error(fn):
+    with pytest.raises(ValueError, match="overflows"):
+        fn(OVERFLOWING)
+
+
+def test_large_entries_whose_sums_fit_keep_working():
+    a = np.array([[1e307, -1e307, 3e306], [1e307, 1e307, -2e307]])
+    report = analyze(a)
+    assert report.all_passed
+    assert report.cut.value == _cut_by_matmul(a).max()
+    assert report.infty_one == pytest.approx(_io1_brute(a), rel=1e-15)
+    assert report.spectral == spectral_norm(a) > 1e307
+
+
 def test_spectral_on_equal_top_singular_values():
     # centered C20: the eigenvalues 2 cos(2 pi k / 20), k != 0, and a 0;
     # centered K9 = J/9 - I: -1 eight times and a 0
@@ -497,7 +518,7 @@ def _exact_norm_inputs():
 
 @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _exact_norm_inputs()])
 def test_shared_enumeration_equals_both_public_norms_bit_for_bit(a):
-    cut, io1, one_pass = norms._cut_and_infty_one(a)
+    cut, io1, one_pass = norms._exact_norms(a, "cut norm")
     want_cut, want_io1 = cut_norm_exact(a), infty_one_exact(a)
     assert cut == want_cut and float.hex(cut.value) == float.hex(want_cut.value)
     assert float.hex(io1) == float.hex(want_io1)
@@ -517,7 +538,7 @@ def test_int64_enumeration_form_matches_brute_force():
         for b in (_zero_column_sums(a), _zero_column_sums(_zero_column_sums(a).T).T):
             w, zero = norms._enumeration_form(b)
             assert w.dtype == np.int64
-            cut, io1, _ = norms._cut_and_infty_one(b)
+            cut, io1, _ = norms._exact_norms(b, "cut norm")
             assert cut.value == _cut_by_matmul(b).max()
             assert io1 == _io1_brute(b)
 
@@ -785,7 +806,7 @@ def _assert_stack_matches_reference(mats, cfg, name):
         if np.any(a):
             value, objective, left, right = _reference_bm(a, cfg)
         else:
-            k = _scaled_rank(np.ones(a.shape), cfg)[2]
+            k = cfg.rank if cfg.rank is not None else default_bm_rank(*a.shape)
             value = objective = 0.0
             left, right = np.zeros((a.shape[0], k)), np.zeros((a.shape[1], k))
             left[:, 0] = right[:, 0] = 1.0
@@ -850,20 +871,20 @@ def test_bm_stack_entry_with_a_zero_matrix_inside():
     assert norms._grothendieck_bm_stack([np.zeros((3, 2))] * 2, BMConfig(rank=2))[1][0] == 0.0
 
 
-def test_bm_stack_entry_longer_than_one_chunk(monkeypatch):
-    # two matrices per chunk: five matrices make chunks of 2, 2 and 1, the
-    # last ascending on its one matrix shared by its slots
+def test_bm_stack_entry_ascends_one_stack_per_shape(monkeypatch):
+    # interleaved shapes: the three 5 x 6 matrices ascend as one stack, the
+    # lone nonzero 8 x 8 on its matrix shared by its slots, and the zero
+    # 3 x 2 and 0 x 4 matrices without an ascent
     rng = np.random.Generator(np.random.Philox(60))
-    mats = [rng.standard_normal((5, 6)) for _ in range(5)]
-    cfg = BMConfig()
-    k = default_bm_rank(5, 6)
-    monkeypatch.setattr(norms, "_BM_STACK_ENTRIES", 2 * cfg.restarts * (30 + 11 * k) + 1)
+    gauss = [rng.standard_normal((5, 6)) for _ in range(3)]
+    mats = [gauss[0], rng.choice([-1.0, 1.0], size=(8, 8)), np.zeros((3, 2)), gauss[1],
+            np.zeros((0, 4)), np.zeros((8, 8)), gauss[2]]
     calls = []
     ascent = norms._bm_ascent
     monkeypatch.setattr(norms, "_bm_ascent",
                         lambda a, *rest: calls.append(a.shape) or ascent(a, *rest))
-    _assert_stack_matches_reference(mats, cfg, "chunks")
-    assert calls == [(16, 5, 6), (16, 5, 6), (5, 6)]
+    _assert_stack_matches_reference(mats, BMConfig(), "shapes")
+    assert calls == [(24, 5, 6), (8, 8)]
 
 
 def test_bm_stack_entry_ascends_every_matrix_c_ordered():
@@ -892,10 +913,15 @@ def test_analyze_report_does_not_depend_on_memory_order():
         assert serial.report_to_text(analyze(strided)) == want, shape
 
 
-def test_bm_stack_entry_needs_one_shape():
+def test_bm_stack_entry_mixed_shapes_equal_their_lone_calls():
     assert norms._grothendieck_bm_stack([], BMConfig()) == []
-    with pytest.raises(ValueError, match="one shape"):
-        norms._grothendieck_bm_stack([np.ones((2, 3)), np.ones((3, 2))])
+    rng = np.random.Generator(np.random.Philox(64))
+    cfg = BMConfig(restarts=3)
+    mats = [rng.standard_normal(shape) for shape in ((2, 3), (3, 2), (2, 3), (4, 4), (3, 2))]
+    for a, (val, w) in zip(mats, norms._grothendieck_bm_stack(mats, cfg), strict=True):
+        alone = grothendieck_bm(a, cfg)
+        assert float.hex(val) == float.hex(alone[0])
+        assert np.array_equal(w.left, alone[1].left) and np.array_equal(w.right, alone[1].right)
     with pytest.raises(ValueError, match="finite"):
         norms._grothendieck_bm_stack([np.ones((2, 2)), np.full((2, 2), np.nan)])
 
@@ -1040,6 +1066,12 @@ def test_group_spectral_is_exactly_scale_invariant():
                 # 2^k values stay normal, so the product is exact
                 scaled = group_spectral(GroupFunction(g, values * 2.0**k))
                 assert scaled == math.ldexp(base, k), (spec, k)
+
+
+def test_group_spectral_near_the_float64_limit():
+    # ||A(f)|| = 3.4e308 overflows, ||f|| = ||A(f)|| / 2 does not
+    f = GroupFunction(parse_group_spec("Z2"), np.array([1.7e308, 1.7e308]))
+    assert group_spectral(f) == pytest.approx(1.7e308, rel=1e-15)
 
 
 def test_group_spectral_zero_and_non_finite():
@@ -1319,4 +1351,5 @@ def test_suite_stacks_are_bit_identical_to_lone_calls():
     cfg = BMConfig(rank=16, restarts=8, seed=0)
     mats = [center_regular(g.matrix, g.degree)
             for _, g, _ in verify.transitive_suite_graphs()][:12]
-    assert verify._ascent_values(mats, cfg) == [grothendieck_bm(a, cfg)[0] for a in mats]
+    values = [val for val, _ in norms._grothendieck_bm_stack(mats, cfg)]
+    assert values == [grothendieck_bm(a, cfg)[0] for a in mats]
