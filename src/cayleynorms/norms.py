@@ -16,16 +16,20 @@ The enumeration reads each row subset's column sums as L[lo] + H[hi] from
 two subset-sum tables over the low and high halves of the rows: one vector
 add, abs and sum per subset.  When k * A is integral for k = 1 or k = ncols
 (every 0/1 or +-1 matrix, every degree-centered graph matrix A - (d/n) J)
-it runs on N = rint(k * A), in float32 when 3 m n max|N| < 2^24 (every
-table entry, block sum and maximum is then an exactly represented integer)
-and in int64 otherwise, so the maximum, its ties and the lexicographically
-smallest witness are decided exactly; other input is compared in float64 as
-computed.  When every row and column sum is exactly zero (the paper's
-setting), a row set and its complement have the same cut value |c_S|_1 / 2
-and ||A||_inf->1 = 4 ||A||_cut, so the cut visits only the row sets without
-row 0, and `analyze` takes both norms from that one enumeration; the
-infinity-to-one norm pins row 0 on every input.  Reported values are
-recomputed from their witnesses with math.fsum.
+it runs on N = rint(k * A), in the narrowest of int16 (3 m n max|N| < 2^15),
+float32 (< 2^24) and int64 in which every table entry, block sum and
+maximum is an exactly represented integer, so the maximum, its ties and the
+lexicographically smallest witness are decided exactly; other input is
+compared in float64 as computed.  Each block of a float64 or int64 form
+after the first is computed in float32 from scaled copies of the tables
+first, and the exact pass runs only when the float32 maximum plus a proven
+rounding slack reaches the best so far, which changes no result.  When
+every row and column sum is exactly zero (the paper's setting), a row set
+and its complement have the same cut value |c_S|_1 / 2 and ||A||_inf->1 =
+4 ||A||_cut, so the cut visits only the row sets without row 0, and
+`analyze` takes both norms from that one enumeration; the infinity-to-one
+norm pins row 0 on every input.  Reported values are recomputed from their
+witnesses with math.fsum.
 """
 
 from __future__ import annotations
@@ -133,10 +137,12 @@ def second_eigenvalue(a: np.ndarray) -> float:
 # column sums are L[lo] + H[hi], read from two subset-sum tables, so each
 # subset costs one vector add, abs and sum.
 
-# Target subset-column entries per enumeration block.  A block is at least
-# one whole row of the high table (every low mask against one high mask), so
-# past about 20 rows it is one to a few such rows, above this target.
-_BLOCK_ENTRIES = 1 << 16
+# Bytes per enumeration block: 2^16 entries of an 8-byte form, twice and four
+# times as many of a float32 and an int16 one, so the narrower forms also pay
+# less Python overhead per subset.  A block is at least one whole row of the
+# high table (every low mask against one high mask), so past about 20 rows it
+# is one to a few such rows, above this target.
+_BLOCK_BYTES = 1 << 19
 # k * a counts as integral when every entry is within this fraction of
 # k * max|a| of an integer: a few roundings of how such matrices are built
 # (d / n, then 1 - d / n).
@@ -160,12 +166,14 @@ def _enumeration_form(a: np.ndarray) -> tuple[np.ndarray, bool]:
     2^53, this is N = rint(k * a): scaling by k > 0 keeps maximizers, so the
     maximum, its ties and the zero margins are decided exactly for N / k,
     the matrix that `a` rounds.  That covers every 0/1 and +-1 matrix and
-    every degree-centered graph matrix A - (d/n) J.  N is float32 when
-    3 m n max|N| < 2^24, which bounds every table entry (|t - 2 c_S| <=
-    3 m max|N| per column) and every block sum, so each is an exactly
-    represented integer and the enumeration moves half the bytes; otherwise
-    it is int64.  Other input is `a` itself, compared in float64 as
-    computed, and never has zero margins.
+    every degree-centered graph matrix A - (d/n) J.  3 m n max|N| bounds
+    every table entry (|t - 2 c_S| <= 3 m max|N| per column) and every block
+    sum, and picks the narrowest of three tiers in which each is exact:
+    int16 below 2^15 (every +-1 and 0/1 matrix up to the enumeration cap,
+    every centered graph up to 22 vertices), float32 below 2^24 (each an
+    exactly represented integer), int64 beyond.  Other input is `a` itself,
+    compared in float64 as computed, and never has zero margins; `_max_l1`
+    screens its blocks in float32 first, as it does an int64 form's.
     """
     m, n = a.shape
     scale = float(np.abs(a).max())
@@ -175,7 +183,8 @@ def _enumeration_form(a: np.ndarray) -> tuple[np.ndarray, bool]:
         largest = m * n * float(np.abs(ints).max())
         if (float(np.abs(ka - ints).max()) <= _INTEGRAL_RTOL * k * scale
                 and largest < 2.0 ** 53):
-            w = ints.astype(np.float32 if 3 * largest < 2.0 ** 24 else np.int64)
+            w = ints.astype(np.int16 if 3 * largest < 2.0 ** 15
+                            else np.float32 if 3 * largest < 2.0 ** 24 else np.int64)
             return w, not w.sum(axis=0).any() and not w.sum(axis=1).any()
     return a, False
 
@@ -188,6 +197,27 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return t
 
 
+# The float32 screen in front of an 8-byte form's blocks.  Everything is
+# scaled by 2^-e, exactly, with T = (sum|rows| + sum|base|) / 2^e in [1/2, 1):
+# every table entry, block entry and subset value is then at most about T in
+# magnitude, so no float32 value overflows at any input scale.  With unit
+# roundoffs u32 = 2^-24 and u64 = 2^-53, and A <= T (1 + (m + 1) u64) < 2 the
+# sum over the columns of |L| + |H| for the float64 tables L and H, the
+# recursive-summation bound |fl(sum) - sum| <= (k - 1) u sum|x_i| (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2)
+# gives, for one subset and the exact sum s of |L + H| over the columns:
+# - the float32 value V32 (L and H rounded to float32, one add per column,
+#   cols - 1 adds in the sum) is within (cols + 3) u32 A of s, plus at most
+#   4 cols 2^-150 where float32 subnormals round absolutely;
+# - the 8-byte pass's value V64 (one add per column, cols - 1 in the sum) is
+#   within (cols + 1) u64 A of s, and equals it on an int64 form.
+# So |V32 - V64| <= 2 (cols + 3)(u32 + u64) + cols 2^-148, which
+# 2 k (u32 + u64) + k 2^-126 with k = m + cols + 4 exceeds by more than the
+# rounding of forming best / 2^e - slack in float64.  A block whose float32
+# maximum lies below that bar has an 8-byte maximum below the running best,
+# a block the exact loop skips anyway; ties still go through it.
+
+
 def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
             choose=None) -> tuple[float, int, int]:
     """Largest |base + sum of rows[i] over i in S|_1 over row subsets S, a
@@ -197,8 +227,11 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
     Masks are visited in ascending order.  The chosen mask is the first one,
     unless ``choose(masks) -> (key, mask)`` picks among the tied masks of
     each block; then the mask with the smallest key wins, and a key of ()
-    (the empty set, the smallest there is) ends the contest.  A non-finite
-    block maximum (a float64 sum overflowed) is an OverflowError.
+    (the empty set, the smallest there is) ends the contest.  Every table
+    and sum keeps the dtype of `rows`, which `base` shares, and the maximum
+    is returned as a Python number.  The blocks of a float64 or int64 form
+    after the first are screened in float32, which changes no result.  A
+    non-finite block maximum (a float64 sum overflowed) is an OverflowError.
     """
     m = rows.shape[0]
     h = (m + 1) // 2
@@ -211,15 +244,37 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
     low_masks = np.arange(0, 1 << h, step, dtype=np.int64)
     high = _subset_sums(rows[h:])
     cols, width = low.shape
-    per_block = max(1, _BLOCK_ENTRIES // (cols * width))
+    per_block = max(1, _BLOCK_BYTES // rows.itemsize // (cols * width))
+    total = math.inf
+    # the first block always runs exactly: only later ones are worth a screen
+    if rows.itemsize == 8 and high.shape[0] > per_block:
+        total = float(np.abs(rows).sum())
+        if base is not None:
+            total += float(np.abs(base).sum())
+    screened = math.isfinite(total)
+    if screened:
+        e = math.frexp(total)[1]
+        low32, high32 = (np.ldexp(t, -e).astype(np.float32) for t in (low, high))
+        k = m + cols + 4
+        slack = 2 * k * (2.0 ** -24 + 2.0 ** -53) + k * 2.0 ** -126
     buf = np.empty((per_block, cols, width), dtype=rows.dtype)
+    if screened:
+        # only the float32 block's maximum outlives it: it lives in buf's bytes
+        buf32 = buf.reshape(-1).view(np.float32)[:buf.size].reshape(buf.shape)
     best = best_key = None
     best_mask = first_mask = 0
     for first in range(0, high.shape[0], per_block):
-        block = buf[: min(per_block, high.shape[0] - first)]
-        np.add(low, high[first:first + len(block), :, None], out=block)
+        count = min(per_block, high.shape[0] - first)
+        if screened and best is not None:
+            block = buf32[:count]
+            np.add(low32, high32[first:first + count, :, None], out=block)
+            np.abs(block, out=block)
+            if float(block.sum(axis=1).max()) < bar:
+                continue
+        block = buf[:count]
+        np.add(low, high[first:first + count, :, None], out=block)
         np.abs(block, out=block)
-        vals = block.sum(axis=1)
+        vals = block.sum(axis=1, dtype=rows.dtype)
         top = vals.max()
         if not math.isfinite(top):
             raise OverflowError("a subset sum overflowed float64")
@@ -233,7 +288,9 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
         key, mask = (None, first_mask) if choose is None else choose(masks)
         if best is None or top > best or key < best_key:
             best, best_key, best_mask = top, key, mask
-    return best, best_mask, first_mask
+            if screened:
+                bar = math.ldexp(float(best), -e) - slack
+    return best.item(), best_mask, first_mask
 
 
 def _subset_key(mask: int, m: int) -> tuple[int, ...]:
@@ -276,7 +333,7 @@ def _cut_rows(w: np.ndarray, zero_margins: bool) -> tuple[float, int, int]:
 
     if zero_margins:
         return _max_l1(w, pinned=True, choose=choose)
-    return _max_l1(np.column_stack([w, w.sum(axis=1)]), choose=choose)
+    return _max_l1(np.column_stack([w, w.sum(axis=1, dtype=w.dtype)]), choose=choose)
 
 
 def _infty_one_signs(w: np.ndarray) -> tuple[float, int]:
@@ -284,7 +341,7 @@ def _infty_one_signs(w: np.ndarray) -> tuple[float, int]:
     x = 1 - 2 1_S with x_0 = +1: x^T w = t - 2 c_S for the column sums t of
     w and c_S of S.
     """
-    best, mask, _ = _max_l1(-2 * w, base=w.sum(axis=0), pinned=True)
+    best, mask, _ = _max_l1(-2 * w, base=w.sum(axis=0, dtype=w.dtype), pinned=True)
     return best, mask
 
 
@@ -967,7 +1024,7 @@ def mixing_lemma_check(a: np.ndarray, d: float, lam: float) -> bool:
     small = np.arange(n + 1)
     small = np.minimum(small, n - small)
     bound = n * (lam * np.sqrt(np.outer(small, small[1:n])) + tol)
-    per_block = max(1, _BLOCK_ENTRIES // max(1, low.size))
+    per_block = max(1, _BLOCK_BYTES // low.itemsize // max(1, low.size))
     for first in range(0, high.shape[0], per_block):
         last = min(first + per_block, high.shape[0])
         z = low + high[first:last, None]

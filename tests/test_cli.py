@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cayleynorms import serial
+from cayleynorms import GroupFunction, parse_group_spec, serial
 from cayleynorms.cli import main
 from cayleynorms.norms import default_bm_rank
 
@@ -358,6 +358,15 @@ def test_analyze_overflow_exits_one_without_traceback(tmp_path, capsys):
     src = tmp_path / "h.json"
     src.write_text(serial.matrix_to_text(np.array([[1.7e308, -1.7e308], [1.7e308, 1.7e308]])))
     assert run(["analyze", str(src), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
+
+
+def test_fourier_overflow_exits_one_without_traceback(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    f = GroupFunction(parse_group_spec("Z2"), np.array([1.7e308, 1.7e308]))
+    src.write_text(serial.function_to_text(f))
+    assert run(["fourier", str(src), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
 

@@ -501,6 +501,23 @@ def test_spectral_via_irreps_matches_dense():
             assert via == pytest.approx(dense, rel=1e-10)
 
 
+def test_overflowing_transform_is_a_value_error():
+    # ||f|| = 1.7e308 is representable, the transform's sum 3.4e308 is not
+    z2 = cyclic_group(2)
+    table = build_irrep_table(z2)
+    f = GroupFunction(z2, np.array([1.7e308, 1.7e308]))
+    for fn in (fourier_transform, spectral_via_irreps, svd_witness):
+        with pytest.raises(ValueError, match="overflows"):
+            fn(f, table)
+    assert group_spectral(f) == 1.7e308
+    fits = GroupFunction(z2, np.array([8e307, 8e307]))
+    assert spectral_via_irreps(fits, table) == pytest.approx(8e307, rel=1e-15)
+    assert svd_witness(fits, table).irrep_index == 0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fourier_transform(GroupFunction(z2, np.array([1.0, bad])), table)
+
+
 def test_schur_average_closed_forms():
     g = dihedral_group(4)
     table = build_irrep_table(g)

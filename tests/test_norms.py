@@ -451,7 +451,7 @@ def test_zero_margin_shortcut_equals_full_enumeration():
         for d in (3, 4):
             g = random_regular(n, d, seed=n + d)
             w, zero_margins = norms._enumeration_form(center_regular(g.matrix, d))
-            assert zero_margins and w.dtype == np.float32
+            assert zero_margins and w.dtype == np.int16
             cut2, mask, first = norms._cut_rows(w, True)
             assert (cut2, mask) == norms._cut_rows(w, False)[:2]
             io1, io1_mask = norms._infty_one_signs(w)
@@ -461,10 +461,10 @@ def test_zero_margin_shortcut_equals_full_enumeration():
 
 def test_enumeration_form_covers_integer_and_centered_inputs():
     w, zero = norms._enumeration_form(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert w.dtype == np.float32 and zero
+    assert w.dtype == np.int16 and zero
     g = paley_graph(17)
     w, zero = norms._enumeration_form(center_regular(g.matrix, g.degree))
-    assert w.dtype == np.float32 and zero
+    assert w.dtype == np.int16 and zero
     assert np.array_equal(w, 17 * g.matrix.astype(np.int64) - 8)
     # not integral for k = 1 or k = ncols: stays in float64
     a = np.array([[0.5, 1.0 / 3.0], [1.0, 0.0]])
@@ -473,17 +473,24 @@ def test_enumeration_form_covers_integer_and_centered_inputs():
     # too large for exact sums
     w, _ = norms._enumeration_form(np.full((2, 2), 2.0 ** 52))
     assert w.dtype == np.float64
-    # float32 exactly while 3 m n max|N| < 2^24, int64 from there on
+    # int16 while 3 m n max|N| < 2^15, float32 exactly while it is below 2^24,
+    # int64 from there on
     for shape in ((2, 2), (26, 26), (26, 40)):
         m, n = shape
-        below = (2 ** 24 - 1) // (3 * m * n)
-        assert norms._enumeration_form(np.full(shape, float(below)))[0].dtype == np.float32
-        assert norms._enumeration_form(np.full(shape, below + 1.0))[0].dtype == np.int64
-    # every +-1 matrix and every centered graph up to the enumeration cap
-    assert norms._enumeration_form(np.ones((26, 26)))[0].dtype == np.float32
+        for bound, narrow, wide in ((2 ** 15, np.int16, np.float32),
+                                    (2 ** 24, np.float32, np.int64)):
+            below = (bound - 1) // (3 * m * n)
+            assert norms._enumeration_form(np.full(shape, float(below)))[0].dtype == narrow
+            assert norms._enumeration_form(np.full(shape, below + 1.0))[0].dtype == wide
+    # every +-1 matrix up to the enumeration cap, and every centered graph up
+    # to 22 vertices: max|N| = max(d, n - d) is largest for the complete graph
+    assert norms._enumeration_form(np.ones((26, 26)))[0].dtype == np.int16
     g = random_regular(26, 13, seed=0)
     w, zero = norms._enumeration_form(center_regular(g.matrix, g.degree))
-    assert w.dtype == np.float32 and zero
+    assert w.dtype == np.int16 and zero
+    for g, want in ((complete_graph(22), np.int16), (complete_graph(23), np.float32)):
+        w, zero = norms._enumeration_form(center_regular(g.matrix, g.degree))
+        assert w.dtype == want and zero
 
 
 def _exact_norm_inputs():
@@ -541,6 +548,100 @@ def test_int64_enumeration_form_matches_brute_force():
             cut, io1, _ = norms._exact_norms(b, "cut norm")
             assert cut.value == _cut_by_matmul(b).max()
             assert io1 == _io1_brute(b)
+
+
+def _max_l1_reference(rows, *, base=None, pinned=False, choose=None):
+    """The unscreened enumeration loop: every block in the dtype of `rows`,
+    2^16 entries a block, numpy's default sum dtype."""
+    m = rows.shape[0]
+    h = (m + 1) // 2
+    step = 2 if pinned else 1
+    low = norms._subset_sums(rows[:h])[::step]
+    if base is not None:
+        low = low + base
+    low = np.ascontiguousarray(low.T)
+    low_masks = np.arange(0, 1 << h, step, dtype=np.int64)
+    high = norms._subset_sums(rows[h:])
+    cols, width = low.shape
+    per_block = max(1, (1 << 16) // (cols * width))
+    buf = np.empty((per_block, cols, width), dtype=rows.dtype)
+    best = best_key = None
+    best_mask = first_mask = 0
+    for first in range(0, high.shape[0], per_block):
+        block = buf[: min(per_block, high.shape[0] - first)]
+        np.add(low, high[first:first + len(block), :, None], out=block)
+        np.abs(block, out=block)
+        vals = block.sum(axis=1)
+        top = vals.max()
+        if best is not None and (top < best or (
+                top == best and (choose is None or best_key == ()))):
+            continue
+        hi_idx, lo_idx = np.nonzero(vals == top)
+        masks = ((first + hi_idx) << h) | low_masks[lo_idx]
+        if best is None or top > best:
+            first_mask = int(masks[0])
+        key, mask = (None, first_mask) if choose is None else choose(masks)
+        if best is None or top > best or key < best_key:
+            best, best_key, best_mask = top, key, mask
+    return best, best_mask, first_mask
+
+
+def _screen_inputs():
+    """Near ties, extreme scales, float32 subnormals and integer forms, with
+    the dtype of each one's enumeration form."""
+    rng = np.random.Generator(np.random.Philox(97))
+    for i, (m, n) in enumerate(((14, 10), (16, 8), (17, 11), (15, 7)) * 3):
+        b = rng.choice([-1.0, 0.0, 1.0], size=(m, n))
+        g = rng.standard_normal((m, n))
+        for delta in (0.0, 1e-16, 1e-14, 1e-9, 1e-7):
+            a = b / 3 + delta * g
+            yield f"tie{i}-{delta}", a, np.float64
+            if i % 3 == 0:
+                yield f"tie{i}-{delta}-2^900", a * 2.0 ** 900, np.float64
+                yield f"tie{i}-{delta}-2^-900", a * 2.0 ** -900, np.float64
+    a = rng.standard_normal((16, 10))
+    # cast to float32 unscaled, the first overflows and the second is subnormal
+    yield "gauss-1e39", a * 1e39, np.float64
+    yield "gauss-1e-40", a * 1e-40, np.float64
+    # rows subnormal in float32 once scaled, whose ties lie below the slack
+    tiny = rng.choice([-1.0, 0.0, 1.0], size=(16, 10)) / 3
+    tiny[::3] *= 2.0 ** -140
+    yield "subnormal-rows", tiny, np.float64
+    yield "int64-form", rng.integers(-2 ** 20, 2 ** 20, size=(14, 9)).astype(float), np.int64
+    yield "int64-form-ties", rng.choice([-2.0 ** 20, 0.0, 2.0 ** 20], size=(16, 9)), np.int64
+    yield "int16-form", rng.choice([-1.0, 1.0], size=(17, 11)), np.int16
+    gr = random_regular(18, 5, seed=2)
+    yield "int16-centered", center_regular(gr.matrix, gr.degree), np.int16
+
+
+def _enumeration_calls(w):
+    """The calls `_cut_rows` (with and without zero margins) and
+    `_infty_one_signs` make on the form w: (args, kwargs) each."""
+    m = w.shape[0]
+
+    def choose(masks):
+        mask = norms._lex_min_mask(masks, m)
+        return norms._subset_key(mask, m), mask
+
+    yield (np.column_stack([w, w.sum(axis=1, dtype=w.dtype)]),), {"choose": choose}
+    yield (w,), {"pinned": True, "choose": choose}
+    yield (-2 * w,), {"base": w.sum(axis=0, dtype=w.dtype), "pinned": True}
+
+
+@pytest.mark.parametrize("a, dtype",
+                         [pytest.param(a, d, id=name) for name, a, d in _screen_inputs()])
+def test_enumeration_matches_the_unscreened_loop_bit_for_bit(a, dtype):
+    w = norms._enumeration_form(a)[0]
+    assert w.dtype == dtype
+    # the reference's default sum dtype widens int16: give it the same values in int64
+    wide = w.astype(np.int64) if w.dtype == np.int16 else w
+    for (args, kwargs), (ref_args, ref_kwargs) in zip(_enumeration_calls(w),
+                                                      _enumeration_calls(wide)):
+        got = norms._max_l1(*args, **kwargs)
+        want = _max_l1_reference(*ref_args, **ref_kwargs)
+        assert type(got[0]) in (int, float)
+        assert float.hex(float(got[0])) == float.hex(float(want[0]))
+        assert got[1:] == want[1:]
 
 
 def test_analyze_enumerates_once_at_zero_margins(monkeypatch):

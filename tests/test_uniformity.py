@@ -143,8 +143,8 @@ def test_mixing_lemma_matches_all_pairs(g, monkeypatch):
     threshold = float((dev[pairs] / np.sqrt(sizes[pairs])).max())
     assert threshold > 0
     # one block, then one block per row of the high half's table
-    for entries in (norms._BLOCK_ENTRIES, 1):
-        monkeypatch.setattr(norms, "_BLOCK_ENTRIES", entries)
+    for size in (norms._BLOCK_BYTES, 1):
+        monkeypatch.setattr(norms, "_BLOCK_BYTES", size)
         for factor in (0.5, 0.9, 1.0, 1.1):
             lam = factor * threshold
             every_pair = not np.any(dev > lam * np.sqrt(sizes) + 1e-9 * g.degree)
