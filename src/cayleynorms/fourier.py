@@ -420,12 +420,6 @@ def ensure_valid_irreps(table: IrrepTable) -> IrrepTable:
 # Transform, inverse, Plancherel building blocks
 
 
-def _coefficient_stacks(f: GroupFunction, table: IrrepTable) -> tuple[np.ndarray, ...]:
-    n = f.group.order
-    return tuple((np.matmul(f.values, b.matrices.reshape(len(b.index), n, b.dim**2)) / n)
-                 .reshape(-1, b.dim, b.dim) for b in table.stacks)
-
-
 def fourier_transform(f: GroupFunction, table: IrrepTable) -> FourierCoefficients:
     """fhat(rho) = mean_g f(g) rho(g), one coefficient matrix per irrep, from
     one vector-matrix product per irrep dimension d.
@@ -434,16 +428,12 @@ def fourier_transform(f: GroupFunction, table: IrrepTable) -> FourierCoefficient
     overflows float64 (the sum is formed before the division by |G|)."""
     if not f.group.same_as(table.group):
         raise ValueError("function and irrep table live on different groups")
-    # |rho(g)_ij| <= 1, so while sum |f|^2 < 2^1000 no partial sum of a
-    # coefficient exceeds 2 sum |f| <= 2 sqrt(n) 2^500 and none can overflow;
-    # a larger, overflowing or NaN sum of squares fails the test and pays for
-    # the checks
-    if np.vdot(f.values, f.values).real < 2.0 ** 1000:
-        return FourierCoefficients(table, _coefficient_stacks(f, table))
     if not np.isfinite(f.values).all():
         raise ValueError("fourier_transform needs finite values")
+    n = f.group.order
     with np.errstate(over="ignore", invalid="ignore"):
-        stacks = _coefficient_stacks(f, table)
+        stacks = tuple((np.matmul(f.values, b.matrices.reshape(len(b.index), n, b.dim**2)) / n)
+                       .reshape(-1, b.dim, b.dim) for b in table.stacks)
     if not all(np.isfinite(c).all() for c in stacks):
         raise ValueError("fourier_transform overflows: a coefficient exceeds the "
                          "float64 range")
