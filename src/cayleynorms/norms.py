@@ -11,6 +11,11 @@ times the infinity-to-one norm).  Two-number inequality verdicts are `_check`'s 
 Each solver has one private entry, `_exact_norms` for the enumeration and
 `_grothendieck_bm_stack` (one stack per matrix shape) for the ascent; a value
 computed there or in `spectral_norm` that overflows float64 is a ValueError.
+The uniformity epsilon of a d-regular graph is computed on the integer
+matrix n A - d J: exactly by the enumeration up to the cap, and above it
+bracketed, with no ascent, between the value of one +-1 pair found by sign
+updates from the top singular vectors (exact in float64) and the spectral
+upper bound.
 
 The enumeration reads each row subset's column sums as L[lo] + H[hi] from
 two subset-sum tables over the low and high halves of the rows: one vector
@@ -925,11 +930,16 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
 
 @dataclass(frozen=True)
 class UniformityEstimate:
-    """Smallest epsilon in the uniformity definition, exact or bracketed."""
+    """Smallest epsilon in the uniformity definition, exact or bracketed.
+
+    ``witness`` is a pair (S, T) of vertex sets whose discrepancy
+    |e(S, T) - d |S| |T| / n| is the lower end times d n, up to its rounding.
+    """
 
     lower: float
     upper: float
     exact: bool
+    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     @property
     def value(self) -> float:
@@ -954,38 +964,93 @@ def _require_regular(a, d: Optional[float], name: str) -> tuple[np.ndarray, floa
     return a, float(d)
 
 
+# The +-1 witness search above the enumeration cap starts from the signs of
+# this many top left and this many top right singular vectors.
+_WITNESS_STARTS = 4
+
+
+def _sign(v: np.ndarray) -> np.ndarray:
+    """The +-1 signs of v as float64, with sgn(0) = +1."""
+    return np.where(v < 0, -1.0, 1.0)
+
+
+def _sign_witness(c: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """A large value V = |x^T w y| over +-1 vectors x, y, and the x and y
+    attaining it, for an n x n integer matrix w with max|w| <= n and a float
+    matrix c close to a positive multiple of it.
+
+    The starts are the signs of the top _WITNESS_STARTS left singular
+    vectors of c, as x, and of its top right ones, as y, all from one LAPACK
+    SVD.  From each start y = sgn(w^T x) and x = sgn(w y) alternate, all
+    starts as one stack, while some start's value strictly rises; no update
+    lowers a value.  The first start with the largest value wins.
+    """
+    u, _, vt = np.linalg.svd(c)
+    # Every product is by +-1 vectors: each partial sum BLAS forms of w^T x or
+    # w y, in whatever order, is an integer of magnitude at most n^2, and each
+    # partial sum of an l1 norm below one at most n^3.  Both stay below 2^53
+    # while n < 208,000, far past any dense n x n matrix that fits in memory,
+    # so every value here is an exact integer in float64.
+    k = _WITNESS_STARTS
+    x = np.hstack([_sign(u[:, :k]), _sign(w @ _sign(vt[:k].T))])
+    z = w.T @ x
+    y, val = _sign(z), np.abs(z).sum(axis=0)
+    while True:
+        z = w @ y
+        new = np.abs(z).sum(axis=0)
+        if not (new > val).any():
+            break
+        x, val = _sign(z), new
+        z = w.T @ x
+        new = np.abs(z).sum(axis=0)
+        if not (new > val).any():
+            break
+        y, val = _sign(z), new
+    best = int(np.argmax(val))
+    return float(val[best]), x[:, best], y[:, best]
+
+
 def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEstimate:
     """Smallest epsilon with every (S, T) discrepancy at most epsilon * d * n.
 
-    Exact up to the enumeration cap: the cut norm of the degree-centered
-    matrix, over d n.  Above it, [G_lower / (4 K_G), G_upper / 4 + r] / (d n)
-    with r = 5 n^2 eps / 4, eps = 2^-52, from the Grothendieck bracket of B,
-    the float matrix that rounds C = A - (d/n) J:
-    - the lower end holds for every real matrix, B included:
-      ||B||_G <= K_G ||B||_inf->1 <= 4 K_G ||B||_cut;
-    - the upper end needs the zero margins of C, which `_require_regular`
-      guarantees: it accepts only 0/1 matrices with every row and column sum
-      d.  So ||C||_cut = ||C||_inf->1 / 4 <= ||C||_G / 4 <= n sigma_1(C) / 4.
-      Each entry of B is within e = (eps / 2)(1 + eps) of C's, so
-      ||B||_cut <= ||C||_cut + n^2 e and sigma_1(C) <= sigma_1(B) + n e;
-      with n sigma_1(B) <= G_upper (`_spectral_upper`),
-      ||B||_cut <= G_upper / 4 + 5 n^2 e / 4.  r is exact and exceeds that
-      last term by more than the two roundings in forming the end lose, at
-      most eps of G_upper / 4 + r <= n^2 / 2 as sigma_1 <= d <= n.
+    N = n A - d J is an integer matrix whose rows and columns sum to zero,
+    which `_require_regular` guarantees: it accepts only 0/1 matrices with
+    every row and column sum d.  So epsilon d n = ||A - (d/n) J||_cut =
+    ||N||_cut / n = ||N||_inf->1 / (4 n), and x = 1 - 2 1_S, y = 1 - 2 1_T
+    give x^T N y = 4 (n e(S, T) - d |S| |T|).
+    - Up to the enumeration cap epsilon is exact: ||N||_cut / (d n^2), a
+      correctly rounded quotient of integers, with the cut's (row set,
+      column set) as the witness.
+    - Above it, it is bracketed.  The lower end is V / (4 d n^2) rounded
+      down, for the V = |x^T N y| of `_sign_witness`, with S = {i: x_i = -1}
+      and T = {j: y_j = -1} as the witness.  The upper end is
+      (G_upper / 4 + r) / (d n) with r = 5 n^2 eps / 4, eps = 2^-52, and
+      G_upper the `_spectral_upper` bound on n sigma_1(B) for the float
+      matrix B that rounds C = A - (d/n) J: ||C||_cut = ||C||_inf->1 / 4 <=
+      ||C||_G / 4 <= n sigma_1(C) / 4, each entry of B is within
+      e = (eps / 2)(1 + eps) of C's, so sigma_1(C) <= sigma_1(B) + n e, and
+      r is exact and exceeds n^2 e / 4 by more than the two roundings in
+      forming the end lose, at most eps of G_upper / 4 + r <= n^2 / 2 as
+      sigma_1 <= d <= n.
     Complex or non-finite input is a ValueError.
     """
     a, d = _require_regular(a, d, "epsilon_uniformity")
     n = a.shape[0]
     if d == 0 or n == 0:
-        return UniformityEstimate(0.0, 0.0, True)
-    centered = center_regular(a, d)
+        return UniformityEstimate(0.0, 0.0, True, ((), ()))
+    # n A - d J: integers of magnitude at most n, exact in float64
+    counts = n * a - d
     if n <= EXACT_ENUM_LIMIT:
-        eps = cut_norm_exact(centered).value / (d * n)
-        return UniformityEstimate(eps, eps, True)
-    lower, upper = grothendieck_bounds(centered)
+        cut = cut_norm_exact(counts)
+        eps = cut.value / (d * n * n)
+        return UniformityEstimate(eps, eps, True, (cut.row_set, cut.col_set))
+    centered = center_regular(a, d)
+    value, x, y = _sign_witness(centered, counts)
+    witness = (tuple(np.flatnonzero(x < 0).tolist()), tuple(np.flatnonzero(y < 0).tolist()))
+    upper = _spectral_upper(spectral_norm(centered), n, n)
     rounding = 5.0 * n * n * float(np.finfo(np.float64).eps) / 4.0
-    return UniformityEstimate(lower / (4.0 * K_G) / (d * n), (upper / 4.0 + rounding) / (d * n),
-                              False)
+    return UniformityEstimate(math.nextafter(value / (4.0 * d * n * n), 0.0),
+                              (upper / 4.0 + rounding) / (d * n), False, witness)
 
 
 def mixing_lemma_check(a: np.ndarray, d: float, lam: float) -> bool:

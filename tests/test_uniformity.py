@@ -68,12 +68,22 @@ def test_epsilon_bracket_mode_above_exact_cap():
         _ = est.value
 
 
-@pytest.mark.parametrize("g", [
+def _witness_discrepancy(g, witness):
+    """n |e(S, T) - d |S| |T| / n| for the witness (S, T), counted in integers."""
+    s, t = witness
+    e = sum(int(g.matrix[i, j]) for i in s for j in t)
+    return abs(g.n * e - g.degree * len(s) * len(t))
+
+
+EPSILON_FAMILIES = [
     cycle_graph(5), cycle_graph(12), cycle_graph(20), complete_graph(4), complete_graph(9),
     complete_graph(16), paley_graph(5), paley_graph(13), paley_graph(17),
     random_regular(12, 3, seed=0), random_regular(18, 4, seed=1), random_regular(24, 5, seed=2),
     example1_graph(6, 16, seed=0), example1_graph(4, 20, seed=1),
-], ids=lambda g: g.provenance)
+]
+
+
+@pytest.mark.parametrize("g", EPSILON_FAMILIES, ids=lambda g: g.provenance)
 def test_epsilon_bracket_above_the_cap_contains_the_exact_value(g, monkeypatch):
     exact = epsilon_uniformity(g.matrix, g.degree).value
     monkeypatch.setattr(norms, "EXACT_ENUM_LIMIT", g.n - 1)
@@ -84,8 +94,48 @@ def test_epsilon_bracket_above_the_cap_contains_the_exact_value(g, monkeypatch):
     g_lower, g_upper = grothendieck_bounds(center_regular(g.matrix, g.degree))
     scale = g.degree * g.n
     rounding = 5 * g.n ** 2 * np.finfo(np.float64).eps / 4
-    assert (est.lower, est.upper) == (g_lower / (4 * norms.K_G) / scale,
-                                      (g_upper / 4 + rounding) / scale)
+    assert est.upper == (g_upper / 4 + rounding) / scale
+    # the lower end is its witness's discrepancy over d n, rounded down
+    dev = _witness_discrepancy(g, est.witness)
+    assert est.lower == math.nextafter(dev / (g.degree * g.n ** 2), 0.0)
+    assert est.lower >= g_lower / (4 * norms.K_G) / scale
+
+
+@pytest.mark.parametrize("g", EPSILON_FAMILIES, ids=lambda g: g.provenance)
+def test_exact_epsilon_is_the_correctly_rounded_discrepancy_of_its_witness(g):
+    est = epsilon_uniformity(g.matrix, g.degree)
+    assert est.exact
+    # int / int is correctly rounded, so this is the exact rational, rounded
+    dev = _witness_discrepancy(g, est.witness)
+    assert est.value == dev / (g.degree * g.n ** 2)
+    # n A - d J keeps the lex-first witness of A - (d/n) J
+    cut = cut_norm_exact(center_regular(g.matrix, g.degree))
+    assert est.witness == (cut.row_set, cut.col_set)
+
+
+def test_exact_epsilon_of_complete9_is_5_over_162():
+    # the cut summed on the float rounding of A - (d/n) J read 3 ulp low
+    assert epsilon_uniformity(complete_graph(9).matrix, 8).value == 5 / 162
+
+
+def test_epsilon_above_the_cap_runs_no_ascent(monkeypatch):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("epsilon_uniformity ran the Grothendieck ascent")
+
+    monkeypatch.setattr(norms, "_grothendieck_bm_stack", no_ascent)
+    g = random_regular(64, 4, seed=4)
+    est = epsilon_uniformity(g.matrix, 4)
+    assert not est.exact
+    assert est.lower == math.nextafter(_witness_discrepancy(g, est.witness) / (4 * 64 ** 2), 0.0)
+    assert est.upper / est.lower < 1.35
+
+
+@pytest.mark.parametrize("p", [37, 101])
+def test_epsilon_bracket_on_paley_graphs_is_narrow(p):
+    g = paley_graph(p)
+    est = epsilon_uniformity(g.matrix, g.degree)
+    assert not est.exact
+    assert 0 < est.lower and est.upper / est.lower < 1.2
 
 
 def test_epsilon_degree_inferred():
