@@ -182,6 +182,11 @@ class _Search:
         size.append(1)
         return (cls, size) if self.refine(cls, size, pair) else None
 
+    def automorphism_to(self, t: int) -> Optional[np.ndarray]:
+        """The lexicographically first automorphism sending vertex 0 to t, or None."""
+        node = self.individualize(*self.root, 0, t)
+        return None if node is None else self.first_automorphism(*node)
+
     def first_automorphism(self, cls: np.ndarray, size: list[int]) -> Optional[np.ndarray]:
         """The lexicographically first automorphism consistent with a refined node.
 
@@ -209,6 +214,20 @@ class _Search:
         return None
 
 
+def _search_input(a) -> np.ndarray:
+    """`a` as the search's matrix: square, real, finite and at most
+    AUTOMORPHISM_SEARCH_LIMIT rows, else a ValueError or CapacityError."""
+    a = _real_matrix(a, "automorphism search")
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("automorphism search needs a square matrix")
+    if n > AUTOMORPHISM_SEARCH_LIMIT:
+        raise CapacityError(
+            f"automorphism search capped at n = {AUTOMORPHISM_SEARCH_LIMIT}, got {n}"
+        )
+    return a
+
+
 def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertificate]:
     """Decide vertex-transitivity constructively for a square matrix.
 
@@ -221,19 +240,13 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
     case is still exponential, so matrices above AUTOMORPHISM_SEARCH_LIMIT
     are rejected.  Complex or non-finite input is a ValueError.
     """
-    a = _real_matrix(a, "automorphism search")
+    a = _search_input(a)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("automorphism search needs a square matrix")
-    if n > AUTOMORPHISM_SEARCH_LIMIT:
-        raise CapacityError(
-            f"automorphism search capped at n = {AUTOMORPHISM_SEARCH_LIMIT}, got {n}"
-        )
     if n < 2:
         # no vertex or one: the identity, if any, is the whole certificate
         return TransitiveCertificate(perms=np.zeros((n, n), dtype=np.int64))
     search = _Search(a)
-    cls, size = search.root
+    cls = search.root[0]
     if np.any(cls[:n] != cls[0]):
         # refinement alone tells some vertex from vertex 0
         return None
@@ -241,12 +254,51 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
     # the identity is the lexicographically first permutation of all
     perms[0] = np.arange(n)
     for t in range(1, n):
-        node = search.individualize(cls, size, 0, t)
-        p = None if node is None else search.first_automorphism(*node)
+        p = search.automorphism_to(t)
         if p is None:
             return None
         perms[t] = p
     return TransitiveCertificate(perms=perms)
+
+
+def is_vertex_transitive(a: np.ndarray) -> bool:
+    """Whether a square matrix is vertex-transitive, by the search of
+    `find_transitive_automorphisms`, which is not None exactly when this is
+    True.
+
+    Vertex 0 reaches t when some automorphism maps it there, and then so
+    does every composition of automorphisms found.  So the search runs
+    0 -> t only for the targets t outside the orbit of 0 under the
+    automorphisms found so far, an orbit closed over a boolean mask after
+    each one.  The same caps and errors apply.
+    """
+    a = _search_input(a)
+    n = a.shape[0]
+    if n < 2:
+        return True
+    search = _Search(a)
+    cls = search.root[0]
+    if np.any(cls[:n] != cls[0]):
+        return False
+    orbit = np.zeros(n, dtype=bool)
+    orbit[0] = True
+    found = []
+    for t in range(1, n):
+        if orbit[t]:
+            continue
+        p = search.automorphism_to(t)
+        if p is None:
+            return False
+        found.append(p)
+        # the images of the orbit under every automorphism, until none is new
+        while True:
+            grown = orbit.copy()
+            for q in found:
+                grown[q[orbit]] = True
+            if np.array_equal(grown, orbit):
+                break
+            orbit = grown
+    return True
 
 
 def cayley_certificate(group: GroupTable) -> TransitiveCertificate:

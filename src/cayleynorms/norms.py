@@ -25,16 +25,16 @@ it runs on N = rint(k * A), in the narrowest of int16 (3 m n max|N| < 2^15),
 float32 (< 2^24) and int64 in which every table entry, block sum and
 maximum is an exactly represented integer, so the maximum, its ties and the
 lexicographically smallest witness are decided exactly; other input is
-compared in float64 as computed.  Each block of a float64 or int64 form
-after the first is computed in float32 from scaled copies of the tables
-first, and the exact pass runs only when the float32 maximum plus a proven
-rounding slack reaches the best so far, which changes no result.  When
-every row and column sum is exactly zero (the paper's setting), a row set
-and its complement have the same cut value |c_S|_1 / 2 and ||A||_inf->1 =
-4 ||A||_cut, so the cut visits only the row sets without row 0, and
-`analyze` takes both norms from that one enumeration; the infinity-to-one
-norm pins row 0 on every input.  Reported values are recomputed from their
-witnesses with math.fsum.
+compared in float64 as computed.  Each block after the first of every form
+wider than int16 is computed in int16 first, from copies of the tables
+scaled by a power of two and rounded, and the exact pass runs only when the
+int16 maximum plus a proven slack of cols + 2 units reaches the best so far,
+which changes no result.  When every row and column sum is exactly zero
+(the paper's setting), a row set and its complement have the same cut value
+|c_S|_1 / 2 and ||A||_inf->1 = 4 ||A||_cut, so the cut visits only the row
+sets without row 0, and `analyze` takes both norms from that one
+enumeration; the infinity-to-one norm pins row 0 on every input.
+Reported values are recomputed from their witnesses with math.fsum.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .cayley import (
     AUTOMORPHISM_SEARCH_LIMIT,
     _real_matrix,
     center_regular,
-    find_transitive_automorphisms,
+    is_vertex_transitive,
 )
 from .errors import CapacityError
 from .groups import GroupFunction, function_norm
@@ -177,8 +177,8 @@ def _enumeration_form(a: np.ndarray) -> tuple[np.ndarray, bool]:
     int16 below 2^15 (every +-1 and 0/1 matrix up to the enumeration cap,
     every centered graph up to 22 vertices), float32 below 2^24 (each an
     exactly represented integer), int64 beyond.  Other input is `a` itself,
-    compared in float64 as computed, and never has zero margins; `_max_l1`
-    screens its blocks in float32 first, as it does an int64 form's.
+    compared in float64 as computed, and never has zero margins.  `_max_l1`
+    screens the blocks of every form but int16 in int16 first.
     """
     m, n = a.shape
     scale = float(np.abs(a).max())
@@ -202,25 +202,28 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return t
 
 
-# The float32 screen in front of an 8-byte form's blocks.  Everything is
-# scaled by 2^-e, exactly, with T = (sum|rows| + sum|base|) / 2^e in [1/2, 1):
-# every table entry, block entry and subset value is then at most about T in
-# magnitude, so no float32 value overflows at any input scale.  With unit
-# roundoffs u32 = 2^-24 and u64 = 2^-53, and A <= T (1 + (m + 1) u64) < 2 the
-# sum over the columns of |L| + |H| for the float64 tables L and H, the
-# recursive-summation bound |fl(sum) - sum| <= (k - 1) u sum|x_i| (Higham,
-# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2)
-# gives, for one subset and the exact sum s of |L + H| over the columns:
-# - the float32 value V32 (L and H rounded to float32, one add per column,
-#   cols - 1 adds in the sum) is within (cols + 3) u32 A of s, plus at most
-#   4 cols 2^-150 where float32 subnormals round absolutely;
-# - the 8-byte pass's value V64 (one add per column, cols - 1 in the sum) is
-#   within (cols + 1) u64 A of s, and equals it on an int64 form.
-# So |V32 - V64| <= 2 (cols + 3)(u32 + u64) + cols 2^-148, which
-# 2 k (u32 + u64) + k 2^-126 with k = m + cols + 4 exceeds by more than the
-# rounding of forming best / 2^e - slack in float64.  A block whose float32
-# maximum lies below that bar has an 8-byte maximum below the running best,
-# a block the exact loop skips anyway; ties still go through it.
+# The int16 screen in front of every form wider than int16.  T is the float64
+# sum over the columns of max|L| + max|H| for the low and high tables L and H
+# as stored, and 2^e the power of two with X / 2 <= T / 2^e < X, where
+# X = 2^15 - cols - 2, up to the rounding of T / X.  The screen reads
+# Lq = rint(L / 2^e) and Hq = rint(H / 2^e) in int16, each within 1/2 of its
+# scaled value: the scaling is exact except where it underflows, and there
+# the entry rounds to 0 either way; an int64 entry above 2^53 is converted to
+# float64 first, which moves it by at most 2^-38 units of 2^e.
+# - No int16 add, abs or column sum overflows: over the columns,
+#   max|Lq| + max|Hq| sums to at most T / 2^e + cols + 2^-20 < X + cols + 1
+#   < 2^15.
+# - For one subset, with s = sum_c |L_c + H_c| < 2^15 units, the int16 value
+#   is within cols (1 + 2^-37) units of s, each column within one; the exact
+#   pass's value is s on an integer form, and in float64 (one add per column,
+#   cols - 1 in the sum, all rounding relatively at every scale, since a sum
+#   that underflows is exact) within cols 2^-53 s, less than one unit, of s.
+# So a block whose int16 maximum lies below best / 2^e - (cols + 2), which
+# float64 forms to within 2^-37 units, holds no value that reaches best: the
+# exact loop would discard the block anyway, and ties still reach it.  The
+# screen runs only when 2 T is finite: every float64 sum is then below 2 T,
+# so no skipped block hides the non-finite maximum that is the OverflowError
+# below.  It also needs cols + 2 <= 2^14, so that the bar can rise above 0.
 
 
 def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
@@ -234,8 +237,8 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
     each block; then the mask with the smallest key wins, and a key of ()
     (the empty set, the smallest there is) ends the contest.  Every table
     and sum keeps the dtype of `rows`, which `base` shares, and the maximum
-    is returned as a Python number.  The blocks of a float64 or int64 form
-    after the first are screened in float32, which changes no result.  A
+    is returned as a Python number.  The blocks after the first of every
+    form but int16 are screened in int16, which changes no result.  A
     non-finite block maximum (a float64 sum overflowed) is an OverflowError.
     """
     m = rows.shape[0]
@@ -252,29 +255,25 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
     per_block = max(1, _BLOCK_BYTES // rows.itemsize // (cols * width))
     total = math.inf
     # the first block always runs exactly: only later ones are worth a screen
-    if rows.itemsize == 8 and high.shape[0] > per_block:
-        total = float(np.abs(rows).sum())
-        if base is not None:
-            total += float(np.abs(base).sum())
-    screened = math.isfinite(total)
-    if screened:
-        e = math.frexp(total)[1]
-        low32, high32 = (np.ldexp(t, -e).astype(np.float32) for t in (low, high))
-        k = m + cols + 4
-        slack = 2 * k * (2.0 ** -24 + 2.0 ** -53) + k * 2.0 ** -126
+    if rows.dtype != np.int16 and high.shape[0] > per_block and cols + 2 <= 1 << 14:
+        total = float(np.abs(low).max(axis=1).sum(dtype=np.float64)
+                      + np.abs(high).max(axis=0).sum(dtype=np.float64))
+    screened = math.isfinite(2 * total)
     buf = np.empty((per_block, cols, width), dtype=rows.dtype)
     if screened:
-        # only the float32 block's maximum outlives it: it lives in buf's bytes
-        buf32 = buf.reshape(-1).view(np.float32)[:buf.size].reshape(buf.shape)
+        e = math.frexp(total / ((1 << 15) - cols - 2))[1]
+        low16, high16 = (np.rint(np.ldexp(t, -e)).astype(np.int16) for t in (low, high))
+        # only the int16 block's maximum outlives it: it lives in buf's bytes
+        buf16 = buf.reshape(-1).view(np.int16)[:buf.size].reshape(buf.shape)
     best = best_key = None
     best_mask = first_mask = 0
     for first in range(0, high.shape[0], per_block):
         count = min(per_block, high.shape[0] - first)
         if screened and best is not None:
-            block = buf32[:count]
-            np.add(low32, high32[first:first + count, :, None], out=block)
+            block = buf16[:count]
+            np.add(low16, high16[first:first + count, :, None], out=block)
             np.abs(block, out=block)
-            if float(block.sum(axis=1).max()) < bar:
+            if int(block.sum(axis=1, dtype=np.int16).max()) < bar:
                 continue
         block = buf[:count]
         np.add(low, high[first:first + count, :, None], out=block)
@@ -294,7 +293,7 @@ def _max_l1(rows: np.ndarray, *, base=None, pinned: bool = False,
         if best is None or top > best or key < best_key:
             best, best_key, best_mask = top, key, mask
             if screened:
-                bar = math.ldexp(float(best), -e) - slack
+                bar = math.ldexp(float(best), -e) - (cols + 2)
     return best.item(), best_mask, first_mask
 
 
@@ -906,7 +905,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     transitive = None
     if m == n and n <= AUTOMORPHISM_SEARCH_LIMIT:
         t0 = time.perf_counter()
-        transitive = find_transitive_automorphisms(a) is not None
+        transitive = is_vertex_transitive(a)
         timings["transitivity"] = time.perf_counter() - t0
     elif m == n:
         notes.append(

@@ -19,8 +19,10 @@ from cayleynorms import (
     cycle_graph,
     cyclic_group,
     dihedral_group,
+    example1_graph,
     find_transitive_automorphisms,
     group_closure,
+    is_vertex_transitive,
     lift_to_group,
     paley_graph,
     petersen_graph,
@@ -463,6 +465,59 @@ def test_chang_graphs_are_refuted():
         assert np.all(sq[adjacent] == 6.0) and np.all(sq[off] == 4.0)
         assert find_transitive_automorphisms(a) is None
         assert find_transitive_automorphisms(center_regular(a, 12)) is None
+
+
+def _transitivity_corpus():
+    """Cycles, complete graphs, Paley graphs (raw and centered), Petersen,
+    random regular graphs, directed dihedral Cayley graphs, Example 1 graphs,
+    disjoint unions of cycles, the Chang graphs and Gaussian matrices."""
+    yield "empty", np.zeros((0, 0))
+    yield "one-vertex", np.ones((1, 1))
+    for n in (3, 4, 5, 7, 8, 12, 16, 20, 27, 33, 48, 64):
+        yield f"cycle{n}", cycle_graph(n).matrix
+    for n in (2, 3, 5, 9, 16):
+        yield f"complete{n}", complete_graph(n).matrix
+    for p in (5, 13, 17, 29, 37, 41, 53, 61):
+        g = paley_graph(p)
+        yield f"paley{p}", g.matrix
+        yield f"paley{p}-centered", center_regular(g.matrix, g.degree)
+    yield "petersen", petersen_graph().matrix
+    for n, d, seed in ((6, 3, 0), (8, 3, 1), (10, 3, 2), (12, 4, 3), (16, 3, 4), (17, 4, 5),
+                       (20, 5, 6), (24, 4, 7), (30, 3, 8), (40, 6, 9)):
+        yield f"rr{n}-{d}", random_regular(n, d, seed=seed).matrix
+    rng = np.random.Generator(np.random.Philox(53))
+    for m in (3, 4, 5, 8, 12, 16):
+        d = dihedral_group(m)
+        for k in (1, 2, 3):
+            subset = rng.choice(np.arange(1, d.order), size=k, replace=False).tolist()
+            yield f"D{m}-directed{subset}", cayley_from_set(d, subset)
+    for d, n, seed in ((4, 12, 0), (6, 16, 1), (6, 20, 2), (8, 24, 3)):
+        g = example1_graph(d, n, seed=seed)
+        yield f"example1-{d}-{n}", center_regular(g.matrix, g.degree)
+    for sizes in ((3, 4), (3, 3, 6), (5, 5), (4, 8)):
+        a = np.zeros((sum(sizes), sum(sizes)))
+        start = 0
+        for k in sizes:
+            a[start:start + k, start:start + k] = cycle_graph(k).matrix
+            start += k
+        yield f"cycles{sizes}", a
+    for i, a in enumerate(_chang_graphs()):
+        yield f"chang{i}", a
+    for n in (2, 4, 9, 16):
+        yield f"gauss{n}", rng.standard_normal((n, n))
+
+
+def test_orbit_closure_agrees_with_the_full_search():
+    verdicts = {}
+    for name, a in _transitivity_corpus():
+        verdicts[name] = is_vertex_transitive(a)
+        assert verdicts[name] == (find_transitive_automorphisms(a) is not None), name
+    assert sum(verdicts.values()) > 50 and len(verdicts) - sum(verdicts.values()) > 20
+    assert verdicts["cycles(5, 5)"] and not verdicts["cycles(3, 4)"]
+    with pytest.raises(CapacityError):
+        is_vertex_transitive(np.zeros((65, 65)))
+    with pytest.raises(ValueError, match="square"):
+        is_vertex_transitive(np.zeros((2, 3)))
 
 
 def test_random_four_regular_refutations_are_fast():

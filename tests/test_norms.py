@@ -587,8 +587,8 @@ def _max_l1_reference(rows, *, base=None, pinned=False, choose=None):
 
 
 def _screen_inputs():
-    """Near ties, extreme scales, float32 subnormals and integer forms, with
-    the dtype of each one's enumeration form."""
+    """Near ties, extreme scales, tiny rows, a dominant column and integer
+    forms, with the dtype of each one's enumeration form."""
     rng = np.random.Generator(np.random.Philox(97))
     for i, (m, n) in enumerate(((14, 10), (16, 8), (17, 11), (15, 7)) * 3):
         b = rng.choice([-1.0, 0.0, 1.0], size=(m, n))
@@ -603,7 +603,7 @@ def _screen_inputs():
     # cast to float32 unscaled, the first overflows and the second is subnormal
     yield "gauss-1e39", a * 1e39, np.float64
     yield "gauss-1e-40", a * 1e-40, np.float64
-    # rows subnormal in float32 once scaled, whose ties lie below the slack
+    # rows 2^-140 below the others: in the screen's int16 units they round to 0
     tiny = rng.choice([-1.0, 0.0, 1.0], size=(16, 10)) / 3
     tiny[::3] *= 2.0 ** -140
     yield "subnormal-rows", tiny, np.float64
@@ -612,6 +612,25 @@ def _screen_inputs():
     yield "int16-form", rng.choice([-1.0, 1.0], size=(17, 11)), np.int16
     gr = random_regular(18, 5, seed=2)
     yield "int16-centered", center_regular(gr.matrix, gr.degree), np.int16
+    # 3 m n max|N| between 2^15 and 2^24: float32 forms, the last with zero margins
+    for m, n in ((14, 18), (15, 11), (16, 9), (17, 7)):
+        ints = rng.integers(-300, 301, size=(m, n)).astype(float)
+        yield f"float32-form-{m}x{n}", ints, np.float32
+    yield "float32-form-zero-margins", _zero_column_sums(_zero_column_sums(ints).T).T, np.float32
+    # one dominant column: in the screen's units every other entry rounds to 0
+    dom = rng.standard_normal((16, 10))
+    dom[:, 4] *= 2.0 ** 40
+    yield "dominant-column-2^900", dom * 2.0 ** 860, np.float64
+    yield "dominant-column-2^-900", dom * 2.0 ** -940, np.float64
+
+
+def _blocks(rows, *, base=None, pinned=False, choose=None):
+    """The number of blocks `_max_l1` splits its enumeration of `rows` into."""
+    m = rows.shape[0]
+    h = (m + 1) // 2
+    width = 1 << (h - pinned)
+    per_block = max(1, norms._BLOCK_BYTES // rows.itemsize // (rows.shape[1] * width))
+    return -(-(1 << (m - h)) // per_block)
 
 
 def _enumeration_calls(w):
@@ -637,11 +656,27 @@ def test_enumeration_matches_the_unscreened_loop_bit_for_bit(a, dtype):
     wide = w.astype(np.int64) if w.dtype == np.int16 else w
     for (args, kwargs), (ref_args, ref_kwargs) in zip(_enumeration_calls(w),
                                                       _enumeration_calls(wide)):
+        if w.dtype != np.int16:
+            # only a block after the first is screened
+            assert _blocks(*args, **kwargs) > 1
         got = norms._max_l1(*args, **kwargs)
         want = _max_l1_reference(*ref_args, **ref_kwargs)
         assert type(got[0]) in (int, float)
         assert float.hex(float(got[0])) == float.hex(float(want[0]))
         assert got[1:] == want[1:]
+
+
+def test_enumeration_overflow_past_the_first_block_is_a_value_error():
+    # Column 0 of the high rows holds 2e307: a cut row set overflows float64
+    # only with five of them, past the first block.  The screen's total T of
+    # column maxima is then past the float64 range, so no block is screened.
+    a = np.random.Generator(np.random.Philox(98)).standard_normal((16, 10))
+    a[8:, 0] = 2e307
+    w = np.column_stack([a, a.sum(axis=1)])
+    assert _blocks(w) > 1
+    for fn in (cut_norm_exact, infty_one_exact, analyze):
+        with pytest.raises(ValueError, match="overflows"):
+            fn(a)
 
 
 def test_analyze_enumerates_once_at_zero_margins(monkeypatch):
