@@ -3,7 +3,9 @@
 
 Small discrepancy and small second eigenvalue are equivalent for Cayley
 graphs: lambda <= 8 epsilon d, and the mixing lemma gives the converse
-direction.  Paley graphs sit near the optimum on both counts.
+direction.  Paley graphs sit near the optimum on both counts.  Epsilon comes
+as an exact Bracket below the enumeration cap, and theorem3_check returns the
+inequality's Check together with that Bracket.
 """
 
 import math
@@ -34,9 +36,10 @@ centered = center_regular(g.matrix, d)
 print(f"||A - (d/n)J||     = {spectral_norm(centered):.9f}  (equals lambda_2)")
 print(f"||A - (d/n)J||_cut = {cut_norm_exact(centered).value:.9f}  (= eps*d*n)")
 
-r = theorem3_check(g.matrix, d)
-print(f"\nlambda <= 8 eps d?  {r.lam:.4f} <= {8 * r.epsilon * d:.4f}  ->  {r.passed}")
-print(f"dimensionless ratio lambda/(eps d) = {r.ratio:.4f}  (the bound allows 8)")
+check, eps = theorem3_check(g.matrix, d)
+print(f"\nlambda <= 8 eps d?  {check.lhs:.4f} <= {check.rhs:.4f}  ->  {check.passed}")
+print(f"dimensionless ratio lambda/(eps d) = {check.lhs / (eps.value * d):.4f}  "
+      "(the bound allows 8)")
 
 ok = mixing_lemma_check(g.matrix, d, lam)
 print(f"\nmixing lemma |e(S,T) - (d/n)|S||T|| <= lambda sqrt(|S||T|), "

@@ -3,7 +3,8 @@
 
 cut <= infinity-to-one <= 4 cut, infinity-to-one <= G <= 1.783 infinity-to-one,
 and G <= sqrt(mn) ||A||.  The 2x2 matrix [[1,-1],[-1,1]] shows the factor 4
-between cut and infinity-to-one is real.
+between cut and infinity-to-one is real.  A report's Grothendieck bracket is
+one certified Bracket, `report.groth`.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ report = analyze(m)
 print(f"spectral   = {report.spectral:.6f}")
 print(f"cut        = {report.cut.value:.6f}")
 print(f"infty->1   = {report.infty_one:.6f}")
-print(f"G bracket  = [{report.groth_lower:.6f}, {report.groth_upper:.6f}] "
+print(f"G bracket  = [{report.groth.lower:.6f}, {report.groth.upper:.6f}] "
       f"(ascent rank {report.bm_rank})")
 print("verified inequalities:")
 for c in report.checks:

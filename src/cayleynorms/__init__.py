@@ -34,10 +34,10 @@ from .cayley import (
 )
 from .norms import (
     BMConfig,
+    Bracket,
     Check,
     CutNormResult,
     NormReport,
-    UniformityEstimate,
     VectorAssignment,
     K_G,
     analyze,

@@ -128,7 +128,7 @@ def _cmd_analyze(args) -> int:
         print(f"spectral      {report.spectral:.9g}")
         print(f"cut           {cut}")
         print(f"infty_one     {io1}")
-        print(f"grothendieck  [{report.groth_lower:.9g}, {report.groth_upper:.9g}] "
+        print(f"grothendieck  [{report.groth.lower:.9g}, {report.groth.upper:.9g}] "
               f"(rank {report.bm_rank})")
         print(f"transitive    {report.transitive}")
         for c in report.checks:

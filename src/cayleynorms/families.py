@@ -1,6 +1,7 @@
 """Named graph families: Paley graphs, cycles, complete graphs, the
 eigenvalue-versus-uniformity counterexample construction, random regular
-graphs, and bipartite Cayley graphs.
+graphs, and bipartite Cayley graphs, whose deviation comes with the
+Grothendieck `Bracket` of the centered matrix.
 
 Samplers use the counter-based Philox generator so seeded output is
 platform independent.
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cayley import cayley_matrix
 from .groups import GroupFunction, cyclic_group
-from .norms import BMConfig, grothendieck_bounds, spectral_norm
+from .norms import BMConfig, Bracket, grothendieck_bounds, spectral_norm
 
 CONFIG_MODEL_MAX_TRIES = 10_000
 
@@ -246,33 +247,15 @@ def bipartite_deviation(b: np.ndarray, p: float) -> float:
     return spectral_norm(np.asarray(b) - p)
 
 
-@dataclass(frozen=True)
-class BipartiteDeviationReport:
-    """sigma_max(B - pJ) with the Grothendieck bracket of the centered matrix."""
-
-    sigma: float
-    groth_lower: float
-    groth_upper: float
-    n_sigma: float
-
-    @property
-    def transitive_equality_ok(self) -> bool:
-        """Does the bracket pin ||B - pJ||_G = n sigma_max within 1e-6 relative?"""
-        scale = max(self.n_sigma, 1e-300)
-        return (
-            self.groth_lower >= self.n_sigma - 1e-6 * scale
-            and self.groth_upper <= self.n_sigma + 1e-6 * scale
-        )
-
-
 def bipartite_cayley_deviation(f: GroupFunction, cfg: Optional[BMConfig] = None,
-                               p: Optional[float] = None) -> BipartiteDeviationReport:
-    """Deviation report for the bipartite Cayley matrix B = cayley_matrix(f).
+                               p: Optional[float] = None) -> tuple[float, Bracket]:
+    """sigma_max(B - pJ) for the bipartite Cayley matrix B = cayley_matrix(f),
+    and the Grothendieck bracket of B - pJ.
 
     Centers by the edge density sum f / n of a 0/1 function (or a supplied
-    p), computes sigma_max, and checks the bitransitive identity
-    ||B - pJ||_G = n ||B - pJ|| via the Grothendieck bracket.  Complex f is a
-    ValueError: the Grothendieck bracket is for real matrices.
+    p).  The bitransitive identity ||B - pJ||_G = n sigma_max says that the
+    bracket holds n sigma_max.  Complex f is a ValueError: the Grothendieck
+    bracket is for real matrices.
     """
     n = f.group.order
     if p is None:
@@ -280,8 +263,4 @@ def bipartite_cayley_deviation(f: GroupFunction, cfg: Optional[BMConfig] = None,
             raise ValueError("function is weighted; pass the centering density p")
         p = float(f.values.sum() / n)
     centered = cayley_matrix(f) - p
-    sigma = spectral_norm(centered)
-    lower, upper = grothendieck_bounds(centered, cfg)
-    return BipartiteDeviationReport(
-        sigma=sigma, groth_lower=lower, groth_upper=upper, n_sigma=n * sigma,
-    )
+    return spectral_norm(centered), grothendieck_bounds(centered, cfg)

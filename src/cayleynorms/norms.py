@@ -7,7 +7,10 @@ enumeration (capped at EXACT_ENUM_LIMIT = 26 rows), with the inner optimum in
 closed form.  Grothendieck norm: bracketed, by `_bracket` alone, between a
 low-rank block-coordinate ascent (a feasible lower bound) and the cheaper of
 two upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error, K_G
-times the infinity-to-one norm).  Two-number inequality verdicts are `_check`'s (1e-9 of the larger side).
+times the infinity-to-one norm).  Two-number inequality verdicts are `_check`'s
+(1e-9 of the larger side; a side that is not finite is a ValueError saying
+"overflows").  Every certified interval, the Grothendieck bracket and the
+uniformity epsilon alike, is a `Bracket`, whose ends `_check` orders.
 Each solver has one private entry, `_exact_norms` for the enumeration and
 `_grothendieck_bm_stack` (one stack per matrix shape) for the ascent; a value
 computed there or in `spectral_norm` that overflows float64 is a ValueError.
@@ -695,22 +698,23 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
 
 
 def _bracket(m: int, n: int, spectral: float, bm: float,
-             io1: Optional[float]) -> tuple[float, float]:
+             io1: Optional[float]) -> Bracket:
     """The bracket of `grothendieck_bounds` from computed norms (io1 None: not run)."""
     lower, upper = bm, _spectral_upper(spectral, m, n)
     if io1 is not None:
         lower, upper = max(lower, io1), min(upper, K_G * io1)
-    return lower, upper
+    return Bracket(lower, upper)
 
 
-def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[float, float]:
-    """A certified bracket [lower, upper] for the Grothendieck norm.
+def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> Bracket:
+    """A certified `Bracket` [lower, upper] for the Grothendieck norm.
 
     lower = max(ascent value, exact infinity-to-one norm when feasible);
     upper = min(`_spectral_upper`, K_G * infinity-to-one), the second only
     when the exact enumeration is feasible.  A cut-norm term 8 cut would
     never be the minimum, since K_G io1 <= 4 K_G cut < 8 cut.  `analyze` and
-    the `factor4` verify suite get theirs from the same rule, `_bracket`.
+    the `factor4` verify suite get theirs from the same rule, `_bracket`.  An
+    upper end that overflows float64 is a ValueError.
     """
     a = _real_matrix(a, "grothendieck_bounds")
     m, n = a.shape
@@ -801,8 +805,36 @@ class Check:
 
 
 def _check(name: str, lhs: float, rhs: float) -> Check:
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"{name} overflows: {lhs!r} <= {rhs!r} leaves the float64 range")
     tol = 1e-9 * max(abs(lhs), abs(rhs))
     return Check(name=name, lhs=float(lhs), rhs=float(rhs), tol=tol)
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """A certified interval [lower, upper] holding one value.
+
+    ``exact`` says that the value is the lower end itself; ``witness``, when
+    given, is what attains the lower end.  Ends out of order by `_check`'s
+    rule, or not finite, are a ValueError.
+    """
+
+    lower: float
+    upper: float
+    exact: bool = False
+    witness: Optional[tuple] = None
+
+    def __post_init__(self):
+        ordered = _check("bracket_ordered", self.lower, self.upper)
+        if not ordered.passed:
+            raise ValueError(f"inconsistent bracket: lower {ordered.lhs} > upper {ordered.rhs}")
+
+    @property
+    def value(self) -> float:
+        if not self.exact:
+            raise ValueError("the value was only bracketed, not computed exactly")
+        return self.lower
 
 
 @dataclass
@@ -814,8 +846,7 @@ class NormReport:
     spectral: float
     cut: Optional[CutNormResult]
     infty_one: Optional[float]
-    groth_lower: float
-    groth_upper: float
+    groth: Bracket
     bm_rank: int
     bm_restarts: int
     assignment: Optional[VectorAssignment] = None
@@ -825,11 +856,6 @@ class NormReport:
     work: dict[str, int] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        ordered = _check("bracket_ordered", self.groth_lower, self.groth_upper)
-        if not ordered.passed:
-            raise ValueError(f"inconsistent bracket: lower {ordered.lhs} > upper {ordered.rhs}")
-
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -838,9 +864,10 @@ class NormReport:
 def verify_sandwich(report: NormReport) -> list[Check]:
     """Check every applicable norm inequality of a report, recording margins.
 
-    Failures are reported in the returned checks, never raised.  The
-    vertex-transitive cut/spectral sandwich is checked only when the report
-    carries a positive transitivity flag for a square matrix.
+    Failures are reported in the returned checks, never raised; a side that
+    overflows float64 is a ValueError.  The vertex-transitive cut/spectral
+    sandwich is checked only when the report carries a positive transitivity
+    flag for a square matrix.
     """
     n = report.rows
     checks: list[Check] = []
@@ -849,13 +876,14 @@ def verify_sandwich(report: NormReport) -> list[Check]:
     if cut is not None and io1 is not None:
         checks.append(_check("cut_le_infty_one", cut, io1))
         checks.append(_check("infty_one_le_4cut", io1, 4.0 * cut))
-    checks.append(_check("bracket_ordered", report.groth_lower, report.groth_upper))
+    # Bracket already orders its ends; this entry stays for the report's bytes
+    checks.append(_check("bracket_ordered", report.groth.lower, report.groth.upper))
     if io1 is not None:
-        checks.append(_check("infty_one_le_groth_upper", io1, report.groth_upper))
-        checks.append(_check("groth_lower_le_kg_infty_one", report.groth_lower, K_G * io1))
+        checks.append(_check("infty_one_le_groth_upper", io1, report.groth.upper))
+        checks.append(_check("groth_lower_le_kg_infty_one", report.groth.lower, K_G * io1))
     if cut is not None:
-        checks.append(_check("cut_le_groth_upper", cut, report.groth_upper))
-        checks.append(_check("groth_lower_le_8cut", report.groth_lower, 8.0 * cut))
+        checks.append(_check("cut_le_groth_upper", cut, report.groth.upper))
+        checks.append(_check("groth_lower_le_8cut", report.groth.lower, 8.0 * cut))
     if report.transitive and cut is not None and report.rows == report.cols:
         checks.append(_check("transitive_cut_le_n_spectral", cut, n * report.spectral))
         checks.append(_check("transitive_n_spectral_le_8cut", n * report.spectral, 8.0 * cut))
@@ -900,7 +928,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     work["bm_rank"] = k
     work["bm_restarts"] = cfg.restarts
 
-    lower, upper = _bracket(m, n, spectral, bm_value, io1)
+    groth = _bracket(m, n, spectral, bm_value, io1)
 
     transitive = None
     if m == n and n <= AUTOMORPHISM_SEARCH_LIMIT:
@@ -915,7 +943,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
 
     report = NormReport(
         rows=m, cols=n, spectral=spectral, cut=cut, infty_one=io1,
-        groth_lower=lower, groth_upper=upper, bm_rank=k,
+        groth=groth, bm_rank=k,
         bm_restarts=cfg.restarts, assignment=assignment,
         transitive=transitive, notes=notes, work=work, timings=timings,
     )
@@ -925,26 +953,6 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
 
 # ---------------------------------------------------------------------------
 # Uniformity, mixing and the eigenvalue-vs-discrepancy bound
-
-
-@dataclass(frozen=True)
-class UniformityEstimate:
-    """Smallest epsilon in the uniformity definition, exact or bracketed.
-
-    ``witness`` is a pair (S, T) of vertex sets whose discrepancy
-    |e(S, T) - d |S| |T| / n| is the lower end times d n, up to its rounding.
-    """
-
-    lower: float
-    upper: float
-    exact: bool
-    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-
-    @property
-    def value(self) -> float:
-        if not self.exact:
-            raise ValueError("epsilon was only bracketed, not computed exactly")
-        return self.lower
 
 
 def _require_regular(a, d: Optional[float], name: str) -> tuple[np.ndarray, float]:
@@ -1009,8 +1017,11 @@ def _sign_witness(c: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, np.n
     return float(val[best]), x[:, best], y[:, best]
 
 
-def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEstimate:
-    """Smallest epsilon with every (S, T) discrepancy at most epsilon * d * n.
+def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> Bracket:
+    """Smallest epsilon with every (S, T) discrepancy at most epsilon * d * n,
+    as a `Bracket` whose witness is a pair (S, T) of vertex sets with
+    discrepancy |e(S, T) - d |S| |T| / n| the lower end times d n, up to its
+    rounding.
 
     N = n A - d J is an integer matrix whose rows and columns sum to zero,
     which `_require_regular` guarantees: it accepts only 0/1 matrices with
@@ -1036,20 +1047,20 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> UniformityEs
     a, d = _require_regular(a, d, "epsilon_uniformity")
     n = a.shape[0]
     if d == 0 or n == 0:
-        return UniformityEstimate(0.0, 0.0, True, ((), ()))
+        return Bracket(0.0, 0.0, True, ((), ()))
     # n A - d J: integers of magnitude at most n, exact in float64
     counts = n * a - d
     if n <= EXACT_ENUM_LIMIT:
         cut = cut_norm_exact(counts)
         eps = cut.value / (d * n * n)
-        return UniformityEstimate(eps, eps, True, (cut.row_set, cut.col_set))
+        return Bracket(eps, eps, True, (cut.row_set, cut.col_set))
     centered = center_regular(a, d)
     value, x, y = _sign_witness(centered, counts)
     witness = (tuple(np.flatnonzero(x < 0).tolist()), tuple(np.flatnonzero(y < 0).tolist()))
     upper = _spectral_upper(spectral_norm(centered), n, n)
     rounding = 5.0 * n * n * float(np.finfo(np.float64).eps) / 4.0
-    return UniformityEstimate(math.nextafter(value / (4.0 * d * n * n), 0.0),
-                              (upper / 4.0 + rounding) / (d * n), False, witness)
+    return Bracket(math.nextafter(value / (4.0 * d * n * n), 0.0),
+                   (upper / 4.0 + rounding) / (d * n), False, witness)
 
 
 def mixing_lemma_check(a: np.ndarray, d: float, lam: float) -> bool:
@@ -1100,26 +1111,12 @@ def mixing_lemma_check(a: np.ndarray, d: float, lam: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class UniformityVsEigenvalue:
-    """Result of the lambda <= 8 epsilon d comparison."""
-
-    passed: bool
-    lam: float
-    epsilon: float
-    degree: float
-
-    @property
-    def ratio(self) -> float:
-        denom = self.epsilon * self.degree
-        return self.lam / denom if denom > 0 else math.inf
-
-
-def theorem3_check(a: np.ndarray, d: Optional[float] = None) -> UniformityVsEigenvalue:
-    """Verify lambda <= 8 epsilon d with exact epsilon and report lambda/(epsilon d);
-    complex or non-finite input is a ValueError."""
+def theorem3_check(a: np.ndarray, d: Optional[float] = None) -> tuple[Check, Bracket]:
+    """The check lambda_le_8_eps_d (lhs lambda, rhs 8 epsilon d) with exact
+    epsilon, and the epsilon bracket it used.  Epsilon that is only
+    bracketed (above EXACT_ENUM_LIMIT vertices), complex or non-finite input
+    is a ValueError."""
     a, d = _require_regular(a, d, "theorem3_check")
     lam = second_eigenvalue(a)
-    eps = epsilon_uniformity(a, d).value
-    passed = _check("lambda_le_8_eps_d", lam, 8.0 * eps * d).passed
-    return UniformityVsEigenvalue(passed=passed, lam=lam, epsilon=eps, degree=d)
+    eps = epsilon_uniformity(a, d)
+    return _check("lambda_le_8_eps_d", lam, 8.0 * eps.value * d), eps

@@ -422,8 +422,8 @@ def report_to_obj(report: NormReport, provenance: Optional[dict] = None) -> dict
             "col_set": list(cut.col_set),
         },
         "infty_one": report.infty_one,
-        "groth_lower": report.groth_lower,
-        "groth_upper": report.groth_upper,
+        "groth_lower": report.groth.lower,
+        "groth_upper": report.groth.upper,
         "bm_rank": report.bm_rank,
         "bm_restarts": report.bm_restarts,
         "transitive": report.transitive,

@@ -1,7 +1,8 @@
 """Named verification suites: every headline identity and inequality,
 checked end to end on concrete families.  Inequalities are decided by
 `norms._check` and the factor-4 bracket is `grothendieck_bounds`' certified
-one; ascent reach, Fourier errors and random-sign matrices have fixed budgets.
+`Bracket`; ascent reach, Fourier errors and random-sign matrices have fixed
+budgets.
 
 Each suite returns a list of SuiteCheck records; `run_suite` dispatches by
 name (with or without a "-suite" suffix).  The suites are what the CLI
@@ -104,14 +105,14 @@ def suite_factor4() -> list[SuiteCheck]:
     cut = cut_norm_exact(a)
     io1 = infty_one_exact(a)
     spec = spectral_norm(a)
-    lower, upper = grothendieck_bounds(a, BMConfig(rank=4, restarts=8, seed=0))
+    groth = grothendieck_bounds(a, BMConfig(rank=4, restarts=8, seed=0))
     a_f = cayley_matrix(GroupFunction(cyclic_group(2), np.array([1.0, -1.0])))
     checks = [
         ("factor4:cut", abs(cut.value - 1.0) <= 1e-9, f"cut={cut.value!r}"),
         ("factor4:infty_one", abs(io1 - 4.0) <= 1e-9, f"io1={io1!r}"),
         ("factor4:spectral", abs(spec - 2.0) <= 1e-9, f"spectral={spec!r}"),
-        ("factor4:bracket", abs(lower - 4.0) <= 1e-9 and abs(upper - 4.0) <= 1e-9,
-         f"bracket=[{lower!r}, {upper!r}]"),
+        ("factor4:bracket", abs(groth.lower - 4.0) <= 1e-9 and abs(groth.upper - 4.0) <= 1e-9,
+         f"bracket=[{groth.lower!r}, {groth.upper!r}]"),
         ("factor4:cayley_match", np.array_equal(a_f, a)
          and abs(2 * spec - 4.0) <= 1e-9,
          "A = A(f) for f=(1,-1) on Z2 and n||A|| = 4"),
@@ -262,10 +263,11 @@ def suite_theorem3() -> list[SuiteCheck]:
     for name, g, is_cayley in transitive_suite_graphs():
         if not is_cayley:
             continue
-        r = theorem3_check(g.matrix, g.degree)
+        check, eps = theorem3_check(g.matrix, g.degree)
+        ratio = check.lhs / (eps.value * g.degree) if eps.value else math.inf
         out.append(_check(
-            f"theorem3:{name}", r.passed,
-            f"lambda={r.lam:.6g} eps={r.epsilon:.6g} ratio={r.ratio:.4f} (<= 8)",
+            f"theorem3:{name}", check.passed,
+            f"lambda={check.lhs:.6g} eps={eps.value:.6g} ratio={ratio:.4f} (<= 8)",
         ))
     return out
 

@@ -362,6 +362,21 @@ def test_analyze_overflow_exits_one_without_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["checks", "upper"])
+def test_analyze_overflowing_check_or_upper_end_exits_one(tmp_path, capsys, name):
+    # finite norms with an infinite check side, and an infinite upper end
+    a = 3e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    if name == "upper":
+        a = np.zeros((27, 27))
+        a[0, 0] = 1e308
+    src = tmp_path / "h.json"
+    src.write_text(serial.matrix_to_text(a))
+    assert run(["analyze", str(src), "--out", str(tmp_path / "r.json"), "--restarts", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_fourier_overflow_exits_one_without_traceback(tmp_path, capsys):
     src = tmp_path / "f.json"
     f = GroupFunction(parse_group_spec("Z2"), np.array([1.7e308, 1.7e308]))

@@ -166,19 +166,25 @@ def test_bipartite_deviation_keeps_complex_input():
         assert bipartite_deviation(np.eye(2), 1j) == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
+def _pins_n_sigma(bracket, n_sigma):
+    """Does the bracket pin ||B - pJ||_G = n sigma_max within 1e-6 relative?"""
+    scale = max(n_sigma, 1e-300)
+    return (bracket.lower >= n_sigma - 1e-6 * scale
+            and bracket.upper <= n_sigma + 1e-6 * scale)
+
+
 def test_bipartite_cayley_z4_report():
     g = cyclic_group(4)
     f = GroupFunction.indicator(g, [1])
     cfg = BMConfig(rank=8, restarts=8)
-    report = bipartite_cayley_deviation(f, cfg)
+    sigma, bracket = bipartite_cayley_deviation(f, cfg)
     # the default centering is the edge density 1/4
-    assert report == bipartite_cayley_deviation(f, cfg, p=0.25)
+    assert (sigma, bracket) == bipartite_cayley_deviation(f, cfg, p=0.25)
     # B - J/4 for a permutation matrix: sigma via the dense oracle
     centered = cayley_matrix(f) - 0.25
     want = np.linalg.svd(centered, compute_uv=False)[0]
-    assert report.sigma == pytest.approx(want, rel=1e-10)
-    assert report.n_sigma == pytest.approx(4 * want, rel=1e-10)
-    assert report.transitive_equality_ok
+    assert sigma == pytest.approx(want, rel=1e-10)
+    assert _pins_n_sigma(bracket, 4 * sigma)
 
 
 def test_bipartite_identity_on_weighted_functions():
@@ -187,8 +193,8 @@ def test_bipartite_identity_on_weighted_functions():
     f = GroupFunction(g, rng.standard_normal(5))  # not symmetric, fine
     with pytest.raises(ValueError, match="weighted"):
         bipartite_cayley_deviation(f)
-    report = bipartite_cayley_deviation(f, BMConfig(rank=10, restarts=8), p=0.0)
-    assert report.transitive_equality_ok
+    sigma, bracket = bipartite_cayley_deviation(f, BMConfig(rank=10, restarts=8), p=0.0)
+    assert _pins_n_sigma(bracket, 5 * sigma)
 
 
 def test_bipartite_cayley_deviation_rejects_complex_f():

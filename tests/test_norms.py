@@ -10,6 +10,7 @@ import pytest
 
 from cayleynorms import (
     BMConfig,
+    Bracket,
     CapacityError,
     abelian_character_norm,
     build_irrep_table,
@@ -177,6 +178,32 @@ OVERFLOWING = np.array([[1.7e308, -1.7e308], [1.7e308, 1.7e308]])
 def test_overflowing_sums_are_a_value_error(fn):
     with pytest.raises(ValueError, match="overflows"):
         fn(OVERFLOWING)
+
+
+# Finite norms whose checks overflow: cut 3e307, infinity-to-one and both
+# bracket ends 1.2e308, so K_G io1, 8 cut and 8 cut on the transitive
+# sandwich are inf.
+HUGE_CHECKS = 3e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Past the enumeration cap the upper end is sqrt(27 * 27) 1e308 alone: inf.
+HUGE_UPPER = np.zeros((27, 27))
+HUGE_UPPER[0, 0] = 1e308
+
+
+def test_overflowing_check_side_or_upper_end_is_a_value_error():
+    for a, name in ((HUGE_CHECKS, "groth_lower_le_kg_infty_one"),
+                    (HUGE_UPPER, "bracket_ordered")):
+        with pytest.raises(ValueError, match=f"^{name} overflows"):
+            analyze(a, BMConfig(restarts=2))
+    with pytest.raises(ValueError, match="^bracket_ordered overflows"):
+        grothendieck_bounds(HUGE_UPPER, BMConfig(restarts=2))
+    with pytest.raises(ValueError, match="^x overflows"):
+        norms._check("x", 1.0, math.inf)
+    with pytest.raises(ValueError, match="^x overflows"):
+        norms._check("x", math.nan, 1.0)
+    # the bracket itself fits: only the checks built on it overflow
+    bracket = grothendieck_bounds(HUGE_CHECKS, BMConfig(restarts=2))
+    assert bracket.lower == infty_one_exact(HUGE_CHECKS) == 1.2e308
+    assert math.isfinite(bracket.upper)
 
 
 def test_large_entries_whose_sums_fit_keep_working():
@@ -1120,13 +1147,13 @@ def test_vector_assignment_rejects_long_vectors():
 
 
 def test_bounds_two_by_two():
-    lower, upper = grothendieck_bounds(TWO)
-    assert lower == pytest.approx(4.0, abs=1e-9)
-    assert upper == pytest.approx(4.0, abs=1e-9)
+    bracket = grothendieck_bounds(TWO)
+    assert bracket.lower == pytest.approx(4.0, abs=1e-9)
+    assert bracket.upper == pytest.approx(4.0, abs=1e-9)
 
 
 def test_bounds_zero():
-    assert grothendieck_bounds(np.zeros((4, 4))) == (0.0, 0.0)
+    assert grothendieck_bounds(np.zeros((4, 4))) == Bracket(0.0, 0.0)
 
 
 def test_transpose_and_permutation_invariance():
@@ -1144,17 +1171,17 @@ def test_transpose_and_permutation_invariance():
         brackets = [grothendieck_bounds(c, BMConfig(restarts=2)) for c in copies]
         assert io1 == [io1[0]] * 4
         assert spec == pytest.approx([spec[0]] * 4, rel=1e-14)
-        for lower, _ in brackets:
-            for value, (_, upper) in zip(io1, brackets):
-                assert value <= lower <= upper
+        for bracket in brackets:
+            for value, other in zip(io1, brackets):
+                assert value <= bracket.lower <= other.upper
 
 
 def test_bounds_tight_on_vertex_transitive():
     for g in (cycle_graph(8), petersen_graph()):
         a = center_regular(g.matrix, g.degree)
         cfg = BMConfig(rank=16, restarts=8)
-        lower, upper = grothendieck_bounds(a, cfg)
-        assert upper - lower <= 1e-6 * upper
+        bracket = grothendieck_bounds(a, cfg)
+        assert bracket.upper - bracket.lower <= 1e-6 * bracket.upper
 
 
 # ---------------------------------------------------------------------------
@@ -1279,8 +1306,8 @@ def test_analyze_two_by_two_report():
     assert report.cut.value == pytest.approx(1.0)
     assert report.infty_one == pytest.approx(4.0)
     assert report.spectral == pytest.approx(2.0)
-    assert report.groth_lower == pytest.approx(4.0, abs=1e-9)
-    assert report.groth_upper == pytest.approx(4.0, abs=1e-9)
+    assert report.groth.lower == pytest.approx(4.0, abs=1e-9)
+    assert report.groth.upper == pytest.approx(4.0, abs=1e-9)
     assert report.transitive is True
     assert report.all_passed
     names = {c.name for c in report.checks}
@@ -1292,8 +1319,8 @@ def test_analyze_all_ones_j4():
     assert report.spectral == pytest.approx(4.0)
     assert report.cut.value == pytest.approx(16.0)
     assert report.infty_one == pytest.approx(16.0)
-    assert report.groth_lower == pytest.approx(16.0, rel=1e-9)
-    assert report.groth_upper == pytest.approx(16.0, rel=1e-9)
+    assert report.groth.lower == pytest.approx(16.0, rel=1e-9)
+    assert report.groth.upper == pytest.approx(16.0, rel=1e-9)
     assert report.all_passed
 
 
@@ -1302,8 +1329,8 @@ def test_analyze_capacity_noted_not_raised():
     assert report.cut is None
     assert report.infty_one is None
     assert report.notes
-    slack = 1e-9 * max(report.groth_upper, 1.0)
-    assert report.groth_upper >= report.groth_lower - slack
+    slack = 1e-9 * max(report.groth.upper, 1.0)
+    assert report.groth.upper >= report.groth.lower - slack
 
 
 def test_sandwich_chain_on_matrix_pool():
@@ -1318,14 +1345,14 @@ def test_sandwich_chain_on_matrix_pool():
     for a in pool:
         report = analyze(a, BMConfig(rank=12, restarts=8))
         cut, io1 = report.cut.value, report.infty_one
-        tol = 1e-9 * max(1.0, report.groth_upper)
+        tol = 1e-9 * max(1.0, report.groth.upper)
         assert cut <= io1 + tol
         assert io1 <= 4 * cut + tol
-        assert io1 <= report.groth_lower + tol
-        assert report.groth_lower <= report.groth_upper + tol
+        assert io1 <= report.groth.lower + tol
+        assert report.groth.lower <= report.groth.upper + tol
         m, n = a.shape
-        assert report.groth_upper <= math.sqrt(m * n) * report.spectral + tol
-        assert report.groth_upper <= 1.783 * io1 + tol
+        assert report.groth.upper <= math.sqrt(m * n) * report.spectral + tol
+        assert report.groth.upper <= 1.783 * io1 + tol
         assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
 
@@ -1344,18 +1371,18 @@ def test_analyze_bracket_at_extreme_scales():
     for a in pool:
         for c in SCALES:
             report = analyze(c * a, BMConfig(restarts=2))
-            assert math.isfinite(report.groth_lower) and math.isfinite(report.groth_upper)
-            assert 0.0 < report.groth_lower <= report.groth_upper
+            assert math.isfinite(report.groth.lower) and math.isfinite(report.groth.upper)
+            assert 0.0 < report.groth.lower <= report.groth.upper
             assert report.all_passed, (c, [x.name for x in report.checks if not x.passed])
-            lower, upper = grothendieck_bounds(c * a, BMConfig(restarts=2))
-            assert 0.0 < lower <= upper
+            bracket = grothendieck_bounds(c * a, BMConfig(restarts=2))
+            assert 0.0 < bracket.lower <= bracket.upper
 
 
 def test_spectral_upper_bound_covers_sigma_at_every_scale():
     # sigma_hat of 1e-300 I3 can round below 1e-300; the inflated bound may not
     report = analyze(1e-300 * np.eye(3))
     assert report.infty_one == 3e-300
-    assert report.groth_upper >= report.groth_lower == 3e-300
+    assert report.groth.upper >= report.groth.lower == 3e-300
     m, n = 5, 9
     assert norms._spectral_upper(2.0, m, n) > math.sqrt(m * n) * 2.0
     assert norms._spectral_upper(2.0, m, n) <= math.sqrt(m * n) * 2.0 * (1 + 1e-13)
@@ -1374,13 +1401,11 @@ def test_check_tolerance_is_scale_relative():
 
 
 def test_report_rejects_inverted_bracket_at_any_scale():
-    fields = dict(rows=1, cols=1, spectral=0.0, cut=None, infty_one=None,
-                  bm_rank=1, bm_restarts=1)
     for lower, upper in ((3e-300, 0.0), (3.0, 3.0 * (1 - 1e-8)),
                          (3e-300, 3e-300 * (1 - 1e-8))):
         with pytest.raises(ValueError, match="inconsistent bracket"):
-            norms.NormReport(groth_lower=lower, groth_upper=upper, **fields)
-    norms.NormReport(groth_lower=3e-300, groth_upper=3e-300, **fields)
+            Bracket(lower, upper)
+    Bracket(3e-300, 3e-300)
 
 
 def test_analyze_without_rows_reports_zeros():
@@ -1389,7 +1414,7 @@ def test_analyze_without_rows_reports_zeros():
         assert (report.rows, report.cols) == shape
         assert report.spectral == 0.0 and report.infty_one == 0.0
         assert report.cut.value == 0.0 and report.cut.row_set == ()
-        assert report.groth_lower == 0.0 and report.groth_upper == 0.0
+        assert report.groth.lower == 0.0 and report.groth.upper == 0.0
         assert report.all_passed
         assert report.work["infty_one_signs"] == 0
         serial.report_to_text(report)

@@ -227,7 +227,7 @@ def test_report_round_trip():
     obj = serial.parse_report(text)
     assert obj["spectral"] == report.spectral
     assert obj["cut"]["value"] == report.cut.value
-    assert obj["groth_lower"] == report.groth_lower
+    assert obj["groth_lower"] == report.groth.lower
     assert all(c["passed"] for c in obj["checks"])
     # wall-clock timings never enter the serialized form
     assert "timings" not in obj

@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from cayleynorms import (
+    BMConfig,
+    Bracket,
     CapacityError,
+    Check,
+    GroupFunction,
+    analyze,
+    bipartite_cayley_deviation,
     center_regular,
     complete_graph,
     cut_norm_exact,
     cycle_graph,
+    cyclic_group,
     epsilon_uniformity,
     example1_graph,
     grothendieck_bounds,
@@ -91,14 +98,14 @@ def test_epsilon_bracket_above_the_cap_contains_the_exact_value(g, monkeypatch):
     assert not est.exact
     assert est.lower <= exact <= est.upper
     # the zero-margin ends, not [G_lower / 8, G_upper]
-    g_lower, g_upper = grothendieck_bounds(center_regular(g.matrix, g.degree))
+    groth = grothendieck_bounds(center_regular(g.matrix, g.degree))
     scale = g.degree * g.n
     rounding = 5 * g.n ** 2 * np.finfo(np.float64).eps / 4
-    assert est.upper == (g_upper / 4 + rounding) / scale
+    assert est.upper == (groth.upper / 4 + rounding) / scale
     # the lower end is its witness's discrepancy over d n, rounded down
     dev = _witness_discrepancy(g, est.witness)
     assert est.lower == math.nextafter(dev / (g.degree * g.n ** 2), 0.0)
-    assert est.lower >= g_lower / (4 * norms.K_G) / scale
+    assert est.lower >= groth.lower / (4 * norms.K_G) / scale
 
 
 @pytest.mark.parametrize("g", EPSILON_FAMILIES, ids=lambda g: g.provenance)
@@ -228,25 +235,51 @@ def test_mixing_lemma_negative_lambda_fails():
 
 
 def test_theorem3_paley13():
-    r = theorem3_check(paley_graph(13).matrix, 6)
-    assert r.passed
-    assert r.lam == pytest.approx((1 + math.sqrt(13)) / 2, abs=1e-9)
-    assert r.ratio <= 8.0
+    check, eps = theorem3_check(paley_graph(13).matrix, 6)
+    assert check.passed
+    assert check.lhs == pytest.approx((1 + math.sqrt(13)) / 2, abs=1e-9)
+    assert check.lhs / (eps.value * 6) <= 8.0
 
 
 def test_theorem3_cycle12():
-    r = theorem3_check(cycle_graph(12).matrix, 2)
-    assert r.passed
-    assert r.lam == pytest.approx(2.0, abs=1e-9)
-    assert r.lam <= 8 * r.epsilon * 2
+    check, eps = theorem3_check(cycle_graph(12).matrix, 2)
+    assert check.passed
+    assert check.lhs == pytest.approx(2.0, abs=1e-9)
+    assert check.lhs <= 8 * eps.value * 2
 
 
 def test_theorem3_complete8_closed_form():
-    r = theorem3_check(complete_graph(8).matrix, 7)
-    assert r.passed
-    assert r.lam == pytest.approx(1.0, abs=1e-9)
-    assert r.epsilon == pytest.approx(1 / 28)
-    assert 8 * r.epsilon * 7 == pytest.approx(2.0)
+    check, eps = theorem3_check(complete_graph(8).matrix, 7)
+    assert check.passed
+    assert check.lhs == pytest.approx(1.0, abs=1e-9)
+    assert eps.value == pytest.approx(1 / 28)
+    assert 8 * eps.value * 7 == pytest.approx(2.0)
+
+
+def test_every_interval_producer_returns_a_bracket():
+    a = center_regular(cycle_graph(8).matrix, 2)
+    cfg = BMConfig(restarts=2)
+    groth = grothendieck_bounds(a, cfg)
+    assert isinstance(groth, Bracket) and not groth.exact and groth.witness is None
+    assert analyze(a, cfg).groth == groth
+    g = paley_graph(13)
+    exact = epsilon_uniformity(g.matrix, g.degree)
+    assert isinstance(exact, Bracket) and exact.exact and exact.witness is not None
+    assert exact.lower == exact.upper == exact.value
+    wide = epsilon_uniformity(random_regular(28, 3, seed=5).matrix, 3)
+    assert isinstance(wide, Bracket) and not wide.exact and wide.witness is not None
+    with pytest.raises(ValueError, match="only bracketed"):
+        _ = wide.value
+    check, eps = theorem3_check(g.matrix, g.degree)
+    assert isinstance(check, Check) and check.name == "lambda_le_8_eps_d"
+    assert eps == exact
+    assert (check.lhs, check.rhs) == (second_eigenvalue(g.matrix), 8.0 * eps.value * g.degree)
+    with pytest.raises(ValueError, match="only bracketed"):
+        theorem3_check(random_regular(28, 3, seed=5).matrix, 3)
+    sigma, bracket = bipartite_cayley_deviation(
+        GroupFunction.indicator(cyclic_group(4), [1]), cfg)
+    assert isinstance(sigma, float) and isinstance(bracket, Bracket)
+    assert bracket.lower <= 4 * sigma * (1 + 1e-9) and 4 * sigma <= bracket.upper * (1 + 1e-9)
 
 
 def test_uniformity_checks_reject_complex_and_non_finite():
