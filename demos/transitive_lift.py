@@ -26,8 +26,8 @@ a = g.matrix
 print(f"Petersen: n = {g.n}, d = {g.degree}")
 
 cert = find_transitive_automorphisms(a)
-print(f"transitive? {cert is not None}; "
-      f"closure of the per-vertex automorphisms has order {cert.subgroup.order}")
+print(f"transitive? {cert is not None}; the closure of the {len(cert.perms)} "
+      f"generators the orbit search found has order {cert.subgroup.order}")
 
 f = lift_to_group(a, cert.subgroup)
 order = cert.subgroup.order

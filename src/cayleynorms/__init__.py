@@ -29,7 +29,6 @@ from .cayley import (
     cayley_matrix,
     center_regular,
     find_transitive_automorphisms,
-    is_vertex_transitive,
     lift_to_group,
 )
 from .norms import (

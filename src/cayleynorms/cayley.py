@@ -21,14 +21,15 @@ AUTOMORPHISM_SEARCH_LIMIT = 64
 
 @dataclass(frozen=True)
 class TransitiveCertificate:
-    """One automorphism per vertex mapping the base vertex 0 onto it.
+    """Automorphisms that generate a transitive group of automorphisms.
 
-    ``perms`` is a read-only n x n int64 array whose row t is an automorphism
-    with ``perms[t, 0] = t``; ``subgroup`` is the closure of all the rows,
-    a transitive group of automorphisms.  The closure is enumerated lazily:
-    for highly symmetric matrices it can pass the table cap MAX_TABLE_ORDER,
-    in which case accessing it raises CapacityError while the transitivity
-    decision itself stands.
+    ``perms`` is a read-only k x n int64 array whose rows are automorphisms;
+    ``subgroup`` is their closure, a group that acts transitively.
+    `find_transitive_automorphisms` gives the few generators its orbit search
+    finds, and `cayley_certificate` all n right translations.  The closure is
+    enumerated lazily: for highly symmetric matrices it can pass the table
+    cap MAX_TABLE_ORDER, in which case accessing it raises CapacityError
+    while the transitivity decision itself stands.
     """
 
     perms: np.ndarray
@@ -214,9 +215,21 @@ class _Search:
         return None
 
 
-def _search_input(a) -> np.ndarray:
-    """`a` as the search's matrix: square, real, finite and at most
-    AUTOMORPHISM_SEARCH_LIMIT rows, else a ValueError or CapacityError."""
+def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertificate]:
+    """Decide vertex-transitivity constructively for a square matrix.
+
+    Returns None, or a certificate whose rows generate a transitive group
+    of automorphisms: row j is the lexicographically first automorphism
+    sending vertex 0 to the smallest vertex outside the orbit of 0 under
+    rows 0..j-1 (compositions of those rows reach the whole orbit), and the
+    answer is None once such a target is unreachable.  The search is
+    individualization-refinement (McKay and Piperno, Practical graph
+    isomorphism II, 2014): colour refinement of the domain and image copies
+    jointly, with incremental cell splitting, prunes every branch whose two
+    copies' colour classes differ in size.  Its worst case is still
+    exponential, so matrices above AUTOMORPHISM_SEARCH_LIMIT are rejected.
+    Complex or non-finite input is a ValueError.
+    """
     a = _real_matrix(a, "automorphism search")
     n = a.shape[0]
     if a.shape != (n, n):
@@ -225,61 +238,14 @@ def _search_input(a) -> np.ndarray:
         raise CapacityError(
             f"automorphism search capped at n = {AUTOMORPHISM_SEARCH_LIMIT}, got {n}"
         )
-    return a
-
-
-def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertificate]:
-    """Decide vertex-transitivity constructively for a square matrix.
-
-    Returns a certificate whose ``perms[t]`` is the lexicographically first
-    automorphism sending the base vertex 0 to t, or None if some vertex is
-    unreachable.  The search is individualization-refinement (McKay and
-    Piperno, Practical graph isomorphism II, 2014): colour refinement of the
-    domain and image copies jointly, with incremental cell splitting, prunes
-    every branch whose two copies' colour classes differ in size.  Its worst
-    case is still exponential, so matrices above AUTOMORPHISM_SEARCH_LIMIT
-    are rejected.  Complex or non-finite input is a ValueError.
-    """
-    a = _search_input(a)
-    n = a.shape[0]
     if n < 2:
-        # no vertex or one: the identity, if any, is the whole certificate
-        return TransitiveCertificate(perms=np.zeros((n, n), dtype=np.int64))
+        # no vertex or one: the orbit of 0 is already every vertex
+        return TransitiveCertificate(perms=np.zeros((0, n), dtype=np.int64))
     search = _Search(a)
     cls = search.root[0]
     if np.any(cls[:n] != cls[0]):
         # refinement alone tells some vertex from vertex 0
         return None
-    perms = np.empty((n, n), dtype=np.int64)
-    # the identity is the lexicographically first permutation of all
-    perms[0] = np.arange(n)
-    for t in range(1, n):
-        p = search.automorphism_to(t)
-        if p is None:
-            return None
-        perms[t] = p
-    return TransitiveCertificate(perms=perms)
-
-
-def is_vertex_transitive(a: np.ndarray) -> bool:
-    """Whether a square matrix is vertex-transitive, by the search of
-    `find_transitive_automorphisms`, which is not None exactly when this is
-    True.
-
-    Vertex 0 reaches t when some automorphism maps it there, and then so
-    does every composition of automorphisms found.  So the search runs
-    0 -> t only for the targets t outside the orbit of 0 under the
-    automorphisms found so far, an orbit closed over a boolean mask after
-    each one.  The same caps and errors apply.
-    """
-    a = _search_input(a)
-    n = a.shape[0]
-    if n < 2:
-        return True
-    search = _Search(a)
-    cls = search.root[0]
-    if np.any(cls[:n] != cls[0]):
-        return False
     orbit = np.zeros(n, dtype=bool)
     orbit[0] = True
     found = []
@@ -288,17 +254,15 @@ def is_vertex_transitive(a: np.ndarray) -> bool:
             continue
         p = search.automorphism_to(t)
         if p is None:
-            return False
+            return None
         found.append(p)
         # the images of the orbit under every automorphism, until none is new
-        while True:
-            grown = orbit.copy()
+        reached = 0
+        while reached < orbit.sum():
+            reached = orbit.sum()
             for q in found:
-                grown[q[orbit]] = True
-            if np.array_equal(grown, orbit):
-                break
-            orbit = grown
-    return True
+                orbit[q[orbit]] = True
+    return TransitiveCertificate(perms=np.array(found, dtype=np.int64))
 
 
 def cayley_certificate(group: GroupTable) -> TransitiveCertificate:

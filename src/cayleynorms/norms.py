@@ -54,7 +54,7 @@ from .cayley import (
     AUTOMORPHISM_SEARCH_LIMIT,
     _real_matrix,
     center_regular,
-    is_vertex_transitive,
+    find_transitive_automorphisms,
 )
 from .errors import CapacityError
 from .groups import GroupFunction, function_norm
@@ -933,7 +933,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     transitive = None
     if m == n and n <= AUTOMORPHISM_SEARCH_LIMIT:
         t0 = time.perf_counter()
-        transitive = is_vertex_transitive(a)
+        transitive = find_transitive_automorphisms(a) is not None
         timings["transitivity"] = time.perf_counter() - t0
     elif m == n:
         notes.append(
@@ -1115,8 +1115,13 @@ def theorem3_check(a: np.ndarray, d: Optional[float] = None) -> tuple[Check, Bra
     """The check lambda_le_8_eps_d (lhs lambda, rhs 8 epsilon d) with exact
     epsilon, and the epsilon bracket it used.  Epsilon that is only
     bracketed (above EXACT_ENUM_LIMIT vertices), complex or non-finite input
-    is a ValueError."""
+    is a ValueError, raised before any solver runs."""
     a, d = _require_regular(a, d, "theorem3_check")
+    if a.shape[0] > EXACT_ENUM_LIMIT:
+        raise ValueError(
+            "theorem3_check needs the exact epsilon, which is only bracketed above "
+            f"EXACT_ENUM_LIMIT = {EXACT_ENUM_LIMIT} vertices (got {a.shape[0]})"
+        )
     lam = second_eigenvalue(a)
     eps = epsilon_uniformity(a, d)
     return _check("lambda_le_8_eps_d", lam, 8.0 * eps.value * d), eps

@@ -22,7 +22,6 @@ from cayleynorms import (
     example1_graph,
     find_transitive_automorphisms,
     group_closure,
-    is_vertex_transitive,
     lift_to_group,
     paley_graph,
     petersen_graph,
@@ -30,7 +29,7 @@ from cayleynorms import (
     random_regular,
     serial,
 )
-from cayleynorms.cayley import AUTOMORPHISM_SEARCH_LIMIT
+from cayleynorms.cayley import AUTOMORPHISM_SEARCH_LIMIT, _Search
 from cayleynorms.cli import main
 from cayleynorms.verify import _dihedral4_graphs
 
@@ -140,10 +139,15 @@ def test_find_transitive_automorphisms_petersen():
     assert cert is not None
     a = petersen_graph().matrix
     assert cert.perms.dtype == np.int64 and not cert.perms.flags.writeable
-    for t, img in enumerate(cert.perms):
-        assert img[0] == t
+    # the targets 1, 2, 3 and 4 are each the smallest vertex that the earlier
+    # rows do not send 0 to
+    assert cert.perms.tolist() == [[1, 0, 2, 3, 4, 7, 8, 5, 6, 9],
+                                   [2, 0, 1, 3, 5, 7, 9, 4, 6, 8],
+                                   [3, 0, 1, 2, 6, 8, 9, 4, 5, 7],
+                                   [4, 0, 5, 6, 1, 7, 8, 2, 3, 9]]
+    for img in cert.perms:
         assert np.array_equal(a[np.ix_(img, img)], a)
-    assert cert.subgroup.is_transitive()
+    assert cert.subgroup.is_transitive() and cert.subgroup.order == 120
 
 
 def test_find_transitive_automorphisms_star_absent():
@@ -198,12 +202,14 @@ def test_search_matches_brute_force_small():
 
 def test_certificate_is_lexicographically_first_per_vertex():
     # C4 automorphisms mapping 0 -> 1: the reflection (1,0,3,2) precedes the
-    # rotation (1,2,3,0) in lexicographic order, so it must be the one found
+    # rotation (1,2,3,0) in lexicographic order, so it must be the one found;
+    # its orbit of 0 is {0, 1}, so the next target is 2, reached first by the
+    # reflection (2,1,0,3), and then every vertex is reached
     a = np.zeros((4, 4))
     for i in range(4):
         a[i, (i + 1) % 4] = a[i, (i - 1) % 4] = 1.0
     cert = find_transitive_automorphisms(a)
-    assert cert.perms[:2].tolist() == [[0, 1, 2, 3], [1, 0, 3, 2]]
+    assert cert.perms.tolist() == [[1, 0, 3, 2], [2, 1, 0, 3]]
 
 
 def test_right_translations_are_automorphisms():
@@ -302,7 +308,34 @@ def test_lift_then_cayley_reproduces_matrix_under_regular_action():
 # ---------------------------------------------------------------------------
 # The search against a reference: the prefix-compare backtracking that the
 # individualization-refinement search replaced, kept here as an oracle for
-# the lexicographically first automorphism per vertex.
+# the lexicographically first automorphism sending 0 to a vertex, and the
+# certificate's orbit rule over such an oracle.
+
+
+def _orbit_of_zero(rows):
+    """The vertices that compositions of the rows send 0 to, by a depth-first walk."""
+    orbit, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for q in rows:
+            if q[v] not in orbit:
+                orbit.add(q[v])
+                stack.append(q[v])
+    return orbit
+
+
+def _orbit_rule(n, first_to):
+    """Row j is first_to(t) for the smallest t outside the orbit of 0 under
+    rows 0..j-1; None as soon as first_to(t) is None."""
+    rows = []
+    for t in range(n):
+        if t in _orbit_of_zero(rows):
+            continue
+        p = first_to(t)
+        if p is None:
+            return None
+        rows.append(p)
+    return rows
 
 
 def _reference_extend(a, target, compat):
@@ -346,7 +379,7 @@ def _reference_extend(a, target, compat):
 
 
 def _reference_certificate(a):
-    """Per-vertex lexicographically first automorphisms, or None."""
+    """The certificate's rows by the orbit rule over the reference search, or None."""
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     row = [np.sort(a[s]).tobytes() for s in range(n)]
@@ -354,13 +387,7 @@ def _reference_certificate(a):
     diag = [a[s, s] for s in range(n)]
     compat = np.array([[row[s] == row[v] and col[s] == col[v] and diag[s] == diag[v]
                         for v in range(n)] for s in range(n)])
-    perms = []
-    for t in range(n):
-        images = _reference_extend(a, t, compat)
-        if images is None:
-            return None
-        perms.append(images)
-    return perms
+    return _orbit_rule(n, lambda t: _reference_extend(a, t, compat))
 
 
 def _certificate(a):
@@ -428,12 +455,10 @@ def test_certificates_match_brute_force_with_planted_symmetry():
             k += 1
         values = rng.integers(-2, 3, size=k) * (1.0 if trial % 4 < 2 else -0.5)
         a = values[orbit]
-        want = []
-        for images in itertools.permutations(range(n)):
-            img = np.asarray(images)
-            if images[0] == len(want) and np.array_equal(a[np.ix_(img, img)], a):
-                want.append(images)
-        want = want if len(want) == n else None
+        # permutations come in lexicographic order
+        autos = [images for images in itertools.permutations(range(n))
+                 if np.array_equal(a[np.ix_(images, images)], a)]
+        want = _orbit_rule(n, lambda t: next((p for p in autos if p[0] == t), None))
         assert _certificate(a) == want, (trial, a.tolist())
         found += want is not None
         refuted += want is None
@@ -507,17 +532,32 @@ def _transitivity_corpus():
         yield f"gauss{n}", rng.standard_normal((n, n))
 
 
+def _per_vertex_verdict(a):
+    """The search with no orbit closure: when the root colouring is one class,
+    a search 0 -> t for every vertex t."""
+    n = a.shape[0]
+    if n < 2:
+        return True
+    search = _Search(a)
+    # automorphism_to needs a target that the root colouring does not separate
+    if np.any(search.root[0][:n] != search.root[0][0]):
+        return False
+    return all(search.automorphism_to(t) is not None for t in range(1, n))
+
+
 def test_orbit_closure_agrees_with_the_full_search():
     verdicts = {}
     for name, a in _transitivity_corpus():
-        verdicts[name] = is_vertex_transitive(a)
-        assert verdicts[name] == (find_transitive_automorphisms(a) is not None), name
+        n = a.shape[0]
+        cert = find_transitive_automorphisms(a)
+        verdicts[name] = cert is not None
+        assert verdicts[name] == _per_vertex_verdict(a), name
+        if cert is not None:
+            for p in cert.perms:
+                assert np.array_equal(a[np.ix_(p, p)], a), name
+            assert _orbit_of_zero(cert.perms.tolist()) == set(range(max(n, 1))), name
     assert sum(verdicts.values()) > 50 and len(verdicts) - sum(verdicts.values()) > 20
     assert verdicts["cycles(5, 5)"] and not verdicts["cycles(3, 4)"]
-    with pytest.raises(CapacityError):
-        is_vertex_transitive(np.zeros((65, 65)))
-    with pytest.raises(ValueError, match="square"):
-        is_vertex_transitive(np.zeros((2, 3)))
 
 
 def test_random_four_regular_refutations_are_fast():
@@ -535,7 +575,7 @@ def test_signed_zero_does_not_refute_a_cayley_matrix():
     a = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, -0.0]])
     cert = find_transitive_automorphisms(a)
     assert cert is not None
-    assert cert.perms.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert cert.perms.tolist() == [[1, 2, 0]]
     assert analyze(a).transitive is True
 
 

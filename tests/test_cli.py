@@ -161,16 +161,21 @@ def test_lift_nontransitive_exits_one(tmp_path, capsys):
 
 
 # sha256 of `lift NAME.json --out lift.json --quiet`, run from the directory of
-# the input, since provenance records the path as given
+# the input, since provenance records the path as given.  Same-machine pins:
+# the files' `lift_checks` are LAPACK values, which depend on the BLAS kernel
+# (under OPENBLAS_CORETYPE=Haswell the D4 graph's `matrix_spectral` reads
+# 3.0000000000000004, not 3), so these digests hold only under the kernel that
+# recorded them.  Subgroup orders: 26, 120 and 48.
 LIFT_SHA256 = {
-    ("paley", "13"): "8ee68db44010e687ba490dc60ae2a2a01b4d624be58020ebb470958e34782f36",
-    ("petersen",): "bde4d12af7ec62a87027fa5b7f419d346ae608d593d216d369651fdfa69141bd",
+    ("paley", "13"): "eaf41fe9e772968b614d09a1a97b91c7eccab0e616a48e5ec8e140abf1e9cee5",
+    ("petersen",): "1bfe24227ac52e5b7b54b8de5011b07ef48d12a680cb48b5efdad12272a3380e",
     ("cayley", "D4", "--set", "1,3,4"):
-        "3fd024b0a1fbe9645727cc791778da34bff059314176ec316f451d2bb3f218a1",
+        "807afacae98e8e0bcc014f0a40bcf6cdf7bdfdc5b1ab567ec21dbd70d31814eb",
 }
 
 
-# sha256 of `construct FAMILY ... --out FILE --quiet`
+# sha256 of `construct FAMILY ... --out FILE --quiet`.  Cross-machine pins: a
+# constructed matrix involves no LAPACK or BLAS value.
 CONSTRUCT_SHA256 = {
     ("cayley", "D4", "--set", "1,3,4"):
         "2b93e5ce3a837f0f33693c0b1b8842068ac90218399c50c192db1309639c7b18",
@@ -198,6 +203,21 @@ def test_lift_writes_pinned_bytes(family, tmp_path, monkeypatch):
     assert run(["lift", f"{name}.json", "--out", "lift.json", "--quiet"]) == 0
     digest = hashlib.sha256((tmp_path / "lift.json").read_bytes()).hexdigest()
     assert digest == LIFT_SHA256[family]
+
+
+@pytest.mark.parametrize("p", [13, 29, 37])
+def test_lift_of_paley_goes_through_fourier(p, tmp_path, monkeypatch):
+    # the lift's generators close to a dihedral group of order 2p, whose
+    # irreps are built in
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "paley", str(p), "--out", "p.json", "--quiet"]) == 0
+    assert run(["lift", "p.json", "--out", "l.json", "--quiet"]) == 0
+    assert run(["fourier", "l.json", "--out", "four.json", "--quiet"]) == 0
+    checks = serial.loads((tmp_path / "l.json").read_text())["lift_checks"]
+    report = serial.loads((tmp_path / "four.json").read_text())
+    assert report["order"] == 2 * p
+    want = checks["n_times_f_norm"] / p
+    assert abs(report["spectral_via_irreps"] - want) <= 1e-12 * want
 
 
 def test_lift_empty_matrix_exits_one(tmp_path, capsys):

@@ -47,7 +47,7 @@ def test_paley_rejects_bad_primes():
         paley_graph(9)
 
 
-def test_paley_is_vertex_transitive():
+def test_paley_graphs_are_vertex_transitive():
     for p in (5, 13):
         assert find_transitive_automorphisms(paley_graph(p).matrix) is not None
 

@@ -282,6 +282,18 @@ def test_every_interval_producer_returns_a_bracket():
     assert bracket.lower <= 4 * sigma * (1 + 1e-9) and 4 * sigma <= bracket.upper * (1 + 1e-9)
 
 
+def test_theorem3_check_above_the_cap_fails_before_any_solver(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(norms, "second_eigenvalue", never)
+    monkeypatch.setattr(norms, "epsilon_uniformity", never)
+    msg = (r"theorem3_check needs the exact epsilon, which is only bracketed above "
+           r"EXACT_ENUM_LIMIT = 26 vertices \(got 28\)")
+    with pytest.raises(ValueError, match=msg):
+        theorem3_check(random_regular(28, 3, seed=5).matrix, 3)
+
+
 def test_uniformity_checks_reject_complex_and_non_finite():
     c6 = cycle_graph(6).matrix
     holed = c6.copy()
