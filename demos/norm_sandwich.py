@@ -4,7 +4,8 @@
 cut <= infinity-to-one <= 4 cut, infinity-to-one <= G <= 1.783 infinity-to-one,
 and G <= sqrt(mn) ||A||.  The 2x2 matrix [[1,-1],[-1,1]] shows the factor 4
 between cut and infinity-to-one is real.  A report's Grothendieck bracket is
-one certified Bracket, `report.groth`.
+one certified Bracket, `report.groth`; the exact cut norm is a one-point
+Bracket whose witness is its (row set, column set).
 """
 
 import numpy as np
@@ -21,8 +22,9 @@ from cayleynorms import (
 print("=== the factor-4 example ===")
 a = np.array([[1.0, -1.0], [-1.0, 1.0]])
 cut = cut_norm_exact(a)
+rows, cols = cut.witness
 print(f"matrix:\n{a}")
-print(f"cut norm          = {cut.value}  (rows {cut.row_set}, cols {cut.col_set})")
+print(f"cut norm          = {cut.value}  (rows {rows}, cols {cols})")
 print(f"infinity-to-one   = {infty_one_exact(a)}   <- exactly 4x the cut norm")
 print(f"spectral norm     = {spectral_norm(a)}")
 bm, assignment = grothendieck_bm(a, BMConfig(rank=2))

@@ -5,6 +5,7 @@ The Petersen graph is vertex-transitive but not a Cayley graph.  Still, any
 transitive group of automorphisms lets us transport the matrix to a function
 on that group with n ||f|| = ||A||, and on groups the spectral and
 Grothendieck norms coincide, which pins ||A||_G = n ||A|| for the matrix.
+The search returns a few generator rows; `group_closure` makes the group.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from cayleynorms import (
     cut_norm_exact,
     find_transitive_automorphisms,
     grothendieck_bm,
+    group_closure,
     group_spectral,
     lift_to_group,
     petersen_graph,
@@ -25,12 +27,13 @@ g = petersen_graph()
 a = g.matrix
 print(f"Petersen: n = {g.n}, d = {g.degree}")
 
-cert = find_transitive_automorphisms(a)
-print(f"transitive? {cert is not None}; the closure of the {len(cert.perms)} "
-      f"generators the orbit search found has order {cert.subgroup.order}")
+rows = find_transitive_automorphisms(a)
+subgroup = group_closure(g.n, rows)
+order = subgroup.order
+print(f"transitive? {rows is not None}; the closure of the {len(rows)} "
+      f"generators the orbit search found has order {order}")
 
-f = lift_to_group(a, cert.subgroup)
-order = cert.subgroup.order
+f = lift_to_group(a, subgroup)
 print(f"lifted f lives on a group of order {order}; "
       f"it takes the value 1 on {int(f.values.sum())} elements "
       f"(= |G| d / n = {order * g.degree // g.n})")
@@ -50,4 +53,4 @@ print(f"sandwich: {cut:.4f} <= {ns:.4f} <= {8 * cut:.4f}")
 print("\nand a non-transitive contrast: the star K_1,3")
 star = np.zeros((4, 4))
 star[0, 1:] = star[1:, 0] = 1.0
-print(f"certificate: {find_transitive_automorphisms(star)}")
+print(f"generator rows: {find_transitive_automorphisms(star)}")

@@ -23,7 +23,6 @@ from .groups import (
     symmetric_group,
 )
 from .cayley import (
-    TransitiveCertificate,
     cayley_certificate,
     cayley_from_set,
     cayley_matrix,
@@ -35,7 +34,6 @@ from .norms import (
     BMConfig,
     Bracket,
     Check,
-    CutNormResult,
     NormReport,
     VectorAssignment,
     K_G,

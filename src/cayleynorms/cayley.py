@@ -1,45 +1,21 @@
 """Cayley matrices, automorphism certificates, and lifts to group functions.
 
 A weighted Cayley graph on a group G with weight function f has matrix
-entries ``a[g, h] = f(g h^-1)``.  The base vertex for transitivity
-certificates and lifts is index 0 throughout.
+entries ``a[g, h] = f(g h^-1)``.  A transitivity certificate is a read-only
+int64 array of automorphisms, one per row, whose closure is transitive.  The
+base vertex for certificates and lifts is index 0 throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import CapacityError
-from .groups import _BLOCK_ENTRIES, GroupFunction, GroupTable, PermGroup, group_closure
+from .groups import _BLOCK_ENTRIES, GroupFunction, GroupTable, PermGroup
 
 AUTOMORPHISM_SEARCH_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class TransitiveCertificate:
-    """Automorphisms that generate a transitive group of automorphisms.
-
-    ``perms`` is a read-only k x n int64 array whose rows are automorphisms;
-    ``subgroup`` is their closure, a group that acts transitively.
-    `find_transitive_automorphisms` gives the few generators its orbit search
-    finds, and `cayley_certificate` all n right translations.  The closure is
-    enumerated lazily: for highly symmetric matrices it can pass the table
-    cap MAX_TABLE_ORDER, in which case accessing it raises CapacityError
-    while the transitivity decision itself stands.
-    """
-
-    perms: np.ndarray
-
-    def __post_init__(self):
-        self.perms.setflags(write=False)
-
-    @cached_property
-    def subgroup(self) -> PermGroup:
-        return group_closure(self.perms.shape[1], self.perms)
 
 
 def cayley_matrix(f: GroupFunction) -> np.ndarray:
@@ -175,7 +151,11 @@ class _Search:
 
     def individualize(self, cls: np.ndarray, size: list[int], x: int,
                       y: int) -> Optional[tuple[np.ndarray, list[int]]]:
-        """The refined node after mapping domain vertex x to image vertex y, or None if pruned."""
+        """The refined node after mapping domain vertex x to image vertex y, or
+        None if pruned, as it is at once when x and y lie in different
+        classes: a consistent automorphism maps each vertex into its own class."""
+        if cls[x] != cls[self.n + y]:
+            return None
         cls, size = cls.copy(), list(size)
         pair = [x, self.n + y]
         size[cls[x]] -= 1
@@ -215,14 +195,17 @@ class _Search:
         return None
 
 
-def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertificate]:
+def find_transitive_automorphisms(a: np.ndarray) -> Optional[np.ndarray]:
     """Decide vertex-transitivity constructively for a square matrix.
 
-    Returns None, or a certificate whose rows generate a transitive group
-    of automorphisms: row j is the lexicographically first automorphism
-    sending vertex 0 to the smallest vertex outside the orbit of 0 under
-    rows 0..j-1 (compositions of those rows reach the whole orbit), and the
-    answer is None once such a target is unreachable.  The search is
+    Returns None, or a read-only k x n int64 array of automorphisms, one
+    per row, that generate a transitive group (k = 0 for n < 2): row j is
+    the lexicographically first automorphism sending vertex 0 to the
+    smallest vertex outside the orbit of 0 under rows 0..j-1 (compositions
+    of those rows reach the whole orbit), and the answer is None once such
+    a target is unreachable.  `group_closure(n, rows)` is the group; only
+    callers that need it build it, since for highly symmetric matrices it
+    can pass the table cap MAX_TABLE_ORDER.  The search is
     individualization-refinement (McKay and Piperno, Practical graph
     isomorphism II, 2014): colour refinement of the domain and image copies
     jointly, with incremental cell splitting, prunes every branch whose two
@@ -240,7 +223,7 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
         )
     if n < 2:
         # no vertex or one: the orbit of 0 is already every vertex
-        return TransitiveCertificate(perms=np.zeros((0, n), dtype=np.int64))
+        return _read_only(np.zeros((0, n), dtype=np.int64))
     search = _Search(a)
     cls = search.root[0]
     if np.any(cls[:n] != cls[0]):
@@ -262,16 +245,22 @@ def find_transitive_automorphisms(a: np.ndarray) -> Optional[TransitiveCertifica
             reached = orbit.sum()
             for q in found:
                 orbit[q[orbit]] = True
-    return TransitiveCertificate(perms=np.array(found, dtype=np.int64))
+    return _read_only(np.array(found, dtype=np.int64))
 
 
-def cayley_certificate(group: GroupTable) -> TransitiveCertificate:
-    """The right-translation certificate of every Cayley matrix on a group.
+def cayley_certificate(group: GroupTable) -> np.ndarray:
+    """The n right translations, automorphisms of every Cayley matrix on a
+    group, as a read-only n x n int64 array whose row t is g -> g*t.
 
-    The map g -> g*t is an automorphism sending the identity to t, so Cayley
-    matrices are always vertex-transitive; no search is needed.
+    Row t sends the identity to t, so Cayley matrices are always
+    vertex-transitive; no search is needed.
     """
-    return TransitiveCertificate(perms=group.mul.T.astype(np.int64))
+    return _read_only(group.mul.T.astype(np.int64))
+
+
+def _read_only(perms: np.ndarray) -> np.ndarray:
+    perms.setflags(write=False)
+    return perms
 
 
 def lift_to_group(a: np.ndarray, group: PermGroup) -> GroupFunction:

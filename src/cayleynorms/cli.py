@@ -22,7 +22,7 @@ from .cayley import cayley_from_set, find_transitive_automorphisms, lift_to_grou
 from .families import complete_graph, cycle_graph, example1_graph, paley_graph, \
     petersen_graph, random_regular
 from .fourier import build_irrep_table, svd_witness
-from .groups import parse_group_spec
+from .groups import group_closure, parse_group_spec
 from .norms import BMConfig, analyze, group_spectral, spectral_norm
 
 
@@ -145,25 +145,25 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_lift(args) -> int:
     a = _read_matrix(args.input)
-    cert = find_transitive_automorphisms(a)
-    if cert is None:
+    rows = find_transitive_automorphisms(a)
+    if rows is None:
         print("matrix is not vertex-transitive; nothing to lift", file=sys.stderr)
         return 1
-    f = lift_to_group(a, cert.subgroup)
     n = a.shape[0]
+    subgroup = group_closure(n, rows)
+    f = lift_to_group(a, subgroup)
     lhs = n * group_spectral(f)
     rhs = spectral_norm(a)
     obj = serial.function_to_obj(f, provenance={
-        "input": str(args.input), "subgroup_order": cert.subgroup.order,
+        "input": str(args.input), "subgroup_order": subgroup.order,
         "tool_version": __version__,
     })
+    # only the verdict: the two values' last bits depend on the BLAS kernel
     obj["lift_checks"] = {
-        "n_times_f_norm": lhs,
-        "matrix_spectral": rhs,
         "agree_1e8": bool(abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))),
     }
     if not args.quiet:
-        print(f"transitive subgroup of order {cert.subgroup.order}; "
+        print(f"transitive subgroup of order {subgroup.order}; "
               f"n||f|| = {lhs:.9g}, ||A|| = {rhs:.9g}")
     _write_out(serial.dumps(obj), args.out, args.quiet)
     return 0

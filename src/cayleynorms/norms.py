@@ -10,7 +10,8 @@ two upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error, K_G
 times the infinity-to-one norm).  Two-number inequality verdicts are `_check`'s
 (1e-9 of the larger side; a side that is not finite is a ValueError saying
 "overflows").  Every certified interval, the Grothendieck bracket and the
-uniformity epsilon alike, is a `Bracket`, whose ends `_check` orders.
+uniformity epsilon alike, is a `Bracket`, whose ends `_check` orders; so is
+the exact cut norm, a one-point Bracket witnessed by (row set, column set).
 Each solver has one private entry, `_exact_norms` for the enumeration and
 `_grothendieck_bm_stack` (one stack per matrix shape) for the ascent; a value
 computed there or in `spectral_norm` that overflows float64 is a ValueError.
@@ -155,15 +156,6 @@ _BLOCK_BYTES = 1 << 19
 # k * max|a| of an integer: a few roundings of how such matrices are built
 # (d / n, then 1 - d / n).
 _INTEGRAL_RTOL = 2.0 ** -50
-
-
-@dataclass(frozen=True)
-class CutNormResult:
-    """Exact cut norm together with a maximizing (row set, column set)."""
-
-    value: float
-    row_set: tuple[int, ...]
-    col_set: tuple[int, ...]
 
 
 def _enumeration_form(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -380,9 +372,10 @@ def _column_witness(c: np.ndarray) -> tuple[int, ...]:
 
 
 def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
-                 io1: bool = True) -> tuple[Optional[CutNormResult], Optional[float], bool]:
-    """The cut norm (if `cut`, else None) and the infinity-to-one norm (if
-    `io1`, else None) of a real matrix, and whether one enumeration gave both.
+                 io1: bool = True) -> tuple[Optional[Bracket], Optional[float], bool]:
+    """The cut norm (if `cut`, else None) as an exact `Bracket` whose witness
+    is (row set, column set), the infinity-to-one norm (if `io1`, else None)
+    of a real matrix, and whether one enumeration gave both.
 
     Each value is recomputed with math.fsum from its witness: the row set
     and its best column set, or x = 1 - 2 1_S and y the sign pattern of
@@ -401,7 +394,7 @@ def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
             f"{what} enumeration is capped at {EXACT_ENUM_LIMIT} rows (got {m}); "
             "use grothendieck_bounds for larger matrices"
         )
-    cut_result = CutNormResult(value=0.0, row_set=(), col_set=()) if cut else None
+    cut_result = Bracket(0.0, 0.0, True, ((), ())) if cut else None
     io1_value = 0.0 if io1 else None
     if a.size == 0:
         return cut_result, io1_value, False
@@ -414,7 +407,7 @@ def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
                 rows = _subset_key(mask, m)
                 cols = _column_witness(w[list(rows)].sum(axis=0))
                 value = abs(math.fsum(a[np.ix_(rows, cols)].ravel())) if rows and cols else 0.0
-                cut_result = CutNormResult(value=value, row_set=rows, col_set=cols)
+                cut_result = Bracket(value, value, True, (rows, cols))
             if io1:
                 if not one_pass:
                     _, first = _infty_one_signs(w)
@@ -427,8 +420,9 @@ def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
     return cut_result, io1_value, one_pass
 
 
-def cut_norm_exact(a: np.ndarray) -> CutNormResult:
-    """Exact cut norm: max over row/column subsets of |sum of the submatrix|.
+def cut_norm_exact(a: np.ndarray) -> Bracket:
+    """Exact cut norm: max over row/column subsets of |sum of the submatrix|,
+    as an exact `Bracket` whose witness is a maximizing (row set, column set).
 
     Enumerates the row subsets with split subset-sum tables; the inner column
     optimum is closed-form.  Ties are broken by the lexicographically
@@ -844,7 +838,7 @@ class NormReport:
     rows: int
     cols: int
     spectral: float
-    cut: Optional[CutNormResult]
+    cut: Optional[Bracket]
     infty_one: Optional[float]
     groth: Bracket
     bm_rank: int
@@ -1053,7 +1047,7 @@ def epsilon_uniformity(a: np.ndarray, d: Optional[float] = None) -> Bracket:
     if n <= EXACT_ENUM_LIMIT:
         cut = cut_norm_exact(counts)
         eps = cut.value / (d * n * n)
-        return Bracket(eps, eps, True, (cut.row_set, cut.col_set))
+        return Bracket(eps, eps, True, cut.witness)
     centered = center_regular(a, d)
     value, x, y = _sign_witness(centered, counts)
     witness = (tuple(np.flatnonzero(x < 0).tolist()), tuple(np.flatnonzero(y < 0).tolist()))

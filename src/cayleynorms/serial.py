@@ -418,8 +418,8 @@ def report_to_obj(report: NormReport, provenance: Optional[dict] = None) -> dict
         "spectral": report.spectral,
         "cut": None if cut is None else {
             "value": cut.value,
-            "row_set": list(cut.row_set),
-            "col_set": list(cut.col_set),
+            "row_set": list(cut.witness[0]),
+            "col_set": list(cut.witness[1]),
         },
         "infty_one": report.infty_one,
         "groth_lower": report.groth.lower,

@@ -138,16 +138,17 @@ def test_find_transitive_automorphisms_petersen():
     cert = find_transitive_automorphisms(petersen_graph().matrix)
     assert cert is not None
     a = petersen_graph().matrix
-    assert cert.perms.dtype == np.int64 and not cert.perms.flags.writeable
+    assert cert.dtype == np.int64 and not cert.flags.writeable
     # the targets 1, 2, 3 and 4 are each the smallest vertex that the earlier
     # rows do not send 0 to
-    assert cert.perms.tolist() == [[1, 0, 2, 3, 4, 7, 8, 5, 6, 9],
-                                   [2, 0, 1, 3, 5, 7, 9, 4, 6, 8],
-                                   [3, 0, 1, 2, 6, 8, 9, 4, 5, 7],
-                                   [4, 0, 5, 6, 1, 7, 8, 2, 3, 9]]
-    for img in cert.perms:
+    assert cert.tolist() == [[1, 0, 2, 3, 4, 7, 8, 5, 6, 9],
+                             [2, 0, 1, 3, 5, 7, 9, 4, 6, 8],
+                             [3, 0, 1, 2, 6, 8, 9, 4, 5, 7],
+                             [4, 0, 5, 6, 1, 7, 8, 2, 3, 9]]
+    for img in cert:
         assert np.array_equal(a[np.ix_(img, img)], a)
-    assert cert.subgroup.is_transitive() and cert.subgroup.order == 120
+    subgroup = group_closure(10, cert)
+    assert subgroup.is_transitive() and subgroup.order == 120
 
 
 def test_find_transitive_automorphisms_star_absent():
@@ -209,7 +210,7 @@ def test_certificate_is_lexicographically_first_per_vertex():
     for i in range(4):
         a[i, (i + 1) % 4] = a[i, (i - 1) % 4] = 1.0
     cert = find_transitive_automorphisms(a)
-    assert cert.perms.tolist() == [[1, 0, 3, 2], [2, 1, 0, 3]]
+    assert cert.tolist() == [[1, 0, 3, 2], [2, 1, 0, 3]]
 
 
 def test_right_translations_are_automorphisms():
@@ -226,12 +227,13 @@ def test_cayley_certificate_is_right_translation():
     g = dihedral_group(4)
     cert = cayley_certificate(g)
     a = cayley_from_set(g, [1, 3, 4])
-    for t, sigma in enumerate(cert.perms):
+    for t, sigma in enumerate(cert):
         assert sigma[0] == t
         assert np.array_equal(sigma, g.mul[:, t])
         assert np.array_equal(a[np.ix_(sigma, sigma)], a)
-    assert cert.subgroup.is_transitive()
-    assert cert.subgroup.order == 8
+    subgroup = group_closure(8, cert)
+    assert subgroup.is_transitive()
+    assert subgroup.order == 8
 
 
 def test_lift_cycle_rotations():
@@ -257,8 +259,9 @@ def test_lift_all_ones():
 def test_lift_petersen_counts_by_orbit_stabilizer():
     a = petersen_graph().matrix
     cert = find_transitive_automorphisms(a)
-    f = lift_to_group(a, cert.subgroup)
-    order = cert.subgroup.order
+    subgroup = group_closure(10, cert)
+    f = lift_to_group(a, subgroup)
+    order = subgroup.order
     assert float(f.values.sum()) == pytest.approx(3 * order / 10)
 
 
@@ -298,10 +301,11 @@ def test_lift_then_cayley_reproduces_matrix_under_regular_action():
     f = GroupFunction(g, rng.standard_normal(6))
     a = cayley_matrix(f)
     cert = cayley_certificate(g)
-    lifted = lift_to_group(a, cert.subgroup)
+    subgroup = group_closure(6, cert)
+    lifted = lift_to_group(a, subgroup)
     a2 = cayley_matrix(lifted)
     # relabel vertex i of the rebuilt matrix by where element i sends the base
-    relabel = cert.subgroup.elements[:, 0]
+    relabel = subgroup.elements[:, 0]
     assert np.array_equal(a2, a[np.ix_(relabel, relabel)])
 
 
@@ -392,7 +396,7 @@ def _reference_certificate(a):
 
 def _certificate(a):
     cert = find_transitive_automorphisms(a)
-    return None if cert is None else [tuple(p) for p in cert.perms.tolist()]
+    return None if cert is None else [tuple(p) for p in cert.tolist()]
 
 
 def _triangular8():
@@ -539,7 +543,7 @@ def _per_vertex_verdict(a):
     if n < 2:
         return True
     search = _Search(a)
-    # automorphism_to needs a target that the root colouring does not separate
+    # the root shortcut: no automorphism reaches a target the root colouring separates
     if np.any(search.root[0][:n] != search.root[0][0]):
         return False
     return all(search.automorphism_to(t) is not None for t in range(1, n))
@@ -553,11 +557,26 @@ def test_orbit_closure_agrees_with_the_full_search():
         verdicts[name] = cert is not None
         assert verdicts[name] == _per_vertex_verdict(a), name
         if cert is not None:
-            for p in cert.perms:
+            for p in cert:
                 assert np.array_equal(a[np.ix_(p, p)], a), name
-            assert _orbit_of_zero(cert.perms.tolist()) == set(range(max(n, 1))), name
+            assert _orbit_of_zero(cert.tolist()) == set(range(max(n, 1))), name
     assert sum(verdicts.values()) > 50 and len(verdicts) - sum(verdicts.values()) > 20
     assert verdicts["cycles(5, 5)"] and not verdicts["cycles(3, 4)"]
+
+
+def test_a_target_the_root_colouring_separates_has_no_automorphism():
+    # such a target is pruned at once; it raised IndexError before
+    separated = 0
+    for name, a in _transitivity_corpus():
+        n = a.shape[0]
+        if n < 2:
+            continue
+        search = _Search(a)
+        cls = search.root[0]
+        for t in np.flatnonzero(cls[:n] != cls[0]).tolist():
+            assert search.automorphism_to(t) is None, (name, t)
+            separated += 1
+    assert separated > 20
 
 
 def test_random_four_regular_refutations_are_fast():
@@ -575,7 +594,7 @@ def test_signed_zero_does_not_refute_a_cayley_matrix():
     a = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, -0.0]])
     cert = find_transitive_automorphisms(a)
     assert cert is not None
-    assert cert.perms.tolist() == [[1, 2, 0]]
+    assert cert.tolist() == [[1, 2, 0]]
     assert analyze(a).transitive is True
 
 

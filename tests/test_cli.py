@@ -7,7 +7,7 @@ import pytest
 
 from cayleynorms import GroupFunction, parse_group_spec, serial
 from cayleynorms.cli import main
-from cayleynorms.norms import default_bm_rank
+from cayleynorms.norms import default_bm_rank, spectral_norm
 
 
 def run(argv):
@@ -161,16 +161,16 @@ def test_lift_nontransitive_exits_one(tmp_path, capsys):
 
 
 # sha256 of `lift NAME.json --out lift.json --quiet`, run from the directory of
-# the input, since provenance records the path as given.  Same-machine pins:
-# the files' `lift_checks` are LAPACK values, which depend on the BLAS kernel
-# (under OPENBLAS_CORETYPE=Haswell the D4 graph's `matrix_spectral` reads
-# 3.0000000000000004, not 3), so these digests hold only under the kernel that
-# recorded them.  Subgroup orders: 26, 120 and 48.
+# the input, since provenance records the path as given.  Cross-machine pins:
+# a lift file holds matrix entries, the group closure and the `agree_1e8`
+# verdict, but no LAPACK value, so the same bytes come out under the default
+# and the forced Haswell, SandyBridge, Nehalem and Zen OpenBLAS kernels.
+# Subgroup orders: 26, 120 and 48.
 LIFT_SHA256 = {
-    ("paley", "13"): "eaf41fe9e772968b614d09a1a97b91c7eccab0e616a48e5ec8e140abf1e9cee5",
-    ("petersen",): "1bfe24227ac52e5b7b54b8de5011b07ef48d12a680cb48b5efdad12272a3380e",
+    ("paley", "13"): "2f65891328f72475aca2b84292eb1a2e7b5da2791232038ea9ee0bda8632a2a5",
+    ("petersen",): "c09112b27718435d29a65d96c5e6b061d00576210109dbecf74417e64c4b4277",
     ("cayley", "D4", "--set", "1,3,4"):
-        "807afacae98e8e0bcc014f0a40bcf6cdf7bdfdc5b1ab567ec21dbd70d31814eb",
+        "80a590f8f9824934f753bb8324380802e3932dfd9024c01d1e89d556f5c51763",
 }
 
 
@@ -213,10 +213,10 @@ def test_lift_of_paley_goes_through_fourier(p, tmp_path, monkeypatch):
     assert run(["construct", "paley", str(p), "--out", "p.json", "--quiet"]) == 0
     assert run(["lift", "p.json", "--out", "l.json", "--quiet"]) == 0
     assert run(["fourier", "l.json", "--out", "four.json", "--quiet"]) == 0
-    checks = serial.loads((tmp_path / "l.json").read_text())["lift_checks"]
+    a = serial.parse_matrix((tmp_path / "p.json").read_text())
     report = serial.loads((tmp_path / "four.json").read_text())
     assert report["order"] == 2 * p
-    want = checks["n_times_f_norm"] / p
+    want = spectral_norm(a) / p
     assert abs(report["spectral_via_irreps"] - want) <= 1e-12 * want
 
 

@@ -20,6 +20,7 @@ from cayleynorms import (
     cycle_graph,
     cyclic_group,
     dihedral_group,
+    find_transitive_automorphisms,
     function_norm,
     group_closure,
     paley_graph,
@@ -291,7 +292,10 @@ def test_permutation_inverse_and_validation():
 
 def test_permutation_rows_are_read_only_int64():
     group = group_closure(3, S3_GENS)
-    for rows in (group.generators, group.elements):
+    # for n < 2 the certificate is empty (0, n) rows, "transitive" as it is not None
+    small = [find_transitive_automorphisms(np.ones((n, n))) for n in (0, 1)]
+    assert [rows.shape for rows in small] == [(0, 0), (0, 1)]
+    for rows in (group.generators, group.elements, cayley_certificate(dihedral_group(4)), *small):
         assert rows.dtype == np.int64 and not rows.flags.writeable
     assert group.generators.tolist() == S3_GENS
 
@@ -351,7 +355,7 @@ def _closure_cases():
     yield "cycle12", _per_vertex_automorphisms(cycle_graph(12).matrix)
     d4 = dihedral_group(4)
     yield "D4{1,3,4}", _per_vertex_automorphisms(cayley_from_set(d4, [1, 3, 4]))
-    yield "D4 translations", cayley_certificate(d4).perms
+    yield "D4 translations", cayley_certificate(d4)
     rng = np.random.Generator(np.random.Philox(7))
     for k in range(20):
         d = int(rng.integers(2, 8))

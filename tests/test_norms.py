@@ -271,8 +271,8 @@ def test_cut_two_by_two_with_witness():
     res = cut_norm_exact(TWO)
     assert res.value == pytest.approx(_cut_brute(TWO))  # 16-case oracle
     assert res.value == pytest.approx(1.0)
-    assert res.row_set == (0,)
-    assert res.col_set == (0,)
+    assert res.witness[0] == (0,)
+    assert res.witness[1] == (0,)
 
 
 def test_cut_all_ones():
@@ -284,7 +284,7 @@ def test_cut_centered_complete_eight():
     res = cut_norm_exact(a)
     assert res.value == pytest.approx(2.0)  # max_k |k^2/8 - k| = 2
     assert res.value == pytest.approx(_cut_brute(a))
-    assert len(res.row_set) == 4
+    assert len(res.witness[0]) == 4
 
 
 def test_cut_matches_brute_force_random():
@@ -299,7 +299,7 @@ def test_cut_witness_attains_value():
     for _ in range(10):
         a = rng.standard_normal((6, 6))
         res = cut_norm_exact(a)
-        attained = abs(a[np.ix_(res.row_set, res.col_set)].sum())
+        attained = abs(a[np.ix_(*res.witness)].sum())
         assert attained == pytest.approx(res.value, rel=1e-12)
 
 
@@ -316,8 +316,8 @@ def test_cut_transpose_and_permutation_invariance():
 def test_cut_zero_matrix_witness_is_empty():
     res = cut_norm_exact(np.zeros((6, 4)))
     assert res.value == 0.0
-    assert res.row_set == ()
-    assert res.col_set == ()
+    assert res.witness[0] == ()
+    assert res.witness[1] == ()
 
 
 def test_cut_capacity_error(monkeypatch):
@@ -438,7 +438,7 @@ def test_cut_and_io1_match_fraction_oracle_on_integer_and_gaussian():
             res = cut_norm_exact(a)
             # the value is the witness sum, correctly rounded
             assert res.value == float(value)
-            assert (res.row_set, res.col_set) == witness
+            assert res.witness == witness
             assert infty_one_exact(a) == float(_io1_oracle(q))
 
 
@@ -451,7 +451,7 @@ def test_centered_graph_witness_is_lex_min_over_exact_ties():
         q = [[Fraction(int(v)) - Fraction(g.degree, g.n) for v in row] for row in g.matrix]
         value, witness = _cut_oracle(q)
         res = cut_norm_exact(a)
-        assert (res.row_set, res.col_set) == witness
+        assert res.witness == witness
         assert res.value == pytest.approx(float(value), rel=0, abs=g.n ** 2 * 2.0 ** -50)
         assert infty_one_exact(a) == pytest.approx(float(_io1_oracle(q)), rel=0,
                                                    abs=g.n ** 2 * 2.0 ** -50)
@@ -470,7 +470,7 @@ def test_centered_row_witness_is_lex_min_over_all_exact_ties():
         doubled = np.abs(c).sum(axis=1) + np.abs(c.sum(axis=1))
         tied = np.nonzero(doubled == doubled.max())[0]
         want = min(_key(int(s), g.n) for s in tied)
-        assert cut_norm_exact(center_regular(g.matrix, g.degree)).row_set == want
+        assert cut_norm_exact(center_regular(g.matrix, g.degree)).witness[0] == want
 
 
 def test_zero_margin_shortcut_equals_full_enumeration():
@@ -747,7 +747,7 @@ def test_cut_and_io1_beyond_one_table_block():
     witness = min((_key(int(s), m), _key(int(t), 3)) for s, t in zip(s_idx, t_idx))
     res = cut_norm_exact(a)
     assert res.value == best
-    assert (res.row_set, res.col_set) == witness
+    assert res.witness == witness
     signs = 1.0 - 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
     assert infty_one_exact(a) == np.abs(signs @ a).sum(axis=1).max()
     # float path on the same shape
@@ -760,7 +760,7 @@ def test_cut_and_io1_beyond_one_table_block():
 def test_cut_and_io1_single_row_and_wide():
     a = np.array([[3.0, -1.0, 2.0, 0.0]])
     res = cut_norm_exact(a)
-    assert (res.value, res.row_set, res.col_set) == (5.0, (0,), (0, 2))
+    assert (res.value, res.witness) == (5.0, ((0,), (0, 2)))
     assert infty_one_exact(a) == 6.0
     rng = np.random.Generator(np.random.Philox(93))
     wide = rng.integers(-2, 3, size=(3, 9)).astype(float)
@@ -772,7 +772,7 @@ def test_cut_and_io1_single_row_and_wide():
 def test_enumeration_empty_inputs_are_positive_zero():
     for shape in ((0, 3), (3, 0), (0, 0)):
         res = cut_norm_exact(np.zeros(shape))
-        assert (res.row_set, res.col_set) == ((), ())
+        assert res.witness == ((), ())
         assert math.copysign(1.0, res.value) == 1.0 and res.value == 0.0
         io1 = infty_one_exact(np.zeros(shape))
         assert math.copysign(1.0, io1) == 1.0 and io1 == 0.0
@@ -1413,7 +1413,7 @@ def test_analyze_without_rows_reports_zeros():
         report = analyze(np.zeros(shape))
         assert (report.rows, report.cols) == shape
         assert report.spectral == 0.0 and report.infty_one == 0.0
-        assert report.cut.value == 0.0 and report.cut.row_set == ()
+        assert report.cut.value == 0.0 and report.cut.witness[0] == ()
         assert report.groth.lower == 0.0 and report.groth.upper == 0.0
         assert report.all_passed
         assert report.work["infty_one_signs"] == 0

@@ -117,7 +117,7 @@ def test_exact_epsilon_is_the_correctly_rounded_discrepancy_of_its_witness(g):
     assert est.value == dev / (g.degree * g.n ** 2)
     # n A - d J keeps the lex-first witness of A - (d/n) J
     cut = cut_norm_exact(center_regular(g.matrix, g.degree))
-    assert est.witness == (cut.row_set, cut.col_set)
+    assert est.witness == cut.witness
 
 
 def test_exact_epsilon_of_complete9_is_5_over_162():
@@ -261,7 +261,12 @@ def test_every_interval_producer_returns_a_bracket():
     cfg = BMConfig(restarts=2)
     groth = grothendieck_bounds(a, cfg)
     assert isinstance(groth, Bracket) and not groth.exact and groth.witness is None
-    assert analyze(a, cfg).groth == groth
+    cut = cut_norm_exact(a)
+    assert isinstance(cut, Bracket) and cut.exact and cut.lower == cut.upper == cut.value
+    rows, cols = cut.witness
+    assert cut.value == abs(a[np.ix_(rows, cols)].sum())
+    report = analyze(a, cfg)
+    assert report.groth == groth and report.cut == cut
     g = paley_graph(13)
     exact = epsilon_uniformity(g.matrix, g.degree)
     assert isinstance(exact, Bracket) and exact.exact and exact.witness is not None
