@@ -4,10 +4,16 @@ Spectral norm and symmetric spectra: LAPACK through numpy (svd, eigvalsh);
 the dense norm of a Cayley matrix from eigvalsh of its Gram matrix.
 Cut and infinity-to-one norms, and the mixing-lemma check: exact subset
 enumeration (capped at EXACT_ENUM_LIMIT = 26 rows), with the inner optimum in
-closed form.  Grothendieck norm: bracketed, by `_bracket` alone, between a
-low-rank block-coordinate ascent (a feasible lower bound) and the cheaper of
-two upper bounds (sqrt(mn)||A|| inflated by the SVD's backward error, K_G
-times the infinity-to-one norm).  Two-number inequality verdicts are `_check`'s
+closed form.  Grothendieck norm: bracketed, by `_bracket` alone, between
+proved lower bounds and the cheaper of two upper bounds (sqrt(mn)||A||
+inflated by the SVD's backward error, K_G times the infinity-to-one norm).
+The lower terms are the infinity-to-one norm and the objectives of unit
+vectors, deflated by `_objective_lower` by a bound on their float
+evaluation error: first the singular-subspace witness (the normalized rows
+of the top singular subspaces, from one SVD), which reaches n ||A|| =
+||A||_G on a vertex-transitive matrix, the paper's corollary; then, only
+while the bracket is wider than the ascent's own tolerance _BM_TOL, a
+low-rank block-coordinate ascent.  Two-number inequality verdicts are `_check`'s
 (1e-9 of the larger side; a side that is not finite is a ValueError saying
 "overflows").  Every certified interval, the Grothendieck bracket and the
 uniformity epsilon alike, is a `Bracket`, whose ends `_check` orders; so is
@@ -691,30 +697,144 @@ def grothendieck_bm(a: np.ndarray, cfg: Optional[BMConfig] = None) -> tuple[floa
     return _grothendieck_bm_stack([a], cfg)[0]
 
 
-def _bracket(m: int, n: int, spectral: float, bm: float,
-             io1: Optional[float]) -> Bracket:
-    """The bracket of `grothendieck_bounds` from computed norms (io1 None: not run)."""
-    lower, upper = bm, _spectral_upper(spectral, m, n)
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a / 2^e, e) with max|a| / 2^e in [1/2, 1), as `_grothendieck_bm_stack`
+    scales, for a nonzero finite real matrix; the scaling is exact."""
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e
+
+
+def _objective_lower(b: np.ndarray, e: int, x: np.ndarray,
+                     y: np.ndarray) -> tuple[float, float]:
+    """A proved lower bound on ||2^e b||_G from the rows of x (m x t) and y
+    (n x t), and their float objective, both scaled back by 2^e; b is a
+    matrix from `_scaled`.
+
+    F = sum_i <x_i, (b y)_i> is evaluated as F_hat: b y by BLAS, then each
+    row's dot product and their sum.  With u = 2^-53, k = m + n + t, X and Y
+    the largest exact row norms and S = sum |b_ij| >= 1/2:
+    - every product b_ij y_jk x_ik passes through at most k roundings, in
+      any summation order and with or without FMA (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, section 3.1), so |F_hat - F| <=
+      gamma_k S X Y, plus at most 2^-1074 for each of the m t (n + 1)
+      products that underflows;
+    - the rows divided by X and Y lie in the unit ball, so ||b||_G >=
+      |F| / (X Y);
+    - X^2 <= (s_x + t 2^-1074) / (1 - gamma_t) for the largest squared row
+      norm s_x as computed, likewise Y^2, and S <= S_hat / (1 - gamma_{mn})
+      for its float sum S_hat.
+    The bound is q (1 - (t + 8) u) - (k + 2) u (1 + 4 m n u) S_hat for the
+    float quotient q = |F_hat| / sqrt(s_x s_y), evaluated in float64, or 0
+    when it is negative or s_x or s_y is below 2^-900 (a zero row contributes
+    nothing).  The first factor covers gamma_t, the three roundings of q and
+    the two of the product and the difference, so the first term stays at
+    most |F_hat| / (X Y).  The second term is at least gamma_k S after its
+    own three roundings while k^2 u < 1 and m n u < 1/4, and its spare 2 u
+    S_hat >= u covers the underflow terms, below 2^-170 relative once s_x,
+    s_y >= 2^-900.  Scaling back by 2^e is exact unless the result is
+    subnormal, where one step down undoes the rounding.  A value that
+    overflows float64 is a ValueError.
+    """
+    m, n = b.shape
+    t = x.shape[1]
+    value = float(np.add.reduce(np.add.reduce((b @ y) * x, axis=1)))
+    sx, sy = (float(np.add.reduce(v * v, axis=1).max()) for v in (x, y))
+    lower = 0.0
+    if min(sx, sy) >= 2.0 ** -900:
+        total = float(np.add.reduce(np.abs(b), axis=None))
+        lower = max(0.0, abs(value) / math.sqrt(sx * sy) * (1.0 - (t + 8) * 2.0 ** -53)
+                    - (m + n + t + 2) * 2.0 ** -53 * (1.0 + m * n * 2.0 ** -51) * total)
+    try:
+        lower, value = math.ldexp(lower, e), math.ldexp(value, e)
+    except OverflowError:
+        raise ValueError("the Grothendieck lower end overflows: it exceeds the "
+                         "float64 range") from None
+    if 0.0 < lower < 2.0 ** -1022:
+        lower = math.nextafter(lower, 0.0)
+    return lower, value
+
+
+# The witness counts every singular value within this relative band of
+# sigma_1 as a copy of it, far wider than the spread that rounding gives a
+# repeated singular value (a few max(m, n) eps).  A wrong count weakens the
+# bound but never breaks it.
+_SUBSPACE_BAND = 2.0 ** -26
+
+
+def _subspace_witness(a: np.ndarray) -> tuple[float, VectorAssignment]:
+    """The singular-subspace witness of a nonzero real matrix: its
+    `_objective_lower` and its vectors.
+
+    From one SVD of a / 2^e, U and V (m x t and n x t) span the left and
+    right singular subspaces of sigma_1, of multiplicity t; x_i = U_i /
+    ||U_i|| and y_j = V_j / ||V_j||, and a zero row stays zero.  These are
+    unit vectors for every matrix.  If a is vertex-transitive, U U^T commutes
+    with every automorphism, so its diagonal is t / n, likewise V V^T's, and
+    the objective is (n / t) tr(U^T a V) = n sigma_1 = ||a||_G (the paper's
+    corollary, with its witness).
+    """
+    b, e = _scaled(a)
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
+    t = int(np.count_nonzero(s >= s[0] * (1.0 - _SUBSPACE_BAND)))
+    x, y = u[:, :t], vt[:t].T
+    rx, ry = (np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True)) for w in (x, y))
+    x = np.divide(x, rx, out=np.zeros_like(x), where=rx > 0.0)
+    y = np.divide(y, ry, out=np.zeros_like(y), where=ry > 0.0)
+    lower, objective = _objective_lower(b, e, x, y)
+    return lower, VectorAssignment(left=x, right=y, objective=objective)
+
+
+def _bracket(a: np.ndarray, spectral: float, io1: Optional[float], cfg: BMConfig,
+             timings: dict[str, float]) -> tuple[Bracket, VectorAssignment, bool]:
+    """The bracket of `grothendieck_bounds` from computed norms (io1 None: not
+    run), the vectors behind its lower terms, and whether the ascent ran.
+
+    upper = min(`_spectral_upper`, K_G * io1); lower = max(io1, the
+    singular-subspace witness's `_objective_lower`).  When the relative gap
+    upper / lower - 1 is then at most _BM_TOL, the ascent's own stopping
+    tolerance, the ascent is skipped and the witness vectors are returned;
+    otherwise the ascent's vectors, through the same `_objective_lower`, are
+    one more lower term.  The witness and the ascent record their seconds in
+    `timings` under "witness" and "bm".
+    """
+    m, n = a.shape
+    upper = _spectral_upper(spectral, m, n)
+    lower = 0.0
     if io1 is not None:
-        lower, upper = max(lower, io1), min(upper, K_G * io1)
-    return Bracket(lower, upper)
+        lower, upper = io1, min(upper, K_G * io1)
+    nonzero = bool(np.any(a))
+    if nonzero:
+        t0 = time.perf_counter()
+        witness_lower, witness = _subspace_witness(a)
+        timings["witness"] = time.perf_counter() - t0
+        lower = max(lower, witness_lower)
+        if lower > 0.0 and upper / lower - 1.0 <= _BM_TOL:
+            return Bracket(lower, upper), witness, False
+    t0 = time.perf_counter()
+    _, assignment = grothendieck_bm(a, cfg)
+    timings["bm"] = time.perf_counter() - t0
+    if nonzero:
+        lower = max(lower, _objective_lower(*_scaled(a), assignment.left, assignment.right)[0])
+    return Bracket(lower, upper), assignment, True
 
 
 def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> Bracket:
     """A certified `Bracket` [lower, upper] for the Grothendieck norm.
 
-    lower = max(ascent value, exact infinity-to-one norm when feasible);
-    upper = min(`_spectral_upper`, K_G * infinity-to-one), the second only
-    when the exact enumeration is feasible.  A cut-norm term 8 cut would
-    never be the minimum, since K_G io1 <= 4 K_G cut < 8 cut.  `analyze` and
-    the `factor4` verify suite get theirs from the same rule, `_bracket`.  An
-    upper end that overflows float64 is a ValueError.
+    lower = max(exact infinity-to-one norm when feasible, the proved lower
+    bound of the singular-subspace witness, and of the ascent's vectors when
+    the ascent runs); upper = min(`_spectral_upper`, K_G * infinity-to-one),
+    the second only when the exact enumeration is feasible.  A cut-norm term
+    8 cut would never be the minimum, since K_G io1 <= 4 K_G cut < 8 cut.
+    The ascent runs only when the other terms leave a relative gap above
+    _BM_TOL; on a vertex-transitive matrix the witness alone closes it.
+    `analyze` and the `factor4` verify suite get theirs from the same rule,
+    `_bracket`.  An end that overflows float64 is a ValueError.
     """
     a = _real_matrix(a, "grothendieck_bounds")
     m, n = a.shape
-    bm, _ = grothendieck_bm(a, cfg)
     io1 = infty_one_exact(a) if m <= EXACT_ENUM_LIMIT else None
-    return _bracket(m, n, spectral_norm(a), bm, io1)
+    return _bracket(a, spectral_norm(a), io1, cfg or BMConfig(), {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +1009,10 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
 
     Capacity misses (cut and infinity-to-one above EXACT_ENUM_LIMIT rows,
     transitivity above the search limit) are recorded as notes rather than
-    raised, so a report is always produced.  Complex or non-finite input is
+    raised, so a report is always produced.  The Grothendieck bracket is
+    `_bracket`'s; when it closes without the ascent, the assignment is the
+    singular-subspace witness, work["bm_restarts"] is 0 and a note says which
+    term set the lower end, while bm_rank and bm_restarts still echo `cfg`.  Complex or non-finite input is
     a ValueError; a matrix without rows or columns gets a report of zeros.
     """
     a = _real_matrix(a, "analyze")
@@ -915,14 +1038,18 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     except CapacityError as exc:
         notes.append(str(exc))
 
-    t0 = time.perf_counter()
-    bm_value, assignment = grothendieck_bm(a, cfg)
-    timings["bm"] = time.perf_counter() - t0
-    k = assignment.left.shape[1]
+    groth, assignment, ascended = _bracket(a, spectral, io1, cfg, timings)
+    k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
     work["bm_rank"] = k
-    work["bm_restarts"] = cfg.restarts
-
-    groth = _bracket(m, n, spectral, bm_value, io1)
+    work["bm_restarts"] = cfg.restarts if ascended else 0
+    if not ascended:
+        source = ("the infinity-to-one norm" if groth.lower == io1
+                  else "the singular-subspace witness")
+        notes.append(
+            f"ascent skipped: {source} set the lower end within {_BM_TOL:g} relative "
+            f"of the upper end; the witness is the top singular subspace, "
+            f"width {assignment.left.shape[1]}"
+        )
 
     transitive = None
     if m == n and n <= AUTOMORPHISM_SEARCH_LIMIT:

@@ -1,8 +1,9 @@
 """Named verification suites: every headline identity and inequality,
 checked end to end on concrete families.  Inequalities are decided by
-`norms._check` and the factor-4 bracket is `grothendieck_bounds`' certified
-`Bracket`; ascent reach, Fourier errors and random-sign matrices have fixed
-budgets.
+`norms._check`, the factor-4 bracket is `grothendieck_bounds`' certified
+`Bracket`, and the Grothendieck equality on transitive graphs rests on the
+proved lower end of the singular-subspace witness; Fourier errors and the
+ascent on random-sign matrices have fixed budgets.
 
 Each suite returns a list of SuiteCheck records; `run_suite` dispatches by
 name (with or without a "-suite" suffix).  The suites are what the CLI
@@ -28,7 +29,7 @@ from .groups import GroupFunction, convolve, cyclic_group, dihedral_group, \
     parse_group_spec, symmetric_group
 from .norms import K_G, BMConfig, cut_norm_exact, grothendieck_bounds, group_spectral, \
     infty_one_exact, mixing_lemma_check, second_eigenvalue, spectral_norm, theorem3_check, \
-    translate_witness, _check as _inequality, _grothendieck_bm_stack
+    translate_witness, _check as _inequality, _grothendieck_bm_stack, _subspace_witness
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,16 @@ def suite_sandwich() -> list[SuiteCheck]:
 
 
 def suite_grothendieck() -> list[SuiteCheck]:
-    """Ascent reaches n||A|| on centered transitive graphs, pinning ||A||_G."""
-    cfg = BMConfig(rank=16, restarts=8, seed=0)
-    graphs = [(name, g.n, center_regular(g.matrix, g.degree))
-              for name, g, _ in transitive_suite_graphs()]
-    ascents = _grothendieck_bm_stack([ac for _, _, ac in graphs], cfg)
+    """The singular-subspace witness proves ||A||_G >= (1 - 1e-12) n||A|| on
+    centered transitive graphs; with the upper bound n||A|| this pins ||A||_G."""
     out = []
-    for (name, n, ac), (val, _) in zip(graphs, ascents):
-        ns = n * spectral_norm(ac)
-        ok = val >= (1.0 - 1e-6) * ns
+    for name, g, _ in transitive_suite_graphs():
+        ac = center_regular(g.matrix, g.degree)
+        ns = g.n * spectral_norm(ac)
+        lower, _ = _subspace_witness(ac)
         out.append(_check(
-            f"grothendieck:{name}", ok,
-            f"bm={val:.9g} n||A||={ns:.9g} relgap={(ns - val) / ns if ns else 0:.2e}",
+            f"grothendieck:{name}", lower >= (1.0 - 1e-12) * ns,
+            f"lower={lower:.9g} n||A||={ns:.9g} relgap={(ns - lower) / ns if ns else 0:.2e}",
         ))
     return out
 

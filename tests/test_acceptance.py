@@ -34,9 +34,10 @@ def test_criterion_1_cut_spectral_sandwich():
 
 
 def test_criterion_2_grothendieck_equality():
-    # ascent with rank 16 >= 8, 8 restarts, 500 sweeps reaches
-    # (1 - 1e-6) n||A||; with the upper bound n||A|| this pins the
-    # Grothendieck norm of every centered transitive matrix
+    # the singular-subspace witness, deflated by its float evaluation error,
+    # proves ||A||_G >= (1 - 1e-12) n||A||; with the upper bound n||A|| this
+    # pins the Grothendieck norm of every centered transitive matrix (the
+    # ascent's reach of (1 - 1e-6) n||A|| is a test in test_norms.py)
     _run("criterion 2 (Grothendieck equality)", "grothendieck", 120.0)
 
 
@@ -48,7 +49,7 @@ def test_criterion_3_factor_four_tightness():
 
 def test_factor4_bracket_is_ordered():
     # the suite's bracket is grothendieck_bounds', so its upper end is the
-    # certified (inflated) 2 ||A|| and never falls below the ascent value
+    # certified (inflated) 2 ||A|| and its lower end is proved, never above 4
     (check,) = [c for c in verify.suite_factor4() if c.name == "factor4:bracket"]
     lower, upper = map(float, check.detail.removeprefix("bracket=[").rstrip("]").split(", "))
     assert lower <= upper

@@ -1185,6 +1185,119 @@ def test_bounds_tight_on_vertex_transitive():
 
 
 # ---------------------------------------------------------------------------
+# The singular-subspace witness, and the ascent it makes unnecessary on
+# vertex-transitive input
+
+
+def _dyadic(v):
+    """The entries of a float array as Python ints N and one shift s, v = N 2^s."""
+    mant, ex = np.frexp(np.asarray(v, dtype=np.float64))
+    shift = int(ex.min()) - 53
+    ints = (mant * 2.0 ** 53).astype(np.int64)
+    out = np.empty(ints.shape, dtype=object)
+    out.flat[:] = [int(i) << (int(x) - 53 - shift) for i, x in zip(ints.flat, ex.flat)]
+    return out, shift
+
+
+def _proved_by(a, lower, x, y) -> bool:
+    """Whether lower <= |F| / (X Y) in exact arithmetic, for the objective F of
+    the rows of x and y on a, and X, Y their largest row norms."""
+    (aa, sa), (xx, sx), (yy, sy) = _dyadic(a), _dyadic(x), _dyadic(y)
+    f = Fraction(int(((aa @ yy) * xx).sum())) * Fraction(2) ** (sa + sx + sy)
+    nx = Fraction(int((xx * xx).sum(axis=1).max())) * Fraction(2) ** (2 * sx)
+    ny = Fraction(int((yy * yy).sum(axis=1).max())) * Fraction(2) ** (2 * sy)
+    return lower >= 0.0 and Fraction(lower) ** 2 * nx * ny <= f * f
+
+
+def _no_ascent(*args, **kwargs):
+    raise AssertionError("the Grothendieck ascent ran")
+
+
+@pytest.mark.parametrize("g", [paley_graph(13), paley_graph(17), paley_graph(29),
+                               paley_graph(37), cycle_graph(20), petersen_graph()],
+                         ids=["paley13", "paley17", "paley29", "paley37", "cycle20",
+                              "petersen"])
+def test_transitive_input_closes_the_bracket_without_the_ascent(g, monkeypatch):
+    monkeypatch.setattr(norms, "_grothendieck_bm_stack", _no_ascent)
+    a = center_regular(g.matrix, g.degree)
+    report = analyze(a)
+    assert report.work["bm_restarts"] == 0
+    # the report still echoes the configuration
+    assert report.bm_restarts == 8 and report.bm_rank == default_bm_rank(g.n, g.n)
+    assert report.work["bm_rank"] == report.bm_rank
+    assert report.groth.upper / report.groth.lower - 1 <= norms._BM_TOL
+    assert sum("ascent skipped" in note for note in report.notes) == 1
+    assert report.transitive is True and report.all_passed
+    assert report.assignment.objective == pytest.approx(g.n * report.spectral, rel=1e-12)
+    bracket = grothendieck_bounds(a)
+    assert bracket.upper / bracket.lower - 1 <= norms._BM_TOL
+
+
+def test_non_transitive_input_still_ascends():
+    for a in (center_regular(example1_graph(6, 20, seed=2).matrix, 6),
+              np.random.Generator(np.random.Philox(65)).standard_normal((20, 20))):
+        report = analyze(a)
+        assert report.work["bm_restarts"] == 8
+        assert report.assignment.left.shape[1] == default_bm_rank(20, 20)
+        assert not any("ascent skipped" in note for note in report.notes)
+        # the ascent's value goes into the bracket deflated, never raised
+        value, _ = grothendieck_bm(a)
+        assert value * (1 - 1e-12) <= report.groth.lower <= value
+
+
+def test_witness_bracket_edge_cases():
+    rotation = np.linalg.qr(np.random.Generator(np.random.Philox(66)).standard_normal((3, 3)))[0]
+    cases = [
+        # a zero row and a zero column
+        (np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]), Fraction(4)),
+        (np.array([[3.0, -1.5, 0.0, 2.0]]), Fraction(13, 2)),
+        (np.array([[3.0], [-1.5], [0.0], [2.0]]), Fraction(13, 2)),
+        (np.zeros((0, 0)), Fraction(0)),
+        (1e-300 * TWO, 4 * Fraction(1e-300)),
+        (3e307 * TWO, 4 * Fraction(3e307)),
+        # two top singular values 1e-12 apart: the witness takes both
+        (np.diag([1.0, 1.0 - 1e-12]), 1 + Fraction(1.0 - 1e-12)),
+        (rotation @ np.diag([1.0, 1.0 - 1e-12, 0.25]) @ rotation.T, None),
+    ]
+    for a, exact in cases:
+        bracket = grothendieck_bounds(a)
+        assert bracket.lower <= bracket.upper
+        if exact is not None:
+            assert Fraction(bracket.lower) <= exact <= Fraction(bracket.upper)
+        if a.any():
+            lower, witness = norms._subspace_witness(a)
+            assert lower <= bracket.lower and _proved_by(a, lower, witness.left, witness.right)
+            if exact is not None:
+                assert Fraction(lower) <= exact
+    # a zero row stays zero in the witness
+    _, witness = norms._subspace_witness(cases[0][0])
+    assert not witness.left[2].any() and not witness.right[2].any()
+    for a, _ in cases[-2:]:
+        assert norms._subspace_witness(a)[1].left.shape[1] == 2
+
+
+def test_lower_ends_lie_below_their_own_vectors_exact_objective():
+    # the singular-subspace witness and the ascent, each through
+    # _objective_lower, against the exact objective of the same vectors
+    mats = [center_regular(g.matrix, g.degree) for _, g, _ in verify.transitive_suite_graphs()]
+    mats += [center_regular(paley_graph(p).matrix, (p - 1) // 2) for p in (13, 17, 29, 37)]
+    for a in mats:
+        lower, witness = norms._subspace_witness(a)
+        assert _proved_by(a, lower, witness.left, witness.right)
+        _, ascent = grothendieck_bm(a)
+        lower, _ = norms._objective_lower(*norms._scaled(a), ascent.left, ascent.right)
+        assert _proved_by(a, lower, ascent.left, ascent.right)
+
+
+def test_factor4_lower_end_is_at_most_four():
+    # the ascent's float objective read 4.000000000000001; ||TWO||_G is 4
+    bracket = grothendieck_bounds(TWO, BMConfig(rank=4, restarts=8, seed=0))
+    assert bracket.lower <= 4.0 <= bracket.upper
+    _, ascent = grothendieck_bm(TWO, BMConfig(rank=4, restarts=8, seed=0))
+    assert norms._objective_lower(*norms._scaled(TWO), ascent.left, ascent.right)[0] <= 4.0
+
+
+# ---------------------------------------------------------------------------
 # group-function norms and witnesses
 
 
@@ -1498,8 +1611,25 @@ def _fourier_spectral_loop(spec):
                          f"max rel err {spec_err:.2e}")
 
 
+def test_stacked_ascent_reaches_n_spectral_on_every_suite_graph():
+    # the rank-16, 8-restart ascent, stacked, reaches (1 - 1e-6) n||A|| on
+    # every suite graph, line for line as its per-matrix loop does
+    cfg = BMConfig(rank=16, restarts=8, seed=0)
+    graphs = [(name, g.n, center_regular(g.matrix, g.degree))
+              for name, g, _ in verify.transitive_suite_graphs()]
+    checks = []
+    for (name, n, ac), (val, _) in zip(
+            graphs, norms._grothendieck_bm_stack([ac for _, _, ac in graphs], cfg)):
+        ns = n * spectral_norm(ac)
+        checks.append(verify._check(
+            f"grothendieck:{name}", val >= (1.0 - 1e-6) * ns,
+            f"bm={val:.9g} n||A||={ns:.9g} relgap={(ns - val) / ns if ns else 0:.2e}",
+        ))
+    assert checks == _suite_grothendieck_loop()
+    assert all(c.passed for c in checks)
+
+
 def test_stacked_suites_equal_their_per_matrix_loops():
-    assert verify.suite_grothendieck() == _suite_grothendieck_loop()
     assert verify.suite_random_sign() == _suite_random_sign_loop()
     assert verify.suite_abelian() == _suite_abelian_loop()
     checks = {c.name: c for c in verify.suite_fourier()}
