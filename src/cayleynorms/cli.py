@@ -238,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "rank": dict(type=int, default=None,
                      help="rank for the Grothendieck ascent (default: auto)"),
         "restarts": dict(type=int, default=BMConfig.restarts,
-                         help="restarts for the Grothendieck ascent"),
+                         help="restarts for the Grothendieck ascent: at most this many; "
+                              "restart 0 alone when its dual proves the bracket within 1e-4"),
     }
     parser = argparse.ArgumentParser(
         prog="cayleynorms",

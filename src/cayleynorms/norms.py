@@ -5,15 +5,20 @@ the dense norm of a Cayley matrix from eigvalsh of its Gram matrix.
 Cut and infinity-to-one norms, and the mixing-lemma check: exact subset
 enumeration (capped at EXACT_ENUM_LIMIT = 26 rows), with the inner optimum in
 closed form.  Grothendieck norm: bracketed, by `_bracket` alone, between
-proved lower bounds and the cheaper of two upper bounds (sqrt(mn)||A||
-inflated by the SVD's backward error, K_G times the infinity-to-one norm).
-The lower terms are the infinity-to-one norm and the objectives of unit
-vectors, deflated by `_objective_lower` by a bound on their float
-evaluation error: first the singular-subspace witness (the normalized rows
-of the top singular subspaces, from one SVD), which reaches n ||A|| =
-||A||_G on a vertex-transitive matrix, the paper's corollary; then, only
-while the bracket is wider than the ascent's own tolerance _BM_TOL, a
-low-rank block-coordinate ascent.  Two-number inequality verdicts are `_check`'s
+proved lower bounds and the cheapest of three upper bounds (sqrt(mn)||A||
+inflated by the SVD's backward error, K_G times the infinity-to-one norm,
+and the ascent's dual certificate).  The lower terms are the
+infinity-to-one norm, rounded toward zero where its recount rounded up, and
+the objectives of unit vectors, deflated by `_objective_lower` by a bound
+on their float evaluation error: first the singular-subspace witness (the
+normalized rows of the top singular subspaces, from one SVD), which
+reaches n ||A|| = ||A||_G on a vertex-transitive matrix, the paper's
+corollary; then, only while the bracket is wider than the ascent's own
+tolerance _BM_TOL, a low-rank block-coordinate ascent.  Its restart 0 runs
+alone, and its vectors also give the dual certificate `_dual_upper`, an
+upper bound by weak duality for the SDP whose value is ||A||_G; the other
+restarts run only when that leaves the bracket wider than _DUAL_TARGET =
+1e-4 relative.  Two-number inequality verdicts are `_check`'s
 (1e-9 of the larger side; a side that is not finite is a ValueError saying
 "overflows").  Every certified interval, the Grothendieck bracket and the
 uniformity epsilon alike, is a `Bracket`, whose ends `_check` orders; so is
@@ -52,7 +57,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -116,6 +121,23 @@ def _spectral_upper(spectral: float, m: int, n: int) -> float:
     sigma_hat = `spectral`: sqrt(mn) sigma_hat inflated by the SVD's error."""
     slack = _SVD_ERROR_PER_DIM * max(m, n) * float(np.finfo(np.float64).eps)
     return math.sqrt(m * n) * spectral * (1.0 + slack)
+
+
+def _eigenvalue_lower(mat: np.ndarray) -> float:
+    """A lower bound on the smallest eigenvalue of a symmetric N x N matrix.
+
+    LAPACK's eigvalsh is backward stable in the same sense as the SVD, so by
+    Weyl's inequality lambda_min >= lambda_hat - p(N) eps ||M||_2.  We take
+    the same assumed p = 8 N as `_spectral_upper`, whose slack also covers
+    the two roundings of the product and the difference, with ||M||_2 <=
+    ||M||_F and the float ||M||_F inflated by (1 + 2 (N^2 + 2) eps), which
+    covers its sum of squares in any order and its square root.
+    """
+    nn = mat.shape[0]
+    eps = float(np.finfo(np.float64).eps)
+    lam = float(np.linalg.eigvalsh(mat)[0])
+    fro = float(np.linalg.norm(mat)) * (1.0 + 2 * (nn * nn + 2) * eps)
+    return lam - _SVD_ERROR_PER_DIM * nn * eps * fro
 
 
 def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
@@ -378,10 +400,12 @@ def _column_witness(c: np.ndarray) -> tuple[int, ...]:
 
 
 def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
-                 io1: bool = True) -> tuple[Optional[Bracket], Optional[float], bool]:
+                 io1: bool = True,
+                 ) -> tuple[Optional[Bracket], Optional[float], Optional[float], bool]:
     """The cut norm (if `cut`, else None) as an exact `Bracket` whose witness
     is (row set, column set), the infinity-to-one norm (if `io1`, else None)
-    of a real matrix, and whether one enumeration gave both.
+    of a real matrix, the same rounded toward zero where its recount rounded
+    up (a proved lower bound), and whether one enumeration gave both.
 
     Each value is recomputed with math.fsum from its witness: the row set
     and its best column set, or x = 1 - 2 1_S and y the sign pattern of
@@ -401,9 +425,9 @@ def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
             "use grothendieck_bounds for larger matrices"
         )
     cut_result = Bracket(0.0, 0.0, True, ((), ())) if cut else None
-    io1_value = 0.0 if io1 else None
+    io1_value = io1_lower = 0.0 if io1 else None
     if a.size == 0:
-        return cut_result, io1_value, False
+        return cut_result, io1_value, io1_lower, False
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             w, zero_margins = _enumeration_form(a)
@@ -419,11 +443,16 @@ def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
                     _, first = _infty_one_signs(w)
                 x = 1 - 2 * ((first >> np.arange(m)) & 1)
                 y = np.where(x @ w < 0, -1, 1)
-                io1_value = abs(math.fsum((a * np.outer(x, y)).ravel()))
+                terms = (a * np.outer(x, y)).ravel()
+                total = math.fsum(terms)
+                io1_value = io1_lower = abs(total)
+                # fsum rounds to nearest: step toward zero where that rounded up
+                if math.fsum(np.append(terms if total >= 0.0 else -terms, -io1_value)) < 0.0:
+                    io1_lower = math.nextafter(io1_value, 0.0)
     except OverflowError:
         raise ValueError(f"{what} enumeration overflows: a sum of entries exceeds "
                          "the float64 range") from None
-    return cut_result, io1_value, one_pass
+    return cut_result, io1_value, io1_lower, one_pass
 
 
 def cut_norm_exact(a: np.ndarray) -> Bracket:
@@ -467,7 +496,10 @@ class BMConfig:
 
     ``rank=None`` selects min(m+n, ceil(sqrt(2(m+n))) + 2); rank >= m+n
     realizes the full Grothendieck norm, smaller ranks target the
-    intermediate rank-k norms.
+    intermediate rank-k norms.  ``grothendieck_bm`` runs all ``restarts``;
+    in `grothendieck_bounds` and `analyze` they are a cap: restart 0 runs
+    alone, and all of them only when its dual certificate leaves the
+    bracket wider than 1e-4 relative.
     """
 
     rank: Optional[int] = None
@@ -784,57 +816,147 @@ def _subspace_witness(a: np.ndarray) -> tuple[float, VectorAssignment]:
     return lower, VectorAssignment(left=x, right=y, objective=objective)
 
 
-def _bracket(a: np.ndarray, spectral: float, io1: Optional[float], cfg: BMConfig,
-             timings: dict[str, float]) -> tuple[Bracket, VectorAssignment, bool]:
-    """The bracket of `grothendieck_bounds` from computed norms (io1 None: not
-    run), the vectors behind its lower terms, and whether the ascent ran.
+def _dual_upper(b: np.ndarray, e: int, x: np.ndarray, y: np.ndarray) -> float:
+    """A proved upper bound on ||2^e b||_G from the rows of x (m x k) and y
+    (n x k), by weak duality; b is a matrix from `_scaled`.
 
-    upper = min(`_spectral_upper`, K_G * io1); lower = max(io1, the
+    ||b||_G is the largest <B', X> over positive semidefinite X with unit
+    diagonal, for B' = [[0, b], [b^T, 0]] / 2, so every w in R^(m+n) gives
+    ||b||_G <= sum w + (m + n) max(0, -lambda_min(diag w - B')).  The ascent's
+    stationary point gives the multipliers w_i = ||(b y)_i|| / 2 and
+    w_(m+j) = ||(b^T x)_j|| / 2, at which diag w - B' is positive
+    semidefinite and sum w is the objective (Burer & Monteiro 2003).  With w
+    as computed, M = diag(2w) - [[0, b], [b^T, 0]] is formed exactly, so
+    lambda_min(diag w - B') = lambda_min(M) / 2, bounded below by
+    `_eigenvalue_lower`.  The float sum of the two terms passes through three
+    roundings of non-negative values, each of at most u = 2^-53 relative,
+    and the factor 1 + 8u rounds it up past them; the bound is at least
+    ||b||_G >= max|b| >= 1/2, so the underflow of a term costs nothing the
+    factor does not cover.  Scaling back by 2^e is exact unless the result
+    is subnormal, where one step up undoes the rounding; a result that
+    overflows float64 is inf, which the bracket rejects as overflowing.
+    """
+    m, n = b.shape
+    w = 0.5 * np.concatenate([np.sqrt(np.add.reduce(p * p, axis=1)) for p in (b @ y, b.T @ x)])
+    mat = np.zeros((m + n, m + n))
+    mat[:m, m:] = -b
+    mat[m:, :m] = -b.T
+    mat[np.diag_indices(m + n)] = 2.0 * w
+    shift = max(0.0, -0.5 * _eigenvalue_lower(mat))
+    upper = (math.fsum(w.tolist()) + (m + n) * shift) * (1.0 + 8 * 2.0 ** -53)
+    try:
+        upper = math.ldexp(upper, e)
+    except OverflowError:
+        return math.inf
+    if upper < 2.0 ** -1022:
+        upper = math.nextafter(upper, math.inf)
+    return upper
+
+
+# The ascent stops after restart 0 when its dual certificate proves the
+# bracket within this relative gap; otherwise every configured restart runs.
+_DUAL_TARGET = 1e-4
+
+
+def _bracket(a: np.ndarray, spectral: float, io1: Optional[float], io1_lower: Optional[float],
+             cfg: BMConfig, timings: dict[str, float],
+             ) -> tuple[Bracket, VectorAssignment, int, Optional[str]]:
+    """The bracket of `grothendieck_bounds` from computed norms (io1 None: not
+    run; io1_lower: io1 rounded toward zero where its recount rounded up),
+    the vectors behind its lower end, the number of ascent restarts run and
+    a note on how the bracket closed.
+
+    upper = min(`_spectral_upper`, K_G * io1); lower = max(io1_lower, the
     singular-subspace witness's `_objective_lower`).  When the relative gap
     upper / lower - 1 is then at most _BM_TOL, the ascent's own stopping
-    tolerance, the ascent is skipped and the witness vectors are returned;
-    otherwise the ascent's vectors, through the same `_objective_lower`, are
-    one more lower term.  The witness and the ascent record their seconds in
-    `timings` under "witness" and "bm".
+    tolerance, the ascent is skipped and the witness vectors are returned.
+    Otherwise restart 0 of the ascent runs alone: its vectors give one more
+    lower term through `_objective_lower` and one more upper term through
+    `_dual_upper`.  When the gap is still above _DUAL_TARGET, all cfg.restarts
+    restarts run as `grothendieck_bm` runs them (restart 0 among them), and
+    the winner's vectors replace restart 0's in the lower end and give a
+    second dual term.  The zero matrix runs `grothendieck_bm` alone, which
+    ascends nothing.  The witness, the ascent and the dual record their
+    seconds in `timings` under "witness", "bm" and "dual".
     """
     m, n = a.shape
-    upper = _spectral_upper(spectral, m, n)
+    uppers = {"the spectral bound": _spectral_upper(spectral, m, n)}
     lower = 0.0
     if io1 is not None:
-        lower, upper = io1, min(upper, K_G * io1)
-    nonzero = bool(np.any(a))
-    if nonzero:
+        lower = io1_lower
+        uppers["K_G times the infinity-to-one norm"] = K_G * io1
+    if not np.any(a):
         t0 = time.perf_counter()
-        witness_lower, witness = _subspace_witness(a)
-        timings["witness"] = time.perf_counter() - t0
-        lower = max(lower, witness_lower)
-        if lower > 0.0 and upper / lower - 1.0 <= _BM_TOL:
-            return Bracket(lower, upper), witness, False
+        _, assignment = grothendieck_bm(a, cfg)
+        timings["bm"] = time.perf_counter() - t0
+        return Bracket(lower, min(uppers.values())), assignment, cfg.restarts, None
+
+    def gap(low: float) -> float:
+        return min(uppers.values()) / low - 1.0 if low > 0.0 else math.inf
+
     t0 = time.perf_counter()
-    _, assignment = grothendieck_bm(a, cfg)
-    timings["bm"] = time.perf_counter() - t0
-    if nonzero:
-        lower = max(lower, _objective_lower(*_scaled(a), assignment.left, assignment.right)[0])
-    return Bracket(lower, upper), assignment, True
+    witness_lower, witness = _subspace_witness(a)
+    timings["witness"] = time.perf_counter() - t0
+    lower = max(lower, witness_lower)
+    if gap(lower) <= _BM_TOL:
+        source = ("the infinity-to-one norm" if lower == io1_lower
+                  else "the singular-subspace witness")
+        return Bracket(lower, min(uppers.values())), witness, 0, (
+            f"ascent skipped: {source} set the lower end within {_BM_TOL:g} relative "
+            f"of the upper end; the witness is the top singular subspace, "
+            f"width {witness.left.shape[1]}"
+        )
+
+    b, e = _scaled(a)
+    timings["bm"] = timings["dual"] = 0.0
+
+    def ascend(restarts: int) -> tuple[float, VectorAssignment]:
+        t0 = time.perf_counter()
+        _, vectors = grothendieck_bm(a, replace(cfg, restarts=restarts))
+        t1 = time.perf_counter()
+        dual = _dual_upper(b, e, vectors.left, vectors.right)
+        timings["bm"] += t1 - t0
+        timings["dual"] += time.perf_counter() - t1
+        uppers["the dual certificate"] = min(dual, uppers.get("the dual certificate", math.inf))
+        return max(lower, _objective_lower(b, e, vectors.left, vectors.right)[0]), vectors
+
+    ascended = 1
+    low, assignment = ascend(1)
+    note = "ascent: restart 0 alone; "
+    if gap(low) > _DUAL_TARGET and cfg.restarts > 1:
+        note = (f"ascent: restart 0's proved relative gap {gap(low):.2e} exceeded "
+                f"{_DUAL_TARGET:g}, so all {cfg.restarts} restarts ran; ")
+        ascended += cfg.restarts
+        low, assignment = ascend(cfg.restarts)
+    upper = min(uppers.values())
+    source = next(name for name, value in uppers.items() if value == upper)
+    note += f"{source} set the upper end, proved relative gap {gap(low):.2e}"
+    return Bracket(low, upper), assignment, ascended, note
 
 
 def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> Bracket:
     """A certified `Bracket` [lower, upper] for the Grothendieck norm.
 
-    lower = max(exact infinity-to-one norm when feasible, the proved lower
-    bound of the singular-subspace witness, and of the ascent's vectors when
-    the ascent runs); upper = min(`_spectral_upper`, K_G * infinity-to-one),
-    the second only when the exact enumeration is feasible.  A cut-norm term
-    8 cut would never be the minimum, since K_G io1 <= 4 K_G cut < 8 cut.
-    The ascent runs only when the other terms leave a relative gap above
-    _BM_TOL; on a vertex-transitive matrix the witness alone closes it.
-    `analyze` and the `factor4` verify suite get theirs from the same rule,
-    `_bracket`.  An end that overflows float64 is a ValueError.
+    lower = max(exact infinity-to-one norm when feasible, rounded toward
+    zero where its recount rounded up, the proved lower bound of the
+    singular-subspace witness, and of the ascent's vectors when the ascent
+    runs); upper = min(`_spectral_upper`, K_G * infinity-to-one, the second
+    only when the exact enumeration is feasible, and the ascent's dual
+    certificate when the ascent runs).  A cut-norm term 8 cut would never
+    be the minimum, since K_G io1 <= 4 K_G cut < 8 cut.  The ascent runs
+    only when the other terms leave a relative gap above _BM_TOL; on a
+    vertex-transitive matrix the witness alone closes it.  Then restart 0
+    runs alone, and all cfg.restarts restarts only when its dual leaves a
+    gap above 1e-4.  `analyze` and the `factor4` verify suite get theirs
+    from the same rule, `_bracket`.  An end that overflows float64 is a
+    ValueError.
     """
     a = _real_matrix(a, "grothendieck_bounds")
     m, n = a.shape
-    io1 = infty_one_exact(a) if m <= EXACT_ENUM_LIMIT else None
-    return _bracket(a, spectral_norm(a), io1, cfg or BMConfig(), {})[0]
+    io1 = io1_lower = None
+    if m <= EXACT_ENUM_LIMIT:
+        _, io1, io1_lower, _ = _exact_norms(a, "infinity-to-one", cut=False)
+    return _bracket(a, spectral_norm(a), io1, io1_lower, cfg or BMConfig(), {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1010,10 +1132,16 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     Capacity misses (cut and infinity-to-one above EXACT_ENUM_LIMIT rows,
     transitivity above the search limit) are recorded as notes rather than
     raised, so a report is always produced.  The Grothendieck bracket is
-    `_bracket`'s; when it closes without the ascent, the assignment is the
-    singular-subspace witness, work["bm_restarts"] is 0 and a note says which
-    term set the lower end, while bm_rank and bm_restarts still echo `cfg`.  Complex or non-finite input is
-    a ValueError; a matrix without rows or columns gets a report of zeros.
+    `_bracket`'s, and work["bm_restarts"] counts the ascent restarts it ran,
+    while bm_rank and bm_restarts still echo `cfg`.  When the bracket closes
+    without the ascent, the assignment is the singular-subspace witness,
+    work["bm_restarts"] is 0 and a note says which term set the lower end.
+    Otherwise the assignment is restart 0's, work["bm_restarts"] is 1 and a
+    note names the term that set the upper end and the proved relative gap;
+    when restart 0's dual leaves a gap above 1e-4 and cfg.restarts > 1,
+    every configured restart runs too, the assignment is the best one's,
+    work["bm_restarts"] is 1 + cfg.restarts and the note says so.  Complex or non-finite input is a
+    ValueError; a matrix without rows or columns gets a report of zeros.
     """
     a = _real_matrix(a, "analyze")
     m, n = a.shape
@@ -1026,11 +1154,10 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     spectral = spectral_norm(a)
     timings["spectral"] = time.perf_counter() - t0
 
-    cut = None
-    io1 = None
+    cut = io1 = io1_lower = None
     try:
         t0 = time.perf_counter()
-        cut, io1, one_pass = _exact_norms(a, "cut norm")
+        cut, io1, io1_lower, one_pass = _exact_norms(a, "cut norm")
         timings["enumeration"] = time.perf_counter() - t0
         # the subsets and sign vectors actually visited
         work["cut_subsets"] = (1 << m) >> one_pass
@@ -1038,18 +1165,12 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     except CapacityError as exc:
         notes.append(str(exc))
 
-    groth, assignment, ascended = _bracket(a, spectral, io1, cfg, timings)
+    groth, assignment, restarts, note = _bracket(a, spectral, io1, io1_lower, cfg, timings)
     k = cfg.rank if cfg.rank is not None else default_bm_rank(m, n)
     work["bm_rank"] = k
-    work["bm_restarts"] = cfg.restarts if ascended else 0
-    if not ascended:
-        source = ("the infinity-to-one norm" if groth.lower == io1
-                  else "the singular-subspace witness")
-        notes.append(
-            f"ascent skipped: {source} set the lower end within {_BM_TOL:g} relative "
-            f"of the upper end; the witness is the top singular subspace, "
-            f"width {assignment.left.shape[1]}"
-        )
+    work["bm_restarts"] = restarts
+    if note is not None:
+        notes.append(note)
 
     transitive = None
     if m == n and n <= AUTOMORPHISM_SEARCH_LIMIT:

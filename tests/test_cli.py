@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: files, reports, exit codes."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -384,11 +385,13 @@ def test_analyze_overflow_exits_one_without_traceback(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["checks", "upper"])
 def test_analyze_overflowing_check_or_upper_end_exits_one(tmp_path, capsys, name):
-    # finite norms with an infinite check side, and an infinite upper end
+    # finite norms with an infinite check side, and an infinite upper end: one
+    # entry just below the largest double past the enumeration cap, whose
+    # spectral bound and dual certificate both overflow
     a = 3e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     if name == "upper":
         a = np.zeros((27, 27))
-        a[0, 0] = 1e308
+        a[0, 0] = sys.float_info.max * (1 - 1e-12)
     src = tmp_path / "h.json"
     src.write_text(serial.matrix_to_text(a))
     assert run(["analyze", str(src), "--out", str(tmp_path / "r.json"), "--restarts", "2"]) == 1

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -184,18 +185,27 @@ def test_overflowing_sums_are_a_value_error(fn):
 # bracket ends 1.2e308, so K_G io1, 8 cut and 8 cut on the transitive
 # sandwich are inf.
 HUGE_CHECKS = 3e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-# Past the enumeration cap the upper end is sqrt(27 * 27) 1e308 alone: inf.
+# Past the enumeration cap, sqrt(27 * 27) 1e308 overflows, but the ascent's
+# dual certificate gives a finite upper end.
 HUGE_UPPER = np.zeros((27, 27))
 HUGE_UPPER[0, 0] = 1e308
+# Its lower end fits, but every upper term overflows: the spectral bound
+# 27 c, and the dual c (1 + 5.2e-12), whose assumed eigen-solver slack puts
+# it past the largest double.  An entry of sys.float_info.max itself
+# overflows the ascent's objective instead.
+OVERFLOWING_UPPER = np.zeros((27, 27))
+OVERFLOWING_UPPER[0, 0] = sys.float_info.max * (1 - 1e-12)
 
 
 def test_overflowing_check_side_or_upper_end_is_a_value_error():
     for a, name in ((HUGE_CHECKS, "groth_lower_le_kg_infty_one"),
-                    (HUGE_UPPER, "bracket_ordered")):
+                    (OVERFLOWING_UPPER, "bracket_ordered")):
         with pytest.raises(ValueError, match=f"^{name} overflows"):
             analyze(a, BMConfig(restarts=2))
     with pytest.raises(ValueError, match="^bracket_ordered overflows"):
-        grothendieck_bounds(HUGE_UPPER, BMConfig(restarts=2))
+        grothendieck_bounds(OVERFLOWING_UPPER, BMConfig(restarts=2))
+    bracket = grothendieck_bounds(HUGE_UPPER, BMConfig(restarts=2))
+    assert 1e308 * (1 - 1e-14) <= bracket.lower <= 1e308 <= bracket.upper <= 1.0000000000052e308
     with pytest.raises(ValueError, match="^x overflows"):
         norms._check("x", 1.0, math.inf)
     with pytest.raises(ValueError, match="^x overflows"):
@@ -552,7 +562,7 @@ def _exact_norm_inputs():
 
 @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _exact_norm_inputs()])
 def test_shared_enumeration_equals_both_public_norms_bit_for_bit(a):
-    cut, io1, one_pass = norms._exact_norms(a, "cut norm")
+    cut, io1, _, one_pass = norms._exact_norms(a, "cut norm")
     want_cut, want_io1 = cut_norm_exact(a), infty_one_exact(a)
     assert cut == want_cut and float.hex(cut.value) == float.hex(want_cut.value)
     assert float.hex(io1) == float.hex(want_io1)
@@ -572,7 +582,7 @@ def test_int64_enumeration_form_matches_brute_force():
         for b in (_zero_column_sums(a), _zero_column_sums(_zero_column_sums(a).T).T):
             w, zero = norms._enumeration_form(b)
             assert w.dtype == np.int64
-            cut, io1, _ = norms._exact_norms(b, "cut norm")
+            cut, io1, _, _ = norms._exact_norms(b, "cut norm")
             assert cut.value == _cut_by_matmul(b).max()
             assert io1 == _io1_brute(b)
 
@@ -1237,12 +1247,145 @@ def test_non_transitive_input_still_ascends():
     for a in (center_regular(example1_graph(6, 20, seed=2).matrix, 6),
               np.random.Generator(np.random.Philox(65)).standard_normal((20, 20))):
         report = analyze(a)
-        assert report.work["bm_restarts"] == 8
+        assert report.work["bm_restarts"] == 1
         assert report.assignment.left.shape[1] == default_bm_rank(20, 20)
         assert not any("ascent skipped" in note for note in report.notes)
-        # the ascent's value goes into the bracket deflated, never raised
-        value, _ = grothendieck_bm(a)
+        # restart 0's value goes into the bracket deflated, never raised
+        value, _ = grothendieck_bm(a, BMConfig(restarts=1))
         assert value * (1 - 1e-12) <= report.groth.lower <= value
+
+
+def _count_ascents(monkeypatch) -> list[int]:
+    """Record the restarts of every `_grothendieck_bm_stack` call."""
+    calls: list[int] = []
+    stack = norms._grothendieck_bm_stack
+
+    def counted(mats, cfg=None):
+        calls.append((cfg or BMConfig()).restarts)
+        return stack(mats, cfg)
+
+    monkeypatch.setattr(norms, "_grothendieck_bm_stack", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a", [center_regular(example1_graph(6, 20, seed=2).matrix, 6),
+                               np.random.Generator(np.random.Philox(65)).standard_normal((20, 20))],
+                         ids=["example1-6-20-2", "gauss20x20"])
+def test_restart_zero_alone_closes_the_bracket_with_its_dual(a, monkeypatch):
+    calls = _count_ascents(monkeypatch)
+    report = analyze(a)
+    assert calls == [1] and report.work["bm_restarts"] == 1
+    assert report.bm_restarts == 8
+    assert report.groth.upper / report.groth.lower - 1 <= norms._DUAL_TARGET
+    assert [note for note in report.notes if note.startswith("ascent")] == [
+        "ascent: restart 0 alone; the dual certificate set the upper end, proved relative "
+        f"gap {report.groth.upper / report.groth.lower - 1:.2e}"]
+    # restart 0 alone is slot 0 of the eight-restart stack, bit for bit
+    b, e = norms._scaled(a)
+    k = default_bm_rank(*a.shape)
+    _, left, right, _ = _bm_ascent(b, *norms._bm_starts(*a.shape, k, 8, 0), 500, norms._BM_TOL)
+    assert np.array_equal(left[0], report.assignment.left)
+    assert np.array_equal(right[0], report.assignment.right)
+
+
+def test_restart_zero_short_of_the_target_falls_back_to_every_restart(monkeypatch):
+    # at rank 2 the ascent stops at points that are not stationary for the
+    # SDP, so restart 0's dual leaves a gap of 0.21
+    a = np.random.Generator(np.random.Philox(67)).standard_normal((30, 30))
+    cfg = BMConfig(rank=2)
+    calls = _count_ascents(monkeypatch)
+    report = analyze(a, cfg)
+    assert calls == [1, 8] and report.work["bm_restarts"] == 9
+    assert sum("so all 8 restarts ran" in note for note in report.notes) == 1
+    # the lower end is the best-of-8 ascent's, as without restart 0 alone
+    _, best = grothendieck_bm(a, cfg)
+    lower = norms._objective_lower(*norms._scaled(a), best.left, best.right)[0]
+    assert lower > norms._subspace_witness(a)[0]
+    assert float.hex(report.groth.lower) == float.hex(lower)
+    assert report.assignment.objective == best.objective
+    # with a single restart there is nothing to fall back to
+    calls.clear()
+    assert analyze(a, BMConfig(rank=2, restarts=1)).work["bm_restarts"] == 1
+    assert calls == [1]
+
+
+def test_dual_upper_end_scales_with_the_input():
+    a = np.random.Generator(np.random.Philox(68)).standard_normal((30, 28))
+    base = grothendieck_bounds(a)
+    assert base.upper / base.lower - 1 <= norms._DUAL_TARGET
+    b, e = norms._scaled(a)
+    _, restart0 = grothendieck_bm(a, BMConfig(restarts=1))
+    dual = norms._dual_upper(b, e, restart0.left, restart0.right)
+    assert base.upper == dual
+    for c in (1e-300, 1e200):
+        bracket = grothendieck_bounds(c * a)
+        assert bracket.lower == pytest.approx(c * base.lower, rel=1e-12)
+        assert bracket.upper == pytest.approx(c * base.upper, rel=1e-12)
+    # a power of two changes no bit of the ascent or of the dual
+    for s in (-997, 664):
+        assert norms._dual_upper(b, e + s, restart0.left, restart0.right) == math.ldexp(dual, s)
+        bracket = grothendieck_bounds(np.ldexp(a, s))
+        assert (bracket.lower, bracket.upper) == (math.ldexp(base.lower, s),
+                                                  math.ldexp(base.upper, s))
+
+
+def test_dual_bracket_edge_cases():
+    rng = np.random.Generator(np.random.Philox(69))
+    holes = rng.standard_normal((30, 30))
+    holes[4] = 0.0
+    holes[:, 7] = 0.0
+    row, col = rng.standard_normal((1, 30)), rng.standard_normal((30, 1))
+    for a in (holes, row, col, row.T @ col.T):
+        bracket = grothendieck_bounds(a)
+        assert 0.0 < bracket.lower <= bracket.upper
+        if a is holes:
+            assert bracket.upper / bracket.lower - 1 <= norms._DUAL_TARGET
+        _, restart0 = grothendieck_bm(a, BMConfig(restarts=1))
+        dual = norms._dual_upper(*norms._scaled(a), restart0.left, restart0.right)
+        assert bracket.lower <= dual
+        if min(a.shape) == 1:
+            # ||a||_G = sum |a_ij| for a single row or column
+            assert Fraction(bracket.lower) <= sum(map(Fraction, np.abs(a).ravel())) <= Fraction(dual)
+
+
+def _bench_non_transitive_inputs(seed):
+    """The non-transitive analyze inputs of bench/workloads.py for one seed."""
+    def rng(k):
+        return np.random.Generator(np.random.Philox(seed * 1000 + k))
+
+    for k in range(2, 10):
+        yield center_regular(example1_graph(6, 20, seed=seed * 1000 + k).matrix, 6)
+    for k, n in ((0, 17), (1, 17), (2, 80)):
+        yield center_regular(random_regular(n, 4, seed=seed * 1000 + k).matrix, 4)
+    yield np.random.Generator(np.random.Philox(0)).choice([-1.0, 1.0], size=(18, 18))
+    for k, (m, n) in ((1, (19, 16)), (2, (20, 20)), (4, (20, 18)), (6, (20, 24))):
+        yield rng(k).standard_normal((m, n))
+    for k, (m, n) in ((3, (20, 22)), (5, (20, 20))):
+        yield rng(k).choice([-1.0, 1.0], size=(m, n))
+
+
+def test_bench_non_transitive_brackets_close_after_restart_zero(monkeypatch):
+    # the enumeration's terms would only help: leave them out
+    monkeypatch.setattr(norms, "EXACT_ENUM_LIMIT", 0)
+    mats = [a for seed in (0, 1) for a in _bench_non_transitive_inputs(seed)]
+    best = norms._grothendieck_bm_stack(mats, BMConfig())
+    for a, (_, vectors) in zip(mats, best, strict=True):
+        bracket = grothendieck_bounds(a)
+        assert bracket.upper / bracket.lower - 1 <= 1e-4
+        lower8 = norms._objective_lower(*norms._scaled(a), vectors.left, vectors.right)[0]
+        assert abs(bracket.lower / lower8 - 1) <= 1e-7
+
+
+def test_bracket_holds_the_norm_of_gaussian_outer_products():
+    # fl(u v^T) keeps the sign of u_i v_j, so ||a||_G = ||a||_inf->1 = sum |a_ij|
+    # exactly; the infinity-to-one recount, rounded to nearest, sat above it
+    for seed in range(400):
+        rng = np.random.Generator(np.random.Philox(seed))
+        m, n = (int(d) for d in rng.integers(1, 7, size=2))
+        a = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+        exact = sum(map(Fraction, np.abs(a).ravel()))
+        bracket = grothendieck_bounds(a)
+        assert Fraction(bracket.lower) <= exact <= Fraction(bracket.upper), seed
 
 
 def test_witness_bracket_edge_cases():
@@ -1495,7 +1638,10 @@ def test_spectral_upper_bound_covers_sigma_at_every_scale():
     # sigma_hat of 1e-300 I3 can round below 1e-300; the inflated bound may not
     report = analyze(1e-300 * np.eye(3))
     assert report.infty_one == 3e-300
-    assert report.groth.upper >= report.groth.lower == 3e-300
+    # ||1e-300 I3||_G is three times the double nearest 1e-300, which lies
+    # below 3e-300: the infinity-to-one lower term steps one ulp down
+    assert Fraction(report.groth.lower) <= 3 * Fraction(1e-300)
+    assert report.groth.upper >= report.groth.lower == math.nextafter(3e-300, 0.0)
     m, n = 5, 9
     assert norms._spectral_upper(2.0, m, n) > math.sqrt(m * n) * 2.0
     assert norms._spectral_upper(2.0, m, n) <= math.sqrt(m * n) * 2.0 * (1 + 1e-13)

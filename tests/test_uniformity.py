@@ -97,11 +97,13 @@ def test_epsilon_bracket_above_the_cap_contains_the_exact_value(g, monkeypatch):
     est = epsilon_uniformity(g.matrix, g.degree)
     assert not est.exact
     assert est.lower <= exact <= est.upper
-    # the zero-margin ends, not [G_lower / 8, G_upper]
-    groth = grothendieck_bounds(center_regular(g.matrix, g.degree))
+    # the zero-margin ends, not [G_lower / 8, G_upper]; the upper end is the
+    # spectral bound on ||C||_G, never the ascent's dual
+    c = center_regular(g.matrix, g.degree)
+    groth = grothendieck_bounds(c)
     scale = g.degree * g.n
     rounding = 5 * g.n ** 2 * np.finfo(np.float64).eps / 4
-    assert est.upper == (groth.upper / 4 + rounding) / scale
+    assert est.upper == (norms._spectral_upper(norms.spectral_norm(c), g.n, g.n) / 4 + rounding) / scale
     # the lower end is its witness's discrepancy over d n, rounded down
     dev = _witness_discrepancy(g, est.witness)
     assert est.lower == math.nextafter(dev / (g.degree * g.n ** 2), 0.0)
