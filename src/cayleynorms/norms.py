@@ -15,8 +15,9 @@ normalized rows of the top singular subspaces, from one SVD), which
 reaches n ||A|| = ||A||_G on a vertex-transitive matrix, the paper's
 corollary; then, only while the bracket is wider than the ascent's own
 tolerance _BM_TOL, a low-rank block-coordinate ascent.  Its restart 0 runs
-alone, and its vectors also give the dual certificate `_dual_upper`, an
-upper bound by weak duality for the SDP whose value is ||A||_G; the other
+alone, and its vectors also give the dual certificate `_dual_upper`, a
+weighted spectral bound (weak duality for the SDP whose value is ||A||_G,
+one SVD of the input scaled by the ascent's multipliers); the other
 restarts run only when that leaves the bracket wider than _DUAL_TARGET =
 1e-4 relative.  Two-number inequality verdicts are `_check`'s
 (1e-9 of the larger side; a side that is not finite is a ValueError saying
@@ -121,23 +122,6 @@ def _spectral_upper(spectral: float, m: int, n: int) -> float:
     sigma_hat = `spectral`: sqrt(mn) sigma_hat inflated by the SVD's error."""
     slack = _SVD_ERROR_PER_DIM * max(m, n) * float(np.finfo(np.float64).eps)
     return math.sqrt(m * n) * spectral * (1.0 + slack)
-
-
-def _eigenvalue_lower(mat: np.ndarray) -> float:
-    """A lower bound on the smallest eigenvalue of a symmetric N x N matrix.
-
-    LAPACK's eigvalsh is backward stable in the same sense as the SVD, so by
-    Weyl's inequality lambda_min >= lambda_hat - p(N) eps ||M||_2.  We take
-    the same assumed p = 8 N as `_spectral_upper`, whose slack also covers
-    the two roundings of the product and the difference, with ||M||_2 <=
-    ||M||_F and the float ||M||_F inflated by (1 + 2 (N^2 + 2) eps), which
-    covers its sum of squares in any order and its square root.
-    """
-    nn = mat.shape[0]
-    eps = float(np.finfo(np.float64).eps)
-    lam = float(np.linalg.eigvalsh(mat)[0])
-    fro = float(np.linalg.norm(mat)) * (1.0 + 2 * (nn * nn + 2) * eps)
-    return lam - _SVD_ERROR_PER_DIM * nn * eps * fro
 
 
 def symmetric_spectrum(a: np.ndarray) -> np.ndarray:
@@ -399,13 +383,14 @@ def _column_witness(c: np.ndarray) -> tuple[int, ...]:
     return min(build(c > 0), build(c < 0))
 
 
-def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
-                 io1: bool = True,
+def _exact_norms(a: np.ndarray, what: str, cut: bool = True, io1: bool = True,
+                 lower: bool = False,
                  ) -> tuple[Optional[Bracket], Optional[float], Optional[float], bool]:
     """The cut norm (if `cut`, else None) as an exact `Bracket` whose witness
     is (row set, column set), the infinity-to-one norm (if `io1`, else None)
     of a real matrix, the same rounded toward zero where its recount rounded
-    up (a proved lower bound), and whether one enumeration gave both.
+    up (if `io1` and `lower`, else None; a proved lower bound for the
+    Grothendieck bracket), and whether one enumeration gave both.
 
     Each value is recomputed with math.fsum from its witness: the row set
     and its best column set, or x = 1 - 2 1_S and y the sign pattern of
@@ -425,7 +410,8 @@ def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
             "use grothendieck_bounds for larger matrices"
         )
     cut_result = Bracket(0.0, 0.0, True, ((), ())) if cut else None
-    io1_value = io1_lower = 0.0 if io1 else None
+    io1_value = 0.0 if io1 else None
+    io1_lower = 0.0 if io1 and lower else None
     if a.size == 0:
         return cut_result, io1_value, io1_lower, False
     try:
@@ -445,10 +431,12 @@ def _exact_norms(a: np.ndarray, what: str, cut: bool = True,
                 y = np.where(x @ w < 0, -1, 1)
                 terms = (a * np.outer(x, y)).ravel()
                 total = math.fsum(terms)
-                io1_value = io1_lower = abs(total)
-                # fsum rounds to nearest: step toward zero where that rounded up
-                if math.fsum(np.append(terms if total >= 0.0 else -terms, -io1_value)) < 0.0:
-                    io1_lower = math.nextafter(io1_value, 0.0)
+                io1_value = abs(total)
+                if lower:
+                    # fsum rounds to nearest: step toward zero where that rounded up
+                    io1_lower = io1_value
+                    if math.fsum(np.append(terms if total >= 0.0 else -terms, -io1_value)) < 0.0:
+                        io1_lower = math.nextafter(io1_value, 0.0)
     except OverflowError:
         raise ValueError(f"{what} enumeration overflows: a sum of entries exceeds "
                          "the float64 range") from None
@@ -818,34 +806,49 @@ def _subspace_witness(a: np.ndarray) -> tuple[float, VectorAssignment]:
 
 def _dual_upper(b: np.ndarray, e: int, x: np.ndarray, y: np.ndarray) -> float:
     """A proved upper bound on ||2^e b||_G from the rows of x (m x k) and y
-    (n x k), by weak duality; b is a matrix from `_scaled`.
+    (n x k), by a weighted spectral bound; b is a matrix from `_scaled`.
 
-    ||b||_G is the largest <B', X> over positive semidefinite X with unit
-    diagonal, for B' = [[0, b], [b^T, 0]] / 2, so every w in R^(m+n) gives
-    ||b||_G <= sum w + (m + n) max(0, -lambda_min(diag w - B')).  The ascent's
-    stationary point gives the multipliers w_i = ||(b y)_i|| / 2 and
-    w_(m+j) = ||(b^T x)_j|| / 2, at which diag w - B' is positive
-    semidefinite and sum w is the objective (Burer & Monteiro 2003).  With w
-    as computed, M = diag(2w) - [[0, b], [b^T, 0]] is formed exactly, so
-    lambda_min(diag w - B') = lambda_min(M) / 2, bounded below by
-    `_eigenvalue_lower`.  The float sum of the two terms passes through three
-    roundings of non-negative values, each of at most u = 2^-53 relative,
-    and the factor 1 + 8u rounds it up past them; the bound is at least
-    ||b||_G >= max|b| >= 1/2, so the underflow of a term costs nothing the
-    factor does not cover.  Scaling back by 2^e is exact unless the result
-    is subnormal, where one step up undoes the rounding; a result that
-    overflows float64 is inf, which the bracket rejects as overflowing.
+    For any positive r in R^m and c in R^n, and unit vectors x_i, y_j,
+    sum b_ij <x_i, y_j> = tr(X^T C Y) with C = D_r^(-1/2) b D_c^(-1/2) and
+    the rows of X, Y scaled to lengths sqrt(r_i), sqrt(c_j), so by
+    Cauchy-Schwarz ||b||_G <= sigma_1(C) sqrt(sum r sum c); r = c = 1 is the
+    spectral bound.  It is weak duality for the SDP whose value is ||b||_G
+    with the multipliers w = (r, c) / 2 scaled until diag w - B' is positive
+    semidefinite, and the ascent's stationary point makes it tight at
+    r_i = ||(b y)_i||, c_j = ||(b^T x)_j|| (Burer & Monteiro 2003), taken
+    as computed.  Zero rows and columns of b, which add nothing to any
+    objective, are dropped, so the test is one SVD, of an m' x n' matrix; a
+    kept multiplier below 2^-500 (a degenerate ascent) gives inf.
+
+    With u = 2^-53 and N = max(m', n'), the float C_hat is C with each
+    entry off by at most gamma_6 relative plus 2^-824 for an underflow (the
+    reciprocal square roots are at most 2^250), so ||C - C_hat||_2 <=
+    gamma_6 sqrt(min(m', n')) sigma_1(C) + 2^-824 sqrt(m' n').  The SVD's
+    sigma_hat of C_hat is taken to be backward stable with the same assumed
+    p = 8 N as `_spectral_upper`.  So sigma_1(C) <= (sigma_hat + 2^-823
+    sqrt(m' n')) (1 + 8 N eps + 8 sqrt(min(m', n')) u), whose spare covers
+    the expansions of the two divisions.  Its product with the square roots
+    of the two fsums passes through eight roundings, and the factor 1 + 16u
+    rounds it up past them.  The bound is at least max|b| >= 1/2, so
+    scaling back by 2^e is exact unless the result is subnormal, where one
+    step up undoes the rounding; a result that overflows float64 is inf,
+    which the bracket rejects as overflowing.
     """
-    m, n = b.shape
-    w = 0.5 * np.concatenate([np.sqrt(np.add.reduce(p * p, axis=1)) for p in (b @ y, b.T @ x)])
-    mat = np.zeros((m + n, m + n))
-    mat[:m, m:] = -b
-    mat[m:, :m] = -b.T
-    mat[np.diag_indices(m + n)] = 2.0 * w
-    shift = max(0.0, -0.5 * _eigenvalue_lower(mat))
-    upper = (math.fsum(w.tolist()) + (m + n) * shift) * (1.0 + 8 * 2.0 ** -53)
+    u = 2.0 ** -53
+    rows, cols = np.any(b, axis=1), np.any(b, axis=0)
+    r = np.sqrt(np.add.reduce((b @ y) ** 2, axis=1))[rows]
+    c = np.sqrt(np.add.reduce((b.T @ x) ** 2, axis=1))[cols]
+    if min(r.min(), c.min()) < 2.0 ** -500:
+        return math.inf
+    kept = b[np.ix_(rows, cols)] if not (rows.all() and cols.all()) else b
+    m, n = kept.shape
+    sigma = float(np.linalg.svd(kept * (1.0 / np.sqrt(r))[:, None] * (1.0 / np.sqrt(c)),
+                                compute_uv=False)[0])
+    slack = _SVD_ERROR_PER_DIM * max(m, n) * 2 * u + 8 * math.sqrt(min(m, n)) * u
+    sigma = (sigma + 2.0 ** -823 * math.sqrt(m * n)) * (1.0 + slack)
+    upper = sigma * math.sqrt(math.fsum(r.tolist())) * math.sqrt(math.fsum(c.tolist()))
     try:
-        upper = math.ldexp(upper, e)
+        upper = math.ldexp(upper * (1.0 + 16 * u), e)
     except OverflowError:
         return math.inf
     if upper < 2.0 ** -1022:
@@ -955,7 +958,7 @@ def grothendieck_bounds(a: np.ndarray, cfg: Optional[BMConfig] = None) -> Bracke
     m, n = a.shape
     io1 = io1_lower = None
     if m <= EXACT_ENUM_LIMIT:
-        _, io1, io1_lower, _ = _exact_norms(a, "infinity-to-one", cut=False)
+        _, io1, io1_lower, _ = _exact_norms(a, "infinity-to-one", cut=False, lower=True)
     return _bracket(a, spectral_norm(a), io1, io1_lower, cfg or BMConfig(), {})[0]
 
 
@@ -1157,7 +1160,7 @@ def analyze(a: np.ndarray, cfg: Optional[BMConfig] = None) -> NormReport:
     cut = io1 = io1_lower = None
     try:
         t0 = time.perf_counter()
-        cut, io1, io1_lower, one_pass = _exact_norms(a, "cut norm")
+        cut, io1, io1_lower, one_pass = _exact_norms(a, "cut norm", lower=True)
         timings["enumeration"] = time.perf_counter() - t0
         # the subsets and sign vectors actually visited
         work["cut_subsets"] = (1 << m) >> one_pass

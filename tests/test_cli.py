@@ -386,12 +386,13 @@ def test_analyze_overflow_exits_one_without_traceback(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["checks", "upper"])
 def test_analyze_overflowing_check_or_upper_end_exits_one(tmp_path, capsys, name):
     # finite norms with an infinite check side, and an infinite upper end: one
-    # entry just below the largest double past the enumeration cap, whose
-    # spectral bound and dual certificate both overflow
+    # entry 8 u below the largest double past the enumeration cap, whose
+    # spectral bound and dual certificate both overflow (test_norms'
+    # OVERFLOWING_UPPER asserts both)
     a = 3e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     if name == "upper":
         a = np.zeros((27, 27))
-        a[0, 0] = sys.float_info.max * (1 - 1e-12)
+        a[0, 0] = sys.float_info.max * (1 - 2.0 ** -50)
     src = tmp_path / "h.json"
     src.write_text(serial.matrix_to_text(a))
     assert run(["analyze", str(src), "--out", str(tmp_path / "r.json"), "--restarts", "2"]) == 1

@@ -190,11 +190,12 @@ HUGE_CHECKS = 3e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])
 HUGE_UPPER = np.zeros((27, 27))
 HUGE_UPPER[0, 0] = 1e308
 # Its lower end fits, but every upper term overflows: the spectral bound
-# 27 c, and the dual c (1 + 5.2e-12), whose assumed eigen-solver slack puts
-# it past the largest double.  An entry of sys.float_info.max itself
-# overflows the ascent's objective instead.
+# 27 c, and the dual c (1 + about 40 u), whose rounding and assumed SVD
+# slack put it past the largest double, 8 u above c.  The test asserts both
+# overflows, so a tighter proof of the slack shows here.  The two largest
+# doubles overflow the ascent's objective instead.
 OVERFLOWING_UPPER = np.zeros((27, 27))
-OVERFLOWING_UPPER[0, 0] = sys.float_info.max * (1 - 1e-12)
+OVERFLOWING_UPPER[0, 0] = sys.float_info.max * (1 - 2.0 ** -50)
 
 
 def test_overflowing_check_side_or_upper_end_is_a_value_error():
@@ -204,8 +205,13 @@ def test_overflowing_check_side_or_upper_end_is_a_value_error():
             analyze(a, BMConfig(restarts=2))
     with pytest.raises(ValueError, match="^bracket_ordered overflows"):
         grothendieck_bounds(OVERFLOWING_UPPER, BMConfig(restarts=2))
+    b, e = norms._scaled(OVERFLOWING_UPPER)
+    restart0 = grothendieck_bm(OVERFLOWING_UPPER, BMConfig(restarts=1))[1]
+    assert math.isfinite(norms._objective_lower(b, e, restart0.left, restart0.right)[0])
+    assert norms._dual_upper(b, e, restart0.left, restart0.right) == math.inf
+    assert norms._spectral_upper(spectral_norm(OVERFLOWING_UPPER), 27, 27) == math.inf
     bracket = grothendieck_bounds(HUGE_UPPER, BMConfig(restarts=2))
-    assert 1e308 * (1 - 1e-14) <= bracket.lower <= 1e308 <= bracket.upper <= 1.0000000000052e308
+    assert 1e308 * (1 - 1e-14) <= bracket.lower <= 1e308 <= bracket.upper <= 1e308 * (1 + 1e-13)
     with pytest.raises(ValueError, match="^x overflows"):
         norms._check("x", 1.0, math.inf)
     with pytest.raises(ValueError, match="^x overflows"):
@@ -1290,7 +1296,7 @@ def test_restart_zero_alone_closes_the_bracket_with_its_dual(a, monkeypatch):
 
 def test_restart_zero_short_of_the_target_falls_back_to_every_restart(monkeypatch):
     # at rank 2 the ascent stops at points that are not stationary for the
-    # SDP, so restart 0's dual leaves a gap of 0.21
+    # SDP, so restart 0's dual leaves a gap of 0.33
     a = np.random.Generator(np.random.Philox(67)).standard_normal((30, 30))
     cfg = BMConfig(rank=2)
     calls = _count_ascents(monkeypatch)
@@ -1346,6 +1352,34 @@ def test_dual_bracket_edge_cases():
         if min(a.shape) == 1:
             # ||a||_G = sum |a_ij| for a single row or column
             assert Fraction(bracket.lower) <= sum(map(Fraction, np.abs(a).ravel())) <= Fraction(dual)
+
+
+@pytest.mark.parametrize("shape", [(2, 4000), (4000, 2)], ids=["2x4000", "4000x2"])
+def test_skinny_input_closes_with_restart_zero_and_svds_of_its_own_shape(shape, monkeypatch):
+    # the dual's test is one SVD of the input scaled by the multipliers, never
+    # an eigenproblem of side m + n (4002^2 doubles here)
+    a = np.random.Generator(np.random.Philox(70)).standard_normal(shape)
+    calls = _count_ascents(monkeypatch)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return svd(x, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("no eigenproblem on this path")
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    report = analyze(a)
+    assert calls == [1] and report.work["bm_restarts"] == 1
+    assert report.groth.upper / report.groth.lower - 1 <= norms._DUAL_TARGET
+    assert [note for note in report.notes if note.startswith("ascent")] == [
+        "ascent: restart 0 alone; the dual certificate set the upper end, proved relative "
+        f"gap {report.groth.upper / report.groth.lower - 1:.2e}"]
+    # spectral norm, witness and dual: three SVDs, each of a 2 x 4000 matrix
+    assert shapes == [shape] * 3
 
 
 def _bench_non_transitive_inputs(seed):
